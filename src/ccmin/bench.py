@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -44,14 +45,17 @@ from .diagnostics import (
     ridge_psi,
 )
 from .errors import ConfigError, NumericalError, ParameterError
-from .geometry import derive_params, power_uc_constant
+from .geometry import bregman, derive_params, power_uc_constant
 from .oracles import RidgeInstance, additive_noise_oracle, bernoulli_oracle, ridge_oracle
 from .regularizers import PowerNormRegularizer
 from .solvers import (
     PolynomialSchedule,
+    RestartPlan,
+    RunTrace,
     TraceOptions,
     acsa_baseline,
     acsmd,
+    default_degree,
     default_schedule,
     nacsmd,
     plan_from_params,
@@ -279,14 +283,8 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
     else:
         m = spec.get("m")
         if m is None:
-            if target == "nacsmd":
-                m = 0.0  # the reference experiments run constant alpha_t
-            else:
-                q, r = params.q, params.r
-                fallback = (2.0 - q) / (q - 1.0)
-                # smooth case needs growing alpha for acceleration, as in
-                # default_schedule
-                m = max(q / r - 2.0, fallback) if r > 0.0 else max(1.0, fallback)
+            # the reference experiments run constant alpha_t for nacsmd
+            m = 0.0 if target == "nacsmd" else default_degree(params, target)
         if offset == "condition_root" or offset is None and target == "acsmd":
             offset = (params.L / nominal_mu) ** (1.0 / params.q)
         elif offset is None:
@@ -364,11 +362,7 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
     eps_abs = run_cfg["epsilon"] * gap0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
     gap_fn = lambda x: psi(x) - psi_star  # noqa: E731
-    hgrad = H.grad  # local alias
-
-    def bregman_fn(x):
-        return float(H.value(x_opt)) - float(H.value(x)) - float(np.dot(hgrad(x), x_opt - x))
-
+    bregman_fn = functools.partial(bregman, H, x_opt)
     stop_gap = eps_abs if run_cfg["stop_at_target"] else None
     want_cert = bool(run_cfg["certificates"]) and name in ("nacsmd", "acsmd")
     sched_desc = None
@@ -411,7 +405,6 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
                 V0 = bregman_fn(bundle["x1"])
                 plan = plan_from_params(params, name, max(V0, 1e-12), eps_abs, sched=sched)
             else:
-                from .solvers import RestartPlan
                 plan = RestartPlan(**restart_cfg)
             sched_desc["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
             _, rtrace = restart(
@@ -449,7 +442,6 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
 
 def _flatten_restart(rtrace):
     """Concatenate stage traces into one flat gap/step series."""
-    from .solvers import RunTrace
     traces = rtrace.stage_traces + [rtrace.final_trace]
     return RunTrace(
         algorithm=traces[-1].algorithm,
@@ -469,8 +461,10 @@ def _job(args):
     cfg, cell, seed = args
     try:
         record, rows = _execute_run(cfg, cell, seed)
-    except NumericalError as exc:
-        # a diverged run is recorded against its cell; the grid keeps going
+    except (NumericalError, ParameterError) as exc:
+        # a diverged run, or one whose cell the parameters rule out (say, a
+        # restart plan on a schedule whose bound is undefined), is recorded
+        # against its cell; the grid keeps going
         record = {
             "cell": cell["label"], "seed": seed, "error": str(exc),
             "iterations_to_target": None, "certificate": "n/a", "schedule": None,
@@ -660,7 +654,17 @@ def _load_config(path: str) -> dict:
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg.setdefault("run", {})["seeds"] = {"count": args.seeds_count, "base": args.seed}
+        run = cfg.setdefault("run", {})
+        seeds = run.get("seeds", {})
+        # without --seeds-count the config's count (or the default) stays and
+        # only the base moves; seeds of another type are left for
+        # resolve_config to reject
+        if args.seeds_count is not None:
+            run["seeds"] = {"count": args.seeds_count, "base": args.seed}
+        elif isinstance(seeds, list):
+            run["seeds"] = {"count": len(seeds), "base": args.seed}
+        elif isinstance(seeds, dict):
+            run["seeds"] = dict(seeds, base=args.seed)
     summary = run_experiment(cfg, out_dir=args.out, workers=args.workers)
     text, _ = emit_table(summary)
     sys.stdout.write(text)
@@ -769,7 +773,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--seeds-count", type=int, default=20)
+    p_run.add_argument("--seeds-count", type=int, default=None,
+                       help="seeds to run from --seed on (default: the config's count)")
     p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 

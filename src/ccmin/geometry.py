@@ -19,6 +19,7 @@ on. Vectors are plain 1-D numpy arrays throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,6 +246,25 @@ class WeakSmoothnessReport:
 _DEGENERATE_PAIR = 1e-12  # reject pairs this close to avoid 0/0 ratios
 
 
+def _extreme_curvature_ratio(f, grad, dim, norm_q, power, better, samples, rng_seed, scale):
+    """Extremum over random pairs of [f(x) - f(y) - <grad(y), x-y>] / ((1/power)
+    ||x-y||_{norm_q}^power), with the first pair that attains it. ``better`` is
+    ``operator.lt`` for the minimum and ``operator.gt`` for the maximum."""
+    rng = np.random.default_rng(rng_seed)
+    best = np.inf if better is operator.lt else -np.inf
+    wx = wy = np.zeros(dim)
+    for _ in range(samples):
+        x = rng.normal(0.0, scale, dim)
+        y = rng.normal(0.0, scale, dim)
+        dist = lq_norm(x - y, norm_q)
+        if dist < _DEGENERATE_PAIR:
+            continue
+        ratio = (f(x) - f(y) - np.dot(grad(y), x - y)) / (dist ** power / power)
+        if better(ratio, best):
+            best, wx, wy = float(ratio), x, y
+    return float(best), wx, wy
+
+
 def check_uniform_convexity(
     f,
     grad,
@@ -262,20 +282,10 @@ def check_uniform_convexity(
     [f(x) - f(y) - <grad(y), x-y>] / ((1/q) ||x-y||_q^q); the modulus holds
     on the sample iff min_ratio >= mu (up to tol).
     """
-    rng = np.random.default_rng(rng_seed)
-    min_ratio = np.inf
-    wx = wy = np.zeros(dim)
-    for _ in range(samples):
-        x = rng.normal(0.0, scale, dim)
-        y = rng.normal(0.0, scale, dim)
-        dist = lq_norm(x - y, q)
-        if dist < _DEGENERATE_PAIR:
-            continue
-        ratio = (f(x) - f(y) - np.dot(grad(y), x - y)) / (dist ** q / q)
-        if ratio < min_ratio:
-            min_ratio, wx, wy = float(ratio), x, y
+    min_ratio, wx, wy = _extreme_curvature_ratio(
+        f, grad, dim, q, q, operator.lt, samples, rng_seed, scale)
     return UniformConvexityReport(
-        min_ratio=float(min_ratio), witness_x=wx, witness_y=wy,
+        min_ratio=min_ratio, witness_x=wx, witness_y=wy,
         mu=float(mu), passed=bool(min_ratio >= mu - tol * (1.0 + abs(mu))),
     )
 
@@ -293,19 +303,9 @@ def check_weak_smoothness(
     tol: float = 1e-9,
 ) -> WeakSmoothnessReport:
     """Empirically probe f(x) - f(y) - <grad(y), x-y> <= (L/kappa) ||x-y||_q^kappa."""
-    rng = np.random.default_rng(rng_seed)
-    max_ratio = -np.inf
-    wx = wy = np.zeros(dim)
-    for _ in range(samples):
-        x = rng.normal(0.0, scale, dim)
-        y = rng.normal(0.0, scale, dim)
-        dist = lq_norm(x - y, norm_q)
-        if dist < _DEGENERATE_PAIR:
-            continue
-        ratio = (f(x) - f(y) - np.dot(grad(y), x - y)) / (dist ** kappa / kappa)
-        if ratio > max_ratio:
-            max_ratio, wx, wy = float(ratio), x, y
+    max_ratio, wx, wy = _extreme_curvature_ratio(
+        f, grad, dim, norm_q, kappa, operator.gt, samples, rng_seed, scale)
     return WeakSmoothnessReport(
-        max_ratio=float(max_ratio), witness_x=wx, witness_y=wy,
+        max_ratio=max_ratio, witness_x=wx, witness_y=wy,
         L=float(L), passed=bool(max_ratio <= L + tol * (1.0 + abs(L))),
     )

@@ -1,6 +1,7 @@
 """Step-size schedules and the mirror-descent solvers built on them.
 
-Two solvers share the same proximal engine:
+Two solvers share one composite mirror-descent step loop and differ only in
+where the oracle is queried and how the average is kept:
 
 * ``nacsmd`` — plain composite stochastic mirror descent: query the oracle at
   the current iterate, take one composite prox step, output the alpha-weighted
@@ -42,6 +43,7 @@ from .regularizers import PowerNormRegularizer, composite_prox
 __all__ = [
     "PolynomialSchedule",
     "CustomSchedule",
+    "default_degree",
     "default_schedule",
     "validate_schedule",
     "ScheduleReport",
@@ -182,6 +184,27 @@ def validate_schedule(sched, params: GeometryParams, horizon: int) -> ScheduleRe
     )
 
 
+def default_degree(params: GeometryParams, target: str) -> float:
+    """Standard polynomial degree of a solver's schedule.
+
+    m = max(1/r - 1, (2-q)/(q-1)) for nacsmd and m = max(q/r - 2, (2-q)/(q-1))
+    for acsmd, falling back to the second branch when r = 0 (the smooth case,
+    where the first is unbounded).
+    """
+    if target not in TARGETS:
+        raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
+    q, r = params.q, params.r
+    fallback = (2.0 - q) / (q - 1.0)
+    if r > 0.0:
+        return max((1.0 / r - 1.0) if target == "nacsmd" else (q / r - 2.0), fallback)
+    if target == "acsmd":
+        # smooth case: a constant-degree schedule would force the offset
+        # to ~L/mu through the t=1 curvature condition, losing the
+        # square-root stage length; linear growth restores it
+        return max(1.0, fallback)
+    return fallback
+
+
 def default_schedule(
     params: GeometryParams,
     target: str,
@@ -193,9 +216,7 @@ def default_schedule(
 ) -> PolynomialSchedule:
     """Standard polynomial schedule for a solver, offset-tuned until valid.
 
-    The degree defaults to m = max(1/r - 1, (2-q)/(q-1)) for nacsmd and
-    m = max(q/r - 2, (2-q)/(q-1)) for acsmd, falling back to the second
-    branch when r = 0 (the smooth case, where the first is unbounded). The
+    The degree defaults to ``default_degree(params, target)``. The
     printed offsets tie to (m+1) * 2M/mu but can violate the curvature
     inequality at small t; doubling the offset preserves the polynomial
     family and both inequalities eventually hold, so that is the repair
@@ -204,21 +225,11 @@ def default_schedule(
     """
     if target not in TARGETS:
         raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
-    q, r = params.q, params.r
     if m is None:
-        fallback = (2.0 - q) / (q - 1.0)
-        if r > 0.0:
-            m = max((1.0 / r - 1.0) if target == "nacsmd" else (q / r - 2.0), fallback)
-        elif target == "acsmd":
-            # smooth case: a constant-degree schedule would force the offset
-            # to ~L/mu through the t=1 curvature condition, losing the
-            # square-root stage length; linear growth restores it
-            m = max(1.0, fallback)
-        else:
-            m = fallback
+        m = default_degree(params, target)
     if offset is None:
         base = 2.0 * (m + 1.0) * params.M / params.mu
-        offset = base if target == "nacsmd" else base ** (1.0 / q)
+        offset = base if target == "nacsmd" else base ** (1.0 / params.q)
     sched = PolynomialSchedule(
         m=float(m), offset=float(offset), target=target,
         safety_scale=float(safety_scale), base_offset=float(offset),
@@ -280,17 +291,6 @@ def _thin_rows(arr, thin, T):
     return arr[kept], kept
 
 
-def _require_valid(sched, params, T, target):
-    if params is None:
-        return
-    report = validate_schedule(sched, params, T)
-    if not report.ok:
-        raise ParameterError(
-            f"schedule fails the {target} step conditions at t={report.first_violation} "
-            f"(slack {report.slack_min:.3e})"
-        )
-
-
 def _finish_trace(trace: RunTrace, opts: TraceOptions):
     for name in ("iterates", "averaged", "query_points"):
         arr = getattr(trace, name)
@@ -299,6 +299,97 @@ def _finish_trace(trace: RunTrace, opts: TraceOptions):
         if kept is not None:
             trace.kept_steps = kept
     return trace
+
+
+def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
+                    trace_opts, stop_gap):
+    """Step loop of both solvers. The two averaging forms agree in exact
+    arithmetic but not in the last bits, so each solver keeps its own."""
+    if T < 1:
+        raise ParameterError(f"T must be >= 1, got {T}")
+    opts = trace_opts or TraceOptions()
+    if stop_gap is not None and opts.gap_fn is None:
+        raise ParameterError(f"{name}: stop_gap needs trace_opts.gap_fn to measure the gap")
+    if params is not None:
+        report = validate_schedule(sched, params, T)
+        if not report.ok:
+            raise ParameterError(
+                f"schedule fails the {name} step conditions at t={report.first_violation} "
+                f"(slack {report.slack_min:.3e})"
+            )
+    x = np.array(x1, dtype=float)
+    d = x.size
+    record_noise = opts.record_noise and oracle.mean_gradient is not None
+
+    alphas = np.empty(T)
+    gammas = np.empty(T)
+    iterates = np.empty((T + 1, d)) if opts.record_iterates else None
+    averaged = np.empty((T + 1, d)) if opts.record_iterates else None
+    queries = np.empty((T, d)) if accelerated and opts.record_iterates else None
+    grads = np.empty((T, d)) if opts.record_gradients else None
+    noise = np.empty((T, d)) if record_noise else None
+    psi_gap = np.empty(T) if opts.gap_fn is not None else None
+    breg = np.empty(T) if opts.bregman_fn is not None else None
+    if iterates is not None:
+        iterates[0] = x
+        averaged[0] = x
+
+    S = np.zeros(d)
+    A_prev = 0.0
+    x_avg = x.copy()
+    steps = T
+    for t in range(1, T + 1):
+        a_t = float(sched.alpha(t))
+        g_t = float(sched.gamma(t))
+        A_t = A_prev + a_t
+        x_q = (A_prev / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
+        gs = oracle.sample_gradient(x_q, rng)
+        if record_noise:
+            noise[t - 1] = gs - oracle.mean_gradient(x_q)
+        if grads is not None:
+            grads[t - 1] = gs
+        x_next = composite_prox(H, gs, x, a_t, g_t)
+        if not np.all(np.isfinite(x_next)):
+            raise NumericalError(f"{name}: non-finite iterate at t={t}")
+        if accelerated:
+            x_avg = (A_prev / A_t) * x_avg + (a_t / A_t) * x_next
+        else:
+            S += a_t * x_next
+            x_avg = S / A_t
+        alphas[t - 1] = a_t
+        gammas[t - 1] = g_t
+        if iterates is not None:
+            iterates[t] = x_next
+            averaged[t] = x_avg
+        if queries is not None:
+            queries[t - 1] = x_q
+        if psi_gap is not None:
+            psi_gap[t - 1] = float(opts.gap_fn(x_avg))
+        if breg is not None:
+            breg[t - 1] = float(opts.bregman_fn(x_next))
+        x = x_next
+        A_prev = A_t
+        if stop_gap is not None and psi_gap[t - 1] <= stop_gap:
+            steps = t
+            break
+
+    sl = slice(0, steps)
+    trace = RunTrace(
+        algorithm=name,
+        T=steps,
+        alphas=alphas[sl],
+        gammas=gammas[sl],
+        A=np.cumsum(alphas[sl]),
+        iterates=iterates[: steps + 1] if iterates is not None else None,
+        averaged=averaged[: steps + 1] if averaged is not None else None,
+        query_points=queries[sl] if queries is not None else None,
+        grad_samples=grads[sl] if grads is not None else None,
+        noise=noise[sl] if noise is not None else None,
+        psi_gap=psi_gap[sl] if psi_gap is not None else None,
+        bregman_to_opt=breg[sl] if breg is not None else None,
+        stopped_at=steps if steps < T else None,
+    )
+    return x, x_avg, _finish_trace(trace, opts)
 
 
 def nacsmd(
@@ -313,76 +404,8 @@ def nacsmd(
     stop_gap: float | None = None,
 ):
     """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace)."""
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
-    _require_valid(sched, params, T, "nacsmd")
-    opts = trace_opts or TraceOptions()
-    x = np.array(x1, dtype=float)
-    d = x.size
-    record_noise = opts.record_noise and oracle.mean_gradient is not None
-
-    alphas = np.empty(T)
-    gammas = np.empty(T)
-    iterates = np.empty((T + 1, d)) if opts.record_iterates else None
-    averaged = np.empty((T + 1, d)) if opts.record_iterates else None
-    grads = np.empty((T, d)) if opts.record_gradients else None
-    noise = np.empty((T, d)) if record_noise else None
-    psi_gap = np.empty(T) if opts.gap_fn is not None else None
-    breg = np.empty(T) if opts.bregman_fn is not None else None
-    if iterates is not None:
-        iterates[0] = x
-        averaged[0] = x
-
-    S = np.zeros(d)
-    A = 0.0
-    x_avg = x.copy()
-    steps = T
-    for t in range(1, T + 1):
-        a_t = float(sched.alpha(t))
-        g_t = float(sched.gamma(t))
-        gs = oracle.sample_gradient(x, rng)
-        if record_noise:
-            noise[t - 1] = gs - oracle.mean_gradient(x)
-        if grads is not None:
-            grads[t - 1] = gs
-        x_next = composite_prox(H, gs, x, a_t, g_t)
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalError(f"nacsmd: non-finite iterate at t={t}")
-        A += a_t
-        S += a_t * x_next
-        x_avg = S / A
-        alphas[t - 1] = a_t
-        gammas[t - 1] = g_t
-        if iterates is not None:
-            iterates[t] = x_next
-            averaged[t] = x_avg
-        gap = None
-        if psi_gap is not None:
-            gap = float(opts.gap_fn(x_avg))
-            psi_gap[t - 1] = gap
-        if breg is not None:
-            breg[t - 1] = float(opts.bregman_fn(x_next))
-        x = x_next
-        if stop_gap is not None and gap is not None and gap <= stop_gap:
-            steps = t
-            break
-
-    sl = slice(0, steps)
-    trace = RunTrace(
-        algorithm="nacsmd",
-        T=steps,
-        alphas=alphas[sl],
-        gammas=gammas[sl],
-        A=np.cumsum(alphas[sl]),
-        iterates=iterates[: steps + 1] if iterates is not None else None,
-        averaged=averaged[: steps + 1] if averaged is not None else None,
-        grad_samples=grads[sl] if grads is not None else None,
-        noise=noise[sl] if noise is not None else None,
-        psi_gap=psi_gap[sl] if psi_gap is not None else None,
-        bregman_to_opt=breg[sl] if breg is not None else None,
-        stopped_at=steps if steps < T else None,
-    )
-    return x, x_avg, _finish_trace(trace, opts)
+    return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
+                           trace_opts, stop_gap)
 
 
 def acsmd(
@@ -403,79 +426,8 @@ def acsmd(
     x^ag_{t+1} = (A_{t-1}/A_t) x^ag_t + (alpha_t/A_t) x_{t+1}. A_0 = 0 and
     x^ag_1 = x_1, so the first query lands exactly on x_1.
     """
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
-    _require_valid(sched, params, T, "acsmd")
-    opts = trace_opts or TraceOptions()
-    x = np.array(x1, dtype=float)
-    d = x.size
-    record_noise = opts.record_noise and oracle.mean_gradient is not None
-
-    alphas = np.empty(T)
-    gammas = np.empty(T)
-    iterates = np.empty((T + 1, d)) if opts.record_iterates else None
-    averaged = np.empty((T + 1, d)) if opts.record_iterates else None
-    queries = np.empty((T, d)) if opts.record_iterates else None
-    grads = np.empty((T, d)) if opts.record_gradients else None
-    noise = np.empty((T, d)) if record_noise else None
-    psi_gap = np.empty(T) if opts.gap_fn is not None else None
-    breg = np.empty(T) if opts.bregman_fn is not None else None
-    if iterates is not None:
-        iterates[0] = x
-        averaged[0] = x
-
-    x_ag = x.copy()
-    A_prev = 0.0
-    steps = T
-    for t in range(1, T + 1):
-        a_t = float(sched.alpha(t))
-        g_t = float(sched.gamma(t))
-        A_t = A_prev + a_t
-        x_md = (A_prev / A_t) * x_ag + (a_t / A_t) * x
-        gs = oracle.sample_gradient(x_md, rng)
-        if record_noise:
-            noise[t - 1] = gs - oracle.mean_gradient(x_md)
-        if grads is not None:
-            grads[t - 1] = gs
-        x_next = composite_prox(H, gs, x, a_t, g_t)
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalError(f"acsmd: non-finite iterate at t={t}")
-        x_ag = (A_prev / A_t) * x_ag + (a_t / A_t) * x_next
-        alphas[t - 1] = a_t
-        gammas[t - 1] = g_t
-        if iterates is not None:
-            iterates[t] = x_next
-            averaged[t] = x_ag
-            queries[t - 1] = x_md
-        gap = None
-        if psi_gap is not None:
-            gap = float(opts.gap_fn(x_ag))
-            psi_gap[t - 1] = gap
-        if breg is not None:
-            breg[t - 1] = float(opts.bregman_fn(x_next))
-        x = x_next
-        A_prev = A_t
-        if stop_gap is not None and gap is not None and gap <= stop_gap:
-            steps = t
-            break
-
-    sl = slice(0, steps)
-    trace = RunTrace(
-        algorithm="acsmd",
-        T=steps,
-        alphas=alphas[sl],
-        gammas=gammas[sl],
-        A=np.cumsum(alphas[sl]),
-        iterates=iterates[: steps + 1] if iterates is not None else None,
-        averaged=averaged[: steps + 1] if averaged is not None else None,
-        query_points=queries[sl] if queries is not None else None,
-        grad_samples=grads[sl] if grads is not None else None,
-        noise=noise[sl] if noise is not None else None,
-        psi_gap=psi_gap[sl] if psi_gap is not None else None,
-        bregman_to_opt=breg[sl] if breg is not None else None,
-        stopped_at=steps if steps < T else None,
-    )
-    return x, x_ag, _finish_trace(trace, opts)
+    return _mirror_descent("acsmd", True, oracle, H, sched, x1, T, rng, params,
+                           trace_opts, stop_gap)
 
 
 _SOLVERS = {"nacsmd": nacsmd, "acsmd": acsmd}
@@ -692,6 +644,8 @@ def acsa_baseline(
         raise ParameterError(f"T must be >= 1, got {T}")
     if not mu_f > 0.0:
         raise ParameterError(f"mu_f must be positive, got {mu_f}")
+    if stop_gap is not None and gap_fn is None:
+        raise ParameterError("acsa_baseline: stop_gap needs gap_fn to measure the gap")
     fold = H.q == 2.0
     mu_eff = mu_f + (H.mu if fold else 0.0)
     L_eff = L + (H.mu if fold else 0.0)

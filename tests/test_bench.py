@@ -155,6 +155,20 @@ class TestRunExperiment:
         assert cell["failed_runs"] == {"1": "synthetic blow-up at t=3"}
         assert cell["iterations"][0] is not None  # seed 0 still ran
 
+    def test_parameter_error_recorded_without_aborting(self, tmp_path):
+        # printed smooth-case acsmd1 breaks its step condition, so the auto
+        # restart planner rejects it; the nacsmd cell must still complete
+        cfg = {"instance": {"d": [3], "q": 2.0},
+               "solver": {"algorithms": ["nacsmd", "acsmd1"]},
+               "run": {"restart": "auto", "T_max": 60, "seeds": [0, 1]}}
+        s = run_experiment(cfg, out_dir=tmp_path)
+        nac, ac1 = s["cells"]
+        assert nac["failed_runs"] == {}
+        assert nac["iterations"] == [it for it in nac["iterations"] if it is not None]
+        assert sorted(ac1["failed_runs"]) == ["0", "1"]
+        assert "plan_from_params" in ac1["failed_runs"]["0"]
+        assert (tmp_path / "manifest.json").exists()
+
 
 class TestEmitters:
     def test_single_summary_single_row(self, tmp_path):
@@ -218,6 +232,16 @@ class TestCli:
         assert main(["table", str(out), "--out", str(out)]) == 0
         assert "iterations_required" in capsys.readouterr().out
         assert (out / "table.csv").exists()
+
+    def test_run_seed_keeps_config_seed_count(self, tmp_path, capsys):
+        cfg = dict(TINY, solver={"algorithms": ["nacsmd"]},
+                   run={"epsilon": 0.05, "T_max": 20, "seeds": {"count": 2}},
+                   output={"traces": False, "plotdata": False})
+        out = tmp_path / "out"
+        assert main(["run", self.write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cells"][0]["seeds"] == [5, 6]
 
     def test_lowerbound_subcommand(self, tmp_path, capsys):
         cfg = {"trials": 40, "epsilon": 0.05}

@@ -201,6 +201,18 @@ class TestSolvers:
         with pytest.raises(ParameterError, match="step conditions"):
             nacsmd(oracle, H, sched, np.zeros(2), 10, params=params)
 
+    @pytest.mark.parametrize("solver", ["nacsmd", "acsmd", "acsa"])
+    def test_stop_gap_without_gap_fn_rejected(self, solver):
+        inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
+        with pytest.raises(ParameterError, match="stop_gap"):
+            if solver == "acsa":
+                acsa_baseline(oracle, H, inst.mu_F, params.L, np.zeros(2), 50,
+                              stop_gap=1e9)
+            else:
+                sched = default_schedule(params, solver, validate_horizon=100)
+                run = nacsmd if solver == "nacsmd" else acsmd
+                run(oracle, H, sched, np.zeros(2), 50, params=params, stop_gap=1e9)
+
     def test_thinning_keeps_endpoints(self):
         inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=200)

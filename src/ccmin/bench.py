@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import csv
 import functools
 import hashlib
@@ -32,6 +33,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +135,8 @@ def _merge_defaults(raw: dict, defaults: dict, path: str, overrides: list) -> di
                 overrides.append(f"{path}{key}")
             out[key] = value
         else:
-            out[key] = default
+            # a copy, since resolve_config rewrites parts of the result
+            out[key] = copy.deepcopy(default)
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys under {path or 'top level'}: {sorted(unknown)}")
@@ -255,11 +258,8 @@ def _make_x1(inst: dict, d: int) -> np.ndarray:
     return values
 
 
-_SCHEDULE_CACHE: dict = {}
-
-
 def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal_mu: float):
-    """Build the run schedule; cached because it is seed-independent.
+    """Build the run schedule; memoised because it is seed-independent.
 
     In "printed" mode the literal polynomial constants are used: degree per
     the target's standard formula (or the user's m), offset 2(m+1)M/mu for
@@ -268,31 +268,48 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
     small t; "validated" mode instead calls default_schedule, which repairs
     the offset against the calibrated convexity modulus.
     """
-    offset = spec.get("offset")
-    mode = solver_cfg["schedule_mode"]
-    safety = spec.get("safety_scale", solver_cfg["safety_scale"])
-    key = (params.q, params.kappa, params.L, params.mu, target,
-           spec.get("m"), offset, safety, mode, nominal_mu)
-    if key in _SCHEDULE_CACHE:
-        return _SCHEDULE_CACHE[key]
+    # a schedule reads q, kappa, L and mu and what derives from them, not the
+    # per-seed noise level or radius, so those are left out of the key
+    return _schedule_for(
+        replace(params, sigma=0.0, R=1.0), target, spec.get("m"), spec.get("offset"),
+        spec.get("safety_scale", solver_cfg["safety_scale"]), solver_cfg["schedule_mode"],
+        nominal_mu,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _schedule_for(params, target, m, offset, safety, mode, nominal_mu):
     if mode == "validated":
         if offset == "condition_root":
             offset = (params.L / nominal_mu) ** (1.0 / params.q)
-        sched = default_schedule(params, target, m=spec.get("m"), offset=offset,
-                                 safety_scale=safety)
-    else:
-        m = spec.get("m")
-        if m is None:
-            # the reference experiments run constant alpha_t for nacsmd
-            m = 0.0 if target == "nacsmd" else default_degree(params, target)
-        if offset == "condition_root" or offset is None and target == "acsmd":
-            offset = (params.L / nominal_mu) ** (1.0 / params.q)
-        elif offset is None:
-            offset = 2.0 * (m + 1.0) * params.M / nominal_mu
-        sched = PolynomialSchedule(m=float(m), offset=float(offset), target=target,
-                                   safety_scale=safety)
-    _SCHEDULE_CACHE[key] = sched
-    return sched
+        return default_schedule(params, target, m=m, offset=offset, safety_scale=safety)
+    if m is None:
+        # the reference experiments run constant alpha_t for nacsmd
+        m = 0.0 if target == "nacsmd" else default_degree(params, target)
+    if offset == "condition_root" or offset is None and target == "acsmd":
+        offset = (params.L / nominal_mu) ** (1.0 / params.q)
+    elif offset is None:
+        offset = 2.0 * (m + 1.0) * params.M / nominal_mu
+    return PolynomialSchedule(m=float(m), offset=float(offset), target=target,
+                              safety_scale=safety)
+
+
+@functools.lru_cache(maxsize=256)
+def _ridge_optimum(x_star_bytes: bytes, sigma_b: float, mu: float, q: float):
+    """``exact_optimum`` of the ridge instance with these inputs, solved once.
+
+    Keyed on everything the optimum and its value read (the dimension is the
+    length of x_star), so any config that builds the same instance shares
+    it. A grid visits each seed's instance once per algorithm, one cell
+    after another, so the memo hits for up to 256 seeds a cell. The returned
+    x_opt is shared, hence read-only.
+    """
+    x_star = np.frombuffer(x_star_bytes)
+    x_opt, psi_star = exact_optimum(
+        RidgeInstance(dimension=x_star.size, x_star=x_star, sigma_b=sigma_b, mu=mu, q=q)
+    )
+    x_opt.flags.writeable = False
+    return x_opt, psi_star
 
 
 def _prepare_cell(cfg: dict, cell: dict, seed: int):
@@ -339,7 +356,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
         )
     else:
         oracle = ridge_oracle(ridge)
-    x_opt, psi_star = exact_optimum(ridge)
+    x_opt, psi_star = _ridge_optimum(x_star.tobytes(), sigma_b, inst["mu"], inst["q"])
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
     return {
@@ -579,7 +596,9 @@ def emit_table(summary: dict):
     """Median-iteration matrix (instance axis x algorithm): aligned text + CSV.
 
     The instance axis is whichever of d / L_multiplier varies; cells must
-    form a full factorial grid over one axis or the emitter refuses.
+    form a full factorial grid over one axis or the emitter refuses. A cell
+    whose median run missed the target reads ``>T_max``; one whose runs all
+    errored reads ``err``.
     """
     cells = summary["cells"]
     ds = sorted({c["d"] for c in cells})
@@ -598,6 +617,8 @@ def emit_table(summary: dict):
     T_max = summary["config"]["run"]["T_max"]
 
     def fmt(cell):
+        if len(cell["failed_runs"]) == len(cell["seeds"]):
+            return "err"  # every run errored: nothing to censor
         med = cell["median_iterations"]
         return f">{T_max}" if med > T_max else f"{med:.0f}"
 

@@ -29,7 +29,7 @@ from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
 from .geometry import GeometryParams, derive_params, power_inv_r, power_uc_constant
 from .oracles import AdditiveNoiseOracle, RidgeInstance, absolute_gaussian_moment, bernoulli_oracle
 from .regularizers import PowerNormRegularizer
-from .solvers import TraceOptions, acsmd, default_schedule, nacsmd
+from .solvers import TraceOptions, _bisect, acsmd, default_schedule, nacsmd
 
 __all__ = [
     "exact_optimum",
@@ -60,7 +60,8 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
 
     Each coordinate solves (2/3)(x - x*_j) + mu |x|^{q-1} sign(x) = 0, a
     strictly increasing scalar equation with root between 0 and x*_j;
-    bisection to machine width.
+    bisection to machine width, stopping once the bracket no longer changes,
+    within 200 steps.
     """
     xs = instance.x_star
     if instance.mu == 0.0:
@@ -70,14 +71,7 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
     def foc(x):
         return 2.0 / 3.0 * (x - xs) + mu * np.abs(x) ** (q - 1.0) * np.sign(x)
 
-    lo = np.minimum(0.0, xs)
-    hi = np.maximum(0.0, xs)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        go_up = foc(mid) < 0.0
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    x_opt = 0.5 * (lo + hi)
+    x_opt = _bisect(lambda mid: foc(mid) < 0.0, np.minimum(0.0, xs), np.maximum(0.0, xs), 200)
     worst = float(np.max(np.abs(foc(x_opt))))
     if worst > residual_tol:
         raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {residual_tol}")

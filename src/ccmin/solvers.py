@@ -296,7 +296,9 @@ def _finish_trace(trace: RunTrace, opts: TraceOptions):
         arr = getattr(trace, name)
         thinned, kept = _thin_rows(arr, opts.thin, trace.T)
         setattr(trace, name, thinned)
-        if kept is not None:
+        if name == "iterates":
+            # query_points has T rows, not T+1, so only the iterate rows
+            # may map to step indices
             trace.kept_steps = kept
     return trace
 
@@ -601,20 +603,39 @@ def plan_from_params(
     return RestartPlan(n=n, K=K, T=T, meta=meta)
 
 
+def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray:
+    """Vectorised bisection of the brackets [lo, hi]; returns their midpoints.
+
+    ``go_up(mid)`` marks the rows whose root lies above ``mid``. Each step
+    depends only on the bits of (lo, hi), so once a step leaves both
+    unchanged every later step would too: the loop stops there, which gives
+    the same bits as running all ``max_steps`` steps.
+    """
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        up = go_up(mid)
+        new_lo = np.where(up, mid, lo)
+        new_hi = np.where(up, hi, mid)
+        if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
+            break
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
+
+
 def _solve_power_linear(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray:
-    """Vector root of a|x|^{q-1}sign(x) + b x = c_j (a >= 0, b > 0, monotone)."""
+    """Vector root of a|x|^{q-1}sign(x) + b x = c_j (a >= 0, b > 0, monotone).
+
+    Bisects the bracket between 0 and c/b until it stops changing, within
+    90 steps.
+    """
     c = np.asarray(c, dtype=float)
     if a == 0.0 or q == 2.0:
         return c / (a + b) if q == 2.0 else c / b
-    lo = np.minimum(0.0, c / b)
-    hi = np.maximum(0.0, c / b)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        val = a * np.abs(mid) ** (q - 1.0) * np.sign(mid) + b * mid
-        go_up = val < c
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def go_up(mid):
+        return a * np.abs(mid) ** (q - 1.0) * np.sign(mid) + b * mid < c
+
+    return _bisect(go_up, np.minimum(0.0, c / b), np.maximum(0.0, c / b), 90)
 
 
 def acsa_baseline(

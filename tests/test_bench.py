@@ -1,9 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
 
+import ccmin.bench as bench
+from ccmin import exact_optimum
 from ccmin.bench import (
     DEFAULT_CONFIG,
     build_cells,
@@ -51,6 +54,12 @@ class TestConfig:
     def test_bad_schedule_mode_rejected(self):
         with pytest.raises(ConfigError, match="schedule_mode"):
             resolve_config({"solver": {"schedule_mode": "yolo"}})
+
+    def test_defaults_are_not_aliased(self):
+        before = copy.deepcopy(DEFAULT_CONFIG)
+        resolve_config({})
+        assert DEFAULT_CONFIG == before
+        assert resolve_config({"instance": {"d": 50}})["overrides"] == []
 
     def test_grid_expansion(self):
         cfg = resolve_config({"instance": {"d": [2, 3], "L_multiplier": [1, 5]}})
@@ -170,6 +179,44 @@ class TestRunExperiment:
         assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.fixture
+def optimum_calls(monkeypatch):
+    """Counts the solves of exact_optimum behind an emptied optimum memo."""
+    calls = []
+
+    def counted(instance, *args, **kwargs):
+        calls.append(instance)
+        return exact_optimum(instance, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "exact_optimum", counted)
+    bench._ridge_optimum.cache_clear()
+    yield calls
+    bench._ridge_optimum.cache_clear()
+
+
+class TestOptimumMemo:
+    QUIET = {"traces": False, "plotdata": False}
+
+    def test_one_solve_per_instance(self, tmp_path, optimum_calls):
+        cfg = {"instance": {"d": [2, 3]},
+               "solver": {"algorithms": ["acsa", "nacsmd", "acsmd1"]},
+               "run": {"T_max": 30, "seeds": [0, 1]}, "output": self.QUIET}
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(optimum_calls) == 4  # (d, seed) pairs, not 12 cells x seeds
+
+    def test_deterministic_instance_gets_its_own_optimum(self, tmp_path, optimum_calls):
+        base = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
+                "run": {"T_max": 30, "seeds": [0, 1]}, "output": self.QUIET}
+        det = dict(base, instance={"d": [3], "kind": "custom-deterministic"})
+        run_experiment(base, out_dir=tmp_path / "ridge")
+        run_experiment(det, out_dir=tmp_path / "det")
+        assert [inst.sigma_b for inst in optimum_calls] == [0.1, 0.1, 0.0, 0.0]
+        cfg = resolve_config(det)
+        bundle = bench._prepare_cell(cfg, build_cells(cfg)[0], 0)
+        assert bundle["psi_star"] == exact_optimum(optimum_calls[2])[1]
+        assert len(optimum_calls) == 4  # served from the memo
+
+
 class TestEmitters:
     def test_single_summary_single_row(self, tmp_path):
         cfg = dict(TINY, solver={"algorithms": ["nacsmd"]})
@@ -196,6 +243,18 @@ class TestEmitters:
                            out_dir=tmp_path)
         with pytest.raises(ConfigError, match="both"):
             emit_table(s)
+
+    def test_all_failed_cell_is_marked_err(self, tmp_path):
+        # printed smooth-case acsmd1 fails the auto restart planner on every
+        # seed, while nacsmd runs; a censored cell would read >60 instead
+        cfg = {"instance": {"d": [3], "q": 2.0},
+               "solver": {"algorithms": ["nacsmd", "acsmd1"]},
+               "run": {"restart": "auto", "T_max": 60, "seeds": [0, 1]}}
+        s = run_experiment(cfg, out_dir=tmp_path)
+        _, csv_text = emit_table(s)
+        row = csv_text.splitlines()[1].split(",")
+        assert row[0] == "d=3" and row[2] == "err"
+        assert row[1] != "err"
 
     def test_plotdata_roundtrip(self):
         rows = [("cell-a", "nacsmd", 0, 1, -0.123456789012345),

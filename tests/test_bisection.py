@@ -1,0 +1,138 @@
+"""The bisections behind ``acsa_baseline``'s inner step and ``exact_optimum``
+stop once their bracket stops changing. These tests hold them to the bits of
+the fixed-count loops they replaced, which are copied here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from ccmin import NumericalError, RidgeInstance, exact_optimum
+from ccmin.solvers import _bisect, _solve_power_linear
+
+
+def reference_power_linear(a, b, c, q):
+    c = np.asarray(c, dtype=float)
+    if a == 0.0 or q == 2.0:
+        return c / (a + b) if q == 2.0 else c / b
+    lo = np.minimum(0.0, c / b)
+    hi = np.maximum(0.0, c / b)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        val = a * np.abs(mid) ** (q - 1.0) * np.sign(mid) + b * mid
+        go_up = val < c
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_exact_optimum(instance, residual_tol=1e-10):
+    xs = instance.x_star
+    if instance.mu == 0.0:
+        return xs.copy(), instance.sigma_b ** 2
+    mu, q = instance.mu, instance.q
+
+    def foc(x):
+        return 2.0 / 3.0 * (x - xs) + mu * np.abs(x) ** (q - 1.0) * np.sign(x)
+
+    lo = np.minimum(0.0, xs)
+    hi = np.maximum(0.0, xs)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        go_up = foc(mid) < 0.0
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    x_opt = 0.5 * (lo + hi)
+    worst = float(np.max(np.abs(foc(x_opt))))
+    if worst > residual_tol:
+        raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {residual_tol}")
+    d = x_opt - xs
+    psi = float(d @ d) / 3.0 + instance.sigma_b ** 2 + mu / q * float(np.sum(np.abs(x_opt) ** q))
+    return x_opt, psi
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()  # signs of zeros and NaN payloads too
+
+
+QS = [2.5, 3.0, 4.0, 20.0]
+
+_rng = np.random.default_rng(20221018)
+RIGHT_HAND_SIDES = {
+    "zeros": np.array([0.0, -0.0, 0.0]),
+    "tiny": np.array([1e-300, -1e-300, 3e-301, -7e-300, 5e-324, -5e-324]),
+    "huge": np.array([1e300, -1e300, 3e299, -7e300, 1.7e308, -1.7e308]),
+    "mixed": np.concatenate([_rng.standard_normal(40) * 10.0 ** _rng.integers(-12, 12, 40),
+                             [0.0, 1e-300, -1e300]]),
+}
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("a", [1e-300, 1e-8, 1.0, 1e8, 1e300])
+@pytest.mark.parametrize("b", [1e-6, 0.7, 1e6])
+@pytest.mark.parametrize("rows", sorted(RIGHT_HAND_SIDES))
+def test_power_linear_matches_fixed_count_loop(q, a, b, rows):
+    c = RIGHT_HAND_SIDES[rows]
+    with np.errstate(all="ignore"):
+        assert_same_bits(_solve_power_linear(a, b, c, q), reference_power_linear(a, b, c, q))
+
+
+X_STARS = {
+    "with zeros": np.array([0.0, 0.3, -0.0, -0.25, 0.0]),
+    "all zeros": np.zeros(4),
+    "tiny": np.array([1e-300, -1e-300, 2e-308, -5e-324]),
+    "huge": np.array([1e300, -1e300, 3e10, -7e15]),
+    "mixed": np.concatenate([_rng.uniform(-1.0, 1.0, 30) * 10.0 ** _rng.integers(-8, 4, 30),
+                             [0.0, 1e-300]]),
+}
+
+
+@pytest.mark.parametrize("q", [2.0] + QS)
+@pytest.mark.parametrize("mu", [1e-300, 1e-6, 2.0, 1e6])
+@pytest.mark.parametrize("xs", sorted(X_STARS))
+def test_exact_optimum_matches_fixed_count_loop(q, mu, xs):
+    x_star = X_STARS[xs]
+    inst = RidgeInstance(dimension=x_star.size, x_star=x_star, sigma_b=0.1, mu=mu, q=q)
+    with np.errstate(all="ignore"):
+        # with no residual check the optimum is compared on every instance,
+        # including those whose residual the check rejects
+        got = exact_optimum(inst, residual_tol=np.inf)
+        want = reference_exact_optimum(inst, residual_tol=np.inf)
+        assert_same_bits(got[0], want[0])
+        assert got[1] == want[1] or np.isnan(got[1]) and np.isnan(want[1])
+        try:
+            reference_exact_optimum(inst)
+        except NumericalError as exc:
+            # the residual check (<= 1e-10) is unchanged
+            with pytest.raises(NumericalError) as info:
+                exact_optimum(inst)
+            assert str(info.value) == str(exc)
+        else:
+            exact_optimum(inst)
+
+
+def test_bisect_stops_at_the_fixed_point_within_the_cap():
+    c = np.linspace(-3.0, 3.0, 25)
+    calls = []
+
+    def go_up(mid):
+        calls.append(1)
+        return mid ** 3 + mid < c
+
+    root = _bisect(go_up, np.minimum(0.0, c), np.maximum(0.0, c), 200)
+    assert len(calls) < 70
+    assert np.all(np.abs(root ** 3 + root - c) <= 1e-14 * (1.0 + np.abs(c)))
+
+
+def test_bisect_short_of_its_fixed_point_runs_to_the_cap():
+    calls = []
+
+    def go_up(mid):
+        calls.append(1)
+        return mid < 1e-300
+
+    # reaching 1e-300 from [0, 1] takes about a thousand halvings
+    out = _bisect(go_up, np.zeros(1), np.ones(1), 90)
+    assert len(calls) == 90 and out[0] == 2.0 ** -91

@@ -223,6 +223,15 @@ class TestSolvers:
         assert tr.kept_steps[0] == 0 and tr.kept_steps[-1] == 100
         assert tr.iterates.shape[0] == tr.kept_steps.size
 
+    @pytest.mark.parametrize("solver", [nacsmd, acsmd])
+    def test_thinned_steps_map_iterate_rows(self, solver):
+        inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
+        sched = default_schedule(params, solver.__name__, validate_horizon=200)
+        _, _, tr = solver(oracle, H, sched, np.zeros(2), 100, params=params,
+                          trace_opts=TraceOptions(thin=7))
+        assert tr.kept_steps[-1] == 100
+        assert tr.iterates.shape[0] == tr.averaged.shape[0] == tr.kept_steps.size
+
 
 class TestRestart:
     def test_degenerate_plan_matches_single_run(self):

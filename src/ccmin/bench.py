@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,11 +56,10 @@ from .solvers import (
     RestartPlan,
     RunTrace,
     TraceOptions,
+    _solver,
     acsa_baseline,
-    acsmd,
     default_degree,
     default_schedule,
-    nacsmd,
     plan_from_params,
     restart,
     validate_schedule,
@@ -143,6 +143,14 @@ def _merge_defaults(raw: dict, defaults: dict, path: str, overrides: list) -> di
     return out
 
 
+def _number(value, key: str):
+    """``value`` if it is a finite real number (a bool is not one), else a
+    ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults, record overrides, and validate the static structure."""
     if not isinstance(raw, dict):
@@ -157,13 +165,13 @@ def resolve_config(raw: dict) -> dict:
     for key in ("d", "L_multiplier"):
         if not isinstance(inst[key], list):
             inst[key] = [inst[key]]
-    if any(int(d) < 1 for d in inst["d"]):
+    if any(int(_number(d, "instance.d")) < 1 for d in inst["d"]):
         raise ConfigError("instance.d entries must be positive")
-    if any(m <= 0 for m in inst["L_multiplier"]):
+    if any(_number(m, "instance.L_multiplier") <= 0 for m in inst["L_multiplier"]):
         raise ConfigError("instance.L_multiplier entries must be positive")
-    if inst["q"] < 2.0:
+    if _number(inst["q"], "instance.q") < 2.0:
         raise ConfigError(f"instance.q must be >= 2, got {inst['q']}")
-    if not 1.0 < inst["kappa"] <= 2.0:
+    if not 1.0 < _number(inst["kappa"], "instance.kappa") <= 2.0:
         raise ConfigError(f"instance.kappa must lie in (1, 2], got {inst['kappa']}")
     xs = inst["x_star"]
     if xs.get("kind") not in ("uniform", "fixed"):
@@ -187,21 +195,22 @@ def resolve_config(raw: dict) -> dict:
     run = cfg["run"]
     seeds = run["seeds"]
     if isinstance(seeds, dict):
-        count, base = int(seeds.get("count", 0)), int(seeds.get("base", 0))
+        count = int(_number(seeds.get("count", 0), "run.seeds.count"))
+        base = int(_number(seeds.get("base", 0), "run.seeds.base"))
         if count < 1:
             raise ConfigError("run.seeds.count must be >= 1")
         run["seeds"] = list(range(base, base + count))
     elif isinstance(seeds, list):
         if not seeds:
             raise ConfigError("run.seeds must not be empty")
-        run["seeds"] = [int(s) for s in seeds]
+        run["seeds"] = [int(_number(s, "run.seeds")) for s in seeds]
     else:
         raise ConfigError("run.seeds must be a list or {count, base}")
-    if run["T_max"] < 1:
+    if _number(run["T_max"], "run.T_max") < 1:
         raise ConfigError("run.T_max must be >= 1")
-    if not 0.0 < run["epsilon"] < 1.0:
+    if not 0.0 < _number(run["epsilon"], "run.epsilon") < 1.0:
         raise ConfigError("run.epsilon must lie in (0, 1)")
-    if run["thin"] < 1:
+    if _number(run["thin"], "run.thin") < 1:
         raise ConfigError("run.thin must be >= 1")
     return cfg
 
@@ -348,14 +357,9 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
         sigma=ridge.declared_sigma, R=ridge.radius_estimate,
     )
     H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"], dim=d)
+    oracle = ridge_oracle(ridge)
     if kind == "custom-deterministic":
-        oracle = additive_noise_oracle(
-            lambda x: 2.0 / 3.0 * (np.asarray(x, dtype=float) - x_star),
-            d, kind="gaussian", sigma=0.0, q=inst["q"],
-            evaluate_fn=lambda x: float(np.sum((np.asarray(x) - x_star) ** 2)) / 3.0,
-        )
-    else:
-        oracle = ridge_oracle(ridge)
+        oracle = additive_noise_oracle(oracle.mean_gradient, d, sigma=0.0, q=inst["q"])
     x_opt, psi_star = _ridge_optimum(x_star.tobytes(), sigma_b, inst["mu"], inst["q"])
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
@@ -409,7 +413,7 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
             gap_fn=gap_fn,
             bregman_fn=bregman_fn,
         )
-        solver = nacsmd if name == "nacsmd" else acsmd
+        solver = _solver(name)
         restart_cfg = run_cfg["restart"]
         if restart_cfg is None:
             _, _, trace = solver(
@@ -521,7 +525,18 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     for cell in cells:
         records = [trace_index[(cell["label"], s)][0] for s in seeds]
         its = [r["iterations_to_target"] for r in records]
-        censored = [float(i) if i is not None else float(T_max + CENSOR_MARGIN) for i in its]
+        # an errored run has no count to censor, so only completed runs count
+        completed = [r["iterations_to_target"] for r in records if "error" not in r]
+        censored = [float(i) if i is not None else float(T_max + CENSOR_MARGIN) for i in completed]
+        stats = dict.fromkeys(
+            ("median_iterations", "q1_iterations", "q3_iterations", "hit_rate"))
+        if completed:
+            stats = {
+                "median_iterations": float(np.median(censored)),
+                "q1_iterations": float(np.percentile(censored, 25)),
+                "q3_iterations": float(np.percentile(censored, 75)),
+                "hit_rate": float(np.mean([i is not None for i in completed])),
+            }
         violations = sum(1 for r in records if r["certificate"].startswith("violated"))
         checked = sum(1 for r in records if r["certificate"] != "n/a")
         errors = {str(r["seed"]): r["error"] for r in records if "error" in r}
@@ -533,10 +548,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
             "algorithm": cell["algorithm"]["label"],
             "seeds": seeds,
             "iterations": its,
-            "median_iterations": float(np.median(censored)),
-            "q1_iterations": float(np.percentile(censored, 25)),
-            "q3_iterations": float(np.percentile(censored, 75)),
-            "hit_rate": float(np.mean([i is not None for i in its])),
+            **stats,
             "schedule": schedule,
             "certificates": {"checked": checked, "violations": violations},
             "failed_runs": errors,

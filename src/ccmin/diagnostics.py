@@ -15,7 +15,9 @@ L sum_s A_s (2 M alpha_s^q / (mu A_s^{q-1} gamma_s))^{1/r}). This is not a
 statement in expectation — it can be asserted on a single trace, provided the
 trace recorded the realized noise delta_s = sample - mean gradient, which
 requires an oracle that exposes its mean gradient. That makes the check a
-test-mode feature; production oracles cannot reveal their mean.
+test-mode feature; production oracles cannot reveal their mean. The last two
+sums share their per-step terms with ``solvers.expectation_bound``, which
+puts sigma^p where the certificate has the realized ||delta_s||_*^p.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
-from .geometry import GeometryParams, derive_params, power_inv_r, power_uc_constant
-from .oracles import AdditiveNoiseOracle, RidgeInstance, absolute_gaussian_moment, bernoulli_oracle
+from .geometry import GeometryParams, derive_params, power_uc_constant
+from .oracles import AdditiveNoiseOracle, RidgeInstance, bernoulli_oracle
 from .regularizers import PowerNormRegularizer
-from .solvers import TraceOptions, _bisect, acsmd, default_schedule, nacsmd
+from .solvers import TARGETS, TraceOptions, _bisect, _run_inequality_steps, _solver, default_schedule
 
 __all__ = [
     "exact_optimum",
@@ -61,7 +63,8 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
     Each coordinate solves (2/3)(x - x*_j) + mu |x|^{q-1} sign(x) = 0, a
     strictly increasing scalar equation with root between 0 and x*_j;
     bisection to machine width, stopping once the bracket no longer changes,
-    within 200 steps.
+    within 200 steps. The residual must stay within residual_tol * max(1, max|x*|),
+    since that of a machine-width root grows with the scale of x*.
     """
     xs = instance.x_star
     if instance.mu == 0.0:
@@ -73,8 +76,9 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
 
     x_opt = _bisect(lambda mid: foc(mid) < 0.0, np.minimum(0.0, xs), np.maximum(0.0, xs), 200)
     worst = float(np.max(np.abs(foc(x_opt))))
-    if worst > residual_tol:
-        raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {residual_tol}")
+    tol = residual_tol * float(np.max(np.abs(xs), initial=1.0))
+    if worst > tol:
+        raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {tol:.3e}")
     return x_opt, ridge_psi(instance, x_opt)
 
 
@@ -124,33 +128,26 @@ def certificate_check(
     x_next = trace.iterates[1:]               # x_2 .. x_{T+1}
     x_avg = trace.averaged[1:]                # xag_2 .. xag_{T+1}
 
-    p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
+    p = params.p
     dual_norms = np.sum(np.abs(delta) ** p, axis=1) ** (1.0 / p)
 
     martingale = np.cumsum(alphas * np.sum(delta * (x_star - x_t), axis=1))
-    noise_moment = np.cumsum(
-        2.0 * dual_norms ** p / (p * mu ** (p / q)) * (alphas ** q / gammas) ** (p / q)
-    )
-    if trace.algorithm == "nacsmd":
-        base = 2.0 * M * alphas / (mu * gammas)
-        det_steps = L * alphas * power_inv_r(base, r)
-    elif trace.algorithm == "acsmd":
-        base = 2.0 * M * alphas * (alphas / A) ** (q - 1.0) / (mu * gammas)
-        det_steps = L * A * power_inv_r(base, r)
-    else:
+    if trace.algorithm not in TARGETS:
         raise ParameterError(f"no certificate for algorithm {trace.algorithm!r}")
-    if r == 0.0 and np.any(base > 1.0 + 1e-9):
+    noise_steps, det_steps, base = _run_inequality_steps(
+        params, trace.algorithm, alphas, gammas, A, dual_norms ** p)
+    if params.r == 0.0 and np.any(base > 1.0 + 1e-9):
         raise ParameterError(
             "certificate_check: schedule violates gamma_t >= 2 M alpha_t / mu in the "
             "smooth case; the deterministic term convention does not apply"
         )
+    noise_moment = np.cumsum(noise_steps)
     deterministic = np.cumsum(det_steps)
 
     # D(x*, y) rows for y = x_1 and y = x_{t+1}
     def breg_rows(Y):
         hy = H.mu / H.q * np.sum(np.abs(Y) ** H.q, axis=1)
-        gy = H.mu * np.abs(Y) ** (H.q - 1.0) * np.sign(Y)
-        return float(H.value(x_star)) - hy - np.sum(gy * (x_star - Y), axis=1)
+        return float(H.value(x_star)) - hy - np.sum(H.grad(Y) * (x_star - Y), axis=1)
 
     init_term = float(gammas[0]) * float(breg_rows(trace.iterates[:1])[0])
     gaps = np.array([psi(row) for row in x_avg]) - psi_star
@@ -221,20 +218,22 @@ def lower_bound_experiment(
             * math.log(1.0 / (1.0 - gamma))
         )
         T = max(1, math.floor(bound))
-    run = {"nacsmd": nacsmd, "acsmd": acsmd}[solver]
+    run = _solver(solver)
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
     opts = TraceOptions(record_iterates=False, record_noise=False, record_gradients=True)
+    # each trial passes its own stream, so the two signed oracles can be
+    # shared; both signs have the same s and C
+    signed = {nu: bernoulli_oracle(mu, q, sigma, epsilon, nu=nu) for nu in (1, -1)}
+    s_value, C_value = signed[1][1].s, signed[1][1].C
 
     failures = 0
     allzero = 0
-    s_value = C_value = None
     for i in range(trials):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
         nu = 1 if rng.random() < 0.5 else -1
-        oracle, inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=nu)
-        s_value, C_value = inst.s, inst.C
+        oracle, inst = signed[nu]
         _, y, trace = run(oracle, H, sched, np.zeros(1), T, rng=rng,
                           params=params, trace_opts=opts)
         subopt = inst.psi(float(y[0])) - inst.psi_star
@@ -343,13 +342,10 @@ def concentration_check(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC0))))
     sums = np.empty(trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         n = min(chunk, trials - done)
-        noise_block = _draw_noise_block(rng, noise, n, T, dim, sigma, p)
-        W = np.einsum("ntd,td->nt", noise_block, dirs)
+        W = np.einsum("ntd,td->nt", probe.draw_noise(rng, (n, T)), dirs)
         sums[done:done + n] = W @ weights
-        done += n
 
     if tau_grid is None:
         S2 = 3.0 * sigma_R * math.sqrt(float(np.sum(weights ** 2)))
@@ -360,8 +356,7 @@ def concentration_check(
     stderr = np.sqrt(bound * (1.0 - bound) / trials)
     ok = bool(np.all(empirical <= bound + 3.0 * stderr + 1e-12))
 
-    mgf_block = _draw_noise_block(rng, noise, mgf_draws, 1, dim, sigma, p)[:, 0, :]
-    dual_p = np.sum(np.abs(mgf_block) ** p, axis=1)
+    dual_p = np.sum(np.abs(probe.draw_noise(rng, (mgf_draws,))) ** p, axis=1)
     mgf_estimate = float(np.mean(np.exp(dual_p / probe.mgf_sigma ** p)))
 
     return ConcentrationReport(
@@ -374,15 +369,3 @@ def concentration_check(
         sigma_R=sigma_R,
         meta={"S2": S2, "Sq": Sq, "T": T, "trials": trials, "noise": noise},
     )
-
-
-def _draw_noise_block(rng, kind: str, n: int, T: int, dim: int, sigma: float, p: float):
-    """Vectorized (n, T, dim) noise draws matching AdditiveNoiseOracle's families."""
-    if kind == "gaussian":
-        s = sigma / (dim * absolute_gaussian_moment(p)) ** (1.0 / p)
-        return s * rng.standard_normal((n, T, dim))
-    if kind == "bounded_sphere":
-        u = rng.standard_normal((n, T, dim))
-        norms = np.sum(np.abs(u) ** p, axis=2, keepdims=True) ** (1.0 / p)
-        return sigma * math.log(2.0) ** (1.0 / p) * u / norms
-    raise ParameterError(f"unsupported noise kind {kind!r} for concentration checks")

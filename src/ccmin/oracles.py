@@ -4,8 +4,8 @@ p-th dual-norm noise moment.
 Three families are provided:
 
 * ``RidgeOracle`` — the synthetic random-design regression benchmark; draws a
-  fresh (a, b) sample per call and also exposes the exact mean gradient and
-  objective for diagnostics.
+  fresh (a, b) sample per call and also exposes the exact mean gradient for
+  diagnostics.
 * ``BernoulliOracle`` — a one-dimensional adversarial instance whose gradient
   is zero with probability 1 - s and uninformatively large otherwise; used by
   the failure-probability experiment.
@@ -13,7 +13,8 @@ Three families are provided:
   (gaussian / bounded sphere / pareto), calibrated so the declared level
   sigma bounds the p-th moment; the bounded-sphere variant also satisfies the
   exponential moment bound E exp(||noise||_*^p / sigma^p) <= 2 needed by the
-  concentration diagnostics.
+  concentration diagnostics. Its ``draw_noise`` serves both the oracle's
+  samples and the blocks of ``diagnostics.concentration_check``.
 
 Oracles are immutable descriptions. ``sample_gradient`` takes an explicit
 ``numpy.random.Generator`` so concurrent users can hand each replica its own
@@ -30,6 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import dual_exponent, lq_norm
+from .solvers import _bisect
 
 __all__ = [
     "StochasticGradientOracle",
@@ -62,15 +64,12 @@ class StochasticGradientOracle:
         The exponent p in (1, 2] of that moment bound.
     mean_gradient : callable or None
         Exact expected gradient, when the instance can reveal it.
-    evaluate_F : callable or None
-        Exact expected objective value, when available.
     """
 
     dimension: int = 0
     noise_level: float = 0.0
     noise_moment_exponent: float = 2.0
     mean_gradient = None
-    evaluate_F = None
 
     def sample_gradient(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -157,10 +156,6 @@ class RidgeOracle(StochasticGradientOracle):
     def mean_gradient(self, x):
         return 2.0 / 3.0 * (np.asarray(x, dtype=float) - self.instance.x_star)
 
-    def evaluate_F(self, x):
-        d = np.asarray(x, dtype=float) - self.instance.x_star
-        return float(d @ d) / 3.0 + self.instance.sigma_b ** 2
-
 
 def ridge_oracle(instance: RidgeInstance, seed: int = 0) -> RidgeOracle:
     return RidgeOracle(instance, seed=seed)
@@ -174,22 +169,19 @@ def solve_bernoulli_activation(mu: float, q: float, sigma: float, epsilon: float
     This is the equality form of the requirement that the oracle's p-th
     centered moment stays below sigma^p (given C = mu^(1/q) (eps*p)^(1/p),
     the right side equals 2 (C/sigma)^p). The left side increases
-    monotonically from 0 to +inf, so the root is unique; bisection to ~1e-14.
+    monotonically from 0 to +inf, so the root is unique; bisection to machine
+    width, stopping once the bracket no longer changes, within 200 steps.
     """
     p = dual_exponent(q)
     rhs = 2.0 * p * mu ** (p - 1.0) * epsilon / sigma ** p
 
-    def lhs(s: float) -> float:
-        return s ** (p - 1.0) / (1.0 - s) ** p
+    def go_up(mid):
+        # Python's float **, as this root was always solved: numpy's ** can
+        # differ in the last bit, and s sizes every lower-bound trial
+        s = float(mid)
+        return s ** (p - 1.0) / (1.0 - s) ** p < rhs
 
-    lo, hi = 1e-300, 1.0 - 1e-16
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < rhs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(go_up, np.float64(1e-300), np.float64(1.0 - 1e-16), 200))
 
 
 @dataclass(frozen=True)
@@ -302,6 +294,7 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
 
     ``mgf_sigma`` is the smallest level at which the exponential moment bound
     E exp(||noise||_p^p / level^p) <= 2 provably holds (None when it cannot).
+    ``draw_noise`` samples the noise alone, in blocks of any shape.
     """
 
     def __init__(self, grad_fn, dimension: int, kind: str, sigma: float,
@@ -321,13 +314,20 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
         self.noise_moment_exponent = p
         self.tail = float(tail)
         self._rng = _philox(seed)
+        # gaussian: the coordinate scale; bounded sphere: the l_p norm; pareto:
+        # x_m of the magnitude x_m U^(-1/tail), whose E mag^p = x_m^p tail/(tail-p)
+        if kind == "gaussian":
+            self._scale = sigma / (dimension * absolute_gaussian_moment(p)) ** (1.0 / p)
+        elif kind == "bounded_sphere":
+            self._scale = sigma * math.log(2.0) ** (1.0 / p)
+        else:
+            self._scale = sigma * ((self.tail - p) / self.tail) ** (1.0 / p)
         if sigma == 0.0:
             self.mgf_sigma = 0.0
         elif kind == "bounded_sphere":
             self.mgf_sigma = float(sigma)
         elif kind == "gaussian" and p == 2.0:
-            s = sigma / (dimension * absolute_gaussian_moment(p)) ** (1.0 / p)
-            self.mgf_sigma = float(s * math.sqrt(2.0 / (1.0 - 2.0 ** (-2.0 / dimension))))
+            self.mgf_sigma = float(self._scale * math.sqrt(2.0 / (1.0 - 2.0 ** (-2.0 / dimension))))
         else:
             self.mgf_sigma = None
 
@@ -336,23 +336,24 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
         if self.noise_level == 0.0:
             return g
         rng = self._rng_or_default(rng)
-        return g + self._draw_noise(rng)
+        return g + self.draw_noise(rng)
 
-    def _draw_noise(self, rng):
-        p = self.noise_moment_exponent
-        d = self.dimension
-        sigma = self.noise_level
+    def draw_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
+        """Noise vectors of shape ``shape + (dimension,)``, drawn from ``rng``.
+
+        A sphere direction is normalized by its own l_p norm; pareto draws its
+        uniforms after all the normals.
+        """
+        size = tuple(shape) + (self.dimension,)
         if self.kind == "gaussian":
-            s = sigma / (d * absolute_gaussian_moment(p)) ** (1.0 / p)
-            return s * rng.standard_normal(d)
-        direction = rng.standard_normal(d)
-        direction /= lq_norm(direction, p)
-        if self.kind == "bounded_sphere":
-            return sigma * math.log(2.0) ** (1.0 / p) * direction
-        # pareto: magnitude x_m * U^(-1/tail) has E mag^p = x_m^p * tail/(tail-p)
-        x_m = sigma * ((self.tail - p) / self.tail) ** (1.0 / p)
-        magnitude = x_m * rng.random() ** (-1.0 / self.tail)
-        return magnitude * direction
+            return self._scale * rng.standard_normal(size)
+        p = self.noise_moment_exponent
+        u = rng.standard_normal(size)
+        norms = np.sum(np.abs(u) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+        scale = self._scale
+        if self.kind == "pareto":
+            scale = scale * rng.random(tuple(shape) + (1,)) ** (-1.0 / self.tail)
+        return scale * u / norms
 
     def mean_gradient(self, x):
         return np.asarray(self._grad_fn(x), dtype=float)
@@ -366,9 +367,5 @@ def additive_noise_oracle(
     q: float = 2.0,
     seed: int = 0,
     tail: float = 4.0,
-    evaluate_fn=None,
 ) -> AdditiveNoiseOracle:
-    oracle = AdditiveNoiseOracle(grad_fn, dimension, kind, sigma, q=q, seed=seed, tail=tail)
-    if evaluate_fn is not None:
-        oracle.evaluate_F = evaluate_fn
-    return oracle
+    return AdditiveNoiseOracle(grad_fn, dimension, kind, sigma, q=q, seed=seed, tail=tail)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .geometry import power_uc_constant
 
 __all__ = ["PowerNormRegularizer", "composite_prox", "prox_bisection_oracle"]
 
@@ -52,11 +51,6 @@ class PowerNormRegularizer:
         # sign(0) = 0 picks the minimal-norm subgradient at the kink-free origin
         x = np.asarray(x, dtype=float)
         return self.mu * np.abs(x) ** (self.q - 1.0) * np.sign(x)
-
-    @property
-    def uniform_convexity_constant(self) -> float:
-        """True degree-q modulus of H w.r.t. the l_q norm: mu * c_q."""
-        return self.mu * power_uc_constant(self.q)
 
 
 def composite_prox(

@@ -284,7 +284,7 @@ class RunTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _thin_rows(arr, thin, T):
+def _thin_rows(arr, thin):
     if arr is None or thin == 1:
         return arr, None
     kept = np.unique(np.concatenate([np.arange(0, arr.shape[0], thin), [arr.shape[0] - 1]]))
@@ -294,7 +294,7 @@ def _thin_rows(arr, thin, T):
 def _finish_trace(trace: RunTrace, opts: TraceOptions):
     for name in ("iterates", "averaged", "query_points"):
         arr = getattr(trace, name)
-        thinned, kept = _thin_rows(arr, opts.thin, trace.T)
+        thinned, kept = _thin_rows(arr, opts.thin)
         setattr(trace, name, thinned)
         if name == "iterates":
             # query_points has T rows, not T+1, so only the iterate rows
@@ -432,7 +432,12 @@ def acsmd(
                            trace_opts, stop_gap)
 
 
-_SOLVERS = {"nacsmd": nacsmd, "acsmd": acsmd}
+def _solver(name: str):
+    """The solver called ``name``, read from this module's namespace at each
+    call so that a wrapper installed there (a tracer, a counter) sees it."""
+    if name not in TARGETS:
+        raise ParameterError(f"solver must be one of {TARGETS}, got {name!r}")
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -474,7 +479,7 @@ def restart(
     """Run n stages of K iterations, chaining the raw (non-averaged) endpoint
     as the next start, then a final T-iteration stage whose averaged output is
     returned. With n = 0 this is byte-identical to a single solver call."""
-    step = _SOLVERS[solver] if isinstance(solver, str) else solver
+    step = _solver(solver) if isinstance(solver, str) else solver
     x = np.array(x1, dtype=float)
     stage_traces = []
     stage_starts = [x.copy()]
@@ -489,22 +494,30 @@ def restart(
                            final_trace=final_tr)
 
 
+def _run_inequality_steps(params: GeometryParams, target: str, alphas, gammas, A, moment):
+    """(noise, det, base): per-step terms of the run inequality, det being
+    L alpha_t (L A_t for acsmd) times base^(1/r). ``moment`` is ||delta_t||_*^p,
+    realized for a certificate or the declared sigma^p for the mean bound."""
+    p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
+    noise = 2.0 * moment / (p * mu ** (p / q)) * (alphas ** q / gammas) ** (p / q)
+    if target == "nacsmd":
+        base = 2.0 * M * alphas / (mu * gammas)
+        det = L * alphas * power_inv_r(base, r)
+    else:
+        base = 2.0 * M * alphas * (alphas / A) ** (q - 1.0) / (mu * gammas)
+        det = L * A * power_inv_r(base, r)
+    return noise, det, base
+
+
 def _bound_term_arrays(params: GeometryParams, sched, target: str, t: np.ndarray,
                        A_prev: float = 0.0):
-    """Per-step noise/deterministic contributions of the computable mean bound."""
+    """(A, noise, det) of the computable mean bound at the steps ``t``."""
     alphas = np.asarray(sched.alpha(t), dtype=float)
     gammas = np.asarray(sched.gamma(t), dtype=float)
     A = A_prev + np.cumsum(alphas)
-    p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
-    sigma = params.sigma
-    noise = (2.0 * sigma ** p / (p * mu ** (p / q))) * (alphas ** q / gammas) ** (p / q)
-    if target == "nacsmd":
-        det = L * alphas * power_inv_r(2.0 * M * alphas / (mu * gammas), r)
-    else:
-        det = L * A * power_inv_r(
-            2.0 * M * alphas * (alphas / A) ** (q - 1.0) / (mu * gammas), r
-        )
-    return alphas, gammas, A, noise, det
+    noise, det, _ = _run_inequality_steps(params, target, alphas, gammas, A,
+                                          params.sigma ** params.p)
+    return A, noise, det
 
 
 def expectation_bound(params: GeometryParams, sched, target: str, V0: float, T: int) -> float:
@@ -517,7 +530,7 @@ def expectation_bound(params: GeometryParams, sched, target: str, V0: float, T: 
     run reports record it instead of hard-coded rate constants.
     """
     t = np.arange(1, T + 1, dtype=float)
-    _, gammas, A, noise, det = _bound_term_arrays(params, sched, target, t)
+    A, noise, det = _bound_term_arrays(params, sched, target, t)
     return float((float(sched.gamma(1)) * V0 + noise.sum() + det.sum()) / A[-1])
 
 
@@ -571,7 +584,7 @@ def plan_from_params(
     start = 1
     while start <= _PLAN_CAP:
         t = np.arange(start, start + _PLAN_CHUNK, dtype=float)
-        _, _, A, noise, det = _bound_term_arrays(params, sched, target, t, A_prev=A_prev)
+        A, noise, det = _bound_term_arrays(params, sched, target, t, A_prev=A_prev)
         step_terms = noise + det
         if not np.all(np.isfinite(step_terms)):
             bad = int(t[np.nonzero(~np.isfinite(step_terms))[0][0]])

@@ -163,6 +163,24 @@ class TestRunExperiment:
         cell = s["cells"][0]
         assert cell["failed_runs"] == {"1": "synthetic blow-up at t=3"}
         assert cell["iterations"][0] is not None  # seed 0 still ran
+        # the statistics cover the completed run only; the errored one is not
+        # a censored T_max + 1
+        assert cell["median_iterations"] == cell["iterations"][0]
+        assert cell["q1_iterations"] == cell["q3_iterations"] == cell["iterations"][0]
+        assert cell["hit_rate"] == 1.0
+
+    def test_all_errored_cell_has_null_statistics(self, tmp_path, monkeypatch):
+        from ccmin.errors import NumericalError
+
+        def broken(cfg, cell, seed):
+            raise NumericalError("synthetic blow-up")
+
+        monkeypatch.setattr(bench, "_execute_run", broken)
+        s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}), out_dir=tmp_path)
+        cell = s["cells"][0]
+        assert [cell[k] for k in ("median_iterations", "q1_iterations", "q3_iterations",
+                                  "hit_rate")] == [None] * 4
+        assert emit_table(s)[1].splitlines()[1] == "d=3,err"
 
     def test_parameter_error_recorded_without_aborting(self, tmp_path):
         # printed smooth-case acsmd1 breaks its step condition, so the auto
@@ -277,6 +295,18 @@ class TestCli:
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
         rc = main(["validate", self.write_cfg(tmp_path, {"instance": {"zzz": 1}})])
         assert rc == 2
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"instance": {"q": "3"}}, "instance.q"),
+        ({"run": {"T_max": "50"}}, "run.T_max"),
+        ({"instance": {"d": [20, "x"]}}, "instance.d"),
+        ({"instance": {"kappa": True}}, "instance.kappa"),
+        ({"run": {"seeds": {"count": "2"}}}, "run.seeds.count"),
+    ])
+    def test_validate_mistyped_value_exit_2(self, tmp_path, capsys, cfg, key):
+        assert main(["validate", self.write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

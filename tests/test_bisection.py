@@ -1,12 +1,14 @@
-"""The bisections behind ``acsa_baseline``'s inner step and ``exact_optimum``
-stop once their bracket stops changing. These tests hold them to the bits of
-the fixed-count loops they replaced, which are copied here as the reference.
+"""The bisections behind ``acsa_baseline``'s inner step, ``exact_optimum``
+and ``solve_bernoulli_activation`` stop once their bracket stops changing.
+These tests hold them to the bits of the fixed-count loops they replaced,
+which are copied here as the reference.
 """
 
 import numpy as np
 import pytest
 
 from ccmin import NumericalError, RidgeInstance, exact_optimum
+from ccmin.oracles import solve_bernoulli_activation
 from ccmin.solvers import _bisect, _solve_power_linear
 
 
@@ -43,11 +45,25 @@ def reference_exact_optimum(instance, residual_tol=1e-10):
         hi = np.where(go_up, hi, mid)
     x_opt = 0.5 * (lo + hi)
     worst = float(np.max(np.abs(foc(x_opt))))
-    if worst > residual_tol:
-        raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {residual_tol}")
+    tol = residual_tol * max(1.0, float(np.max(np.abs(xs))))
+    if worst > tol:
+        raise NumericalError(f"exact_optimum: optimality residual {worst:.3e} > {tol:.3e}")
     d = x_opt - xs
     psi = float(d @ d) / 3.0 + instance.sigma_b ** 2 + mu / q * float(np.sum(np.abs(x_opt) ** q))
     return x_opt, psi
+
+
+def reference_bernoulli_activation(mu, q, sigma, epsilon):
+    p = q / (q - 1.0)
+    rhs = 2.0 * p * mu ** (p - 1.0) * epsilon / sigma ** p
+    lo, hi = 1e-300, 1.0 - 1e-16
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** (p - 1.0) / (1.0 - mid) ** p < rhs:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def assert_same_bits(got, want):
@@ -105,7 +121,7 @@ def test_exact_optimum_matches_fixed_count_loop(q, mu, xs):
         try:
             reference_exact_optimum(inst)
         except NumericalError as exc:
-            # the residual check (<= 1e-10) is unchanged
+            # the residual check (<= 1e-10 * max(1, max|x_star|)) agrees
             with pytest.raises(NumericalError) as info:
                 exact_optimum(inst)
             assert str(info.value) == str(exc)
@@ -136,3 +152,32 @@ def test_bisect_short_of_its_fixed_point_runs_to_the_cap():
     # reaching 1e-300 from [0, 1] takes about a thousand halvings
     out = _bisect(go_up, np.zeros(1), np.ones(1), 90)
     assert len(calls) == 90 and out[0] == 2.0 ** -91
+
+
+def test_residual_check_scales_with_the_instance():
+    # mu = 1e-300 at q = 2 leaves x_star as the optimum to the last bit; its
+    # residual |mu x_star| reaches 1, far below 1e-10 * 1e300
+    x_star = X_STARS["huge"]
+    inst = RidgeInstance(dimension=4, x_star=x_star, sigma_b=0.1, mu=1e-300, q=2.0)
+    with np.errstate(over="ignore"):
+        x_opt, _ = exact_optimum(inst)
+        assert x_opt.tobytes() == x_star.tobytes()
+        with pytest.raises(NumericalError, match="residual"):
+            exact_optimum(inst, residual_tol=1e-301)  # scaled tolerance 0.1 < 1
+
+
+ACTIVATION_POINTS = [(2.0, 0.002), (3.0, 0.03)]  # the lower-bound benchmark's (q, epsilon)
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0, 20.0])
+def test_activation_matches_fixed_count_loop(q):
+    p = q / (q - 1.0)
+    ceiling = 1.0 / (2.0 * p)  # sigma^p / (2 p mu^(p-1)) at mu = sigma = 1
+    points = [(q, e) for q_, e in ACTIVATION_POINTS if q_ == q]
+    points += [(q, ceiling * f) for f in np.geomspace(1e-12, 1.0, 60)]
+    for mu, sigma in [(1.0, 1.0), (0.7, 1.3)]:
+        for q_, eps in points:
+            got = solve_bernoulli_activation(mu, q_, sigma, eps)
+            want = reference_bernoulli_activation(mu, q_, sigma, eps)
+            assert type(got) is float
+            assert_same_bits(got, want)

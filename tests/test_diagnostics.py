@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ccmin.diagnostics as diagnostics
 from ccmin import (
     DiagnosticUnavailableError,
     ParameterError,
@@ -8,6 +9,7 @@ from ccmin import (
     RidgeInstance,
     TraceOptions,
     additive_noise_oracle,
+    bernoulli_oracle,
     certificate_check,
     concentration_check,
     default_schedule,
@@ -18,10 +20,12 @@ from ccmin import (
     martingale_tail_bound,
     nacsmd,
     acsmd,
+    power_inv_r,
     power_uc_constant,
     ridge_oracle,
     ridge_psi,
 )
+from ccmin.solvers import _bound_term_arrays
 
 
 def philox(*key):
@@ -151,7 +155,78 @@ class TestCertificate:
                 assert rep.ok, (q, kappa, noise, target, seed, rep.first_violation)
 
 
+def reference_certificate_terms(trace, params):
+    """The certificate's noise-moment and deterministic sums, as first written."""
+    alphas, gammas, A = trace.alphas, trace.gammas, trace.A
+    p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
+    dual_norms = np.sum(np.abs(trace.noise) ** p, axis=1) ** (1.0 / p)
+    noise_moment = np.cumsum(
+        2.0 * dual_norms ** p / (p * mu ** (p / q)) * (alphas ** q / gammas) ** (p / q)
+    )
+    if trace.algorithm == "nacsmd":
+        base = 2.0 * M * alphas / (mu * gammas)
+        det_steps = L * alphas * power_inv_r(base, r)
+    else:
+        base = 2.0 * M * alphas * (alphas / A) ** (q - 1.0) / (mu * gammas)
+        det_steps = L * A * power_inv_r(base, r)
+    return noise_moment, np.cumsum(det_steps)
+
+
+def reference_bound_terms(params, sched, target, t, A_prev=0.0):
+    """The mean bound's per-step terms, as first written."""
+    alphas = np.asarray(sched.alpha(t), dtype=float)
+    gammas = np.asarray(sched.gamma(t), dtype=float)
+    A = A_prev + np.cumsum(alphas)
+    p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
+    sigma = params.sigma
+    noise = (2.0 * sigma ** p / (p * mu ** (p / q))) * (alphas ** q / gammas) ** (p / q)
+    if target == "nacsmd":
+        det = L * alphas * power_inv_r(2.0 * M * alphas / (mu * gammas), r)
+    else:
+        det = L * A * power_inv_r(
+            2.0 * M * alphas * (alphas / A) ** (q - 1.0) / (mu * gammas), r
+        )
+    return A, noise, det
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])  # r = 0 at q = 2, r > 0 otherwise
+@pytest.mark.parametrize("solver,target", [(nacsmd, "nacsmd"), (acsmd, "acsmd")])
+def test_run_inequality_terms_keep_their_bits(q, solver, target):
+    inst, _, H, x_opt, psi_star, psi = ridge_problem(q=q, sigma_b=0.2, seed=int(q))
+    params = derive_params(q, 2.0, inst.L, 2.0 * power_uc_constant(q), sigma=0.3)
+    assert (params.r == 0.0) == (q == 2.0)
+    sched = default_schedule(params, target, validate_horizon=500)
+    _, _, tr = solver(ridge_oracle(inst), H, sched, np.zeros(inst.dimension), 200,
+                      rng=philox(int(q), 17), params=params)
+    rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
+    noise_moment, deterministic = reference_certificate_terms(tr, params)
+    assert rep.noise_moment.tobytes() == noise_moment.tobytes()
+    assert rep.deterministic.tobytes() == deterministic.tobytes()
+
+    for t, A_prev in [(np.arange(1, 301, dtype=float), 0.0),
+                      (np.arange(301, 401, dtype=float), 123.25)]:
+        got = _bound_term_arrays(params, sched, target, t, A_prev=A_prev)
+        want = reference_bound_terms(params, sched, target, t, A_prev=A_prev)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    t = np.arange(1, 301, dtype=float)
+    _, noise, det = reference_bound_terms(params, sched, target, t)
+    A = np.cumsum(np.asarray(sched.alpha(t), dtype=float))
+    want = float((float(sched.gamma(1)) * 0.7 + noise.sum() + det.sum()) / A[-1])
+    assert expectation_bound(params, sched, target, 0.7, 300) == want
+
+
 class TestLowerBound:
+    def test_signed_oracles_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["nu"])
+            return bernoulli_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "bernoulli_oracle", counted)
+        lower_bound_experiment("nacsmd", 1.0, 2.0, 1.0, 0.05, 0.5, trials=50, seed=3)
+        assert sorted(calls) == [-1, 1]
+
     def test_small_experiment_fails_often_enough(self):
         rep = lower_bound_experiment("acsmd", 1.0, 2.0, 1.0, 0.05, 0.5,
                                      trials=120, seed=5)

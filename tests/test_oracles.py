@@ -32,11 +32,6 @@ class TestRidge:
             x = rng.normal(0, 2, inst.dimension)
             assert np.allclose(orc.mean_gradient(x), 2.0 / 3.0 * (x - inst.x_star))
 
-    def test_objective_at_truth_is_label_variance(self):
-        inst = make_ridge(sigma_b=0.3)
-        orc = ridge_oracle(inst)
-        assert orc.evaluate_F(inst.x_star) == pytest.approx(0.09)
-
     def test_sample_mean_converges_at_truth(self):
         # noiseless labels, query at the truth: gradients average to zero
         inst = make_ridge(d=4, sigma_b=0.0)
@@ -200,6 +195,16 @@ class TestAdditiveNoise:
         with pytest.raises(ParameterError, match="tail"):
             additive_noise_oracle(lambda x: np.zeros(1), 1, kind="pareto",
                                   sigma=1.0, q=2.0, tail=1.5)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_sphere"])
+    @pytest.mark.parametrize("q,d", [(2.0, 1), (3.0, 4), (4.0, 7), (20.0, 50)])
+    def test_block_draws_match_successive_samples(self, kind, q, d):
+        orc = additive_noise_oracle(lambda x: np.zeros(d), d, kind=kind, sigma=0.7, q=q)
+        block = orc.draw_noise(philox(17, d), (300,))
+        stream = philox(17, d)
+        successive = np.array([orc.sample_gradient(np.zeros(d), stream) for _ in range(300)])
+        assert block.shape == (300, d)
+        assert block.tobytes() == successive.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="noise kind"):

@@ -173,6 +173,12 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"instance.q must be >= 2, got {inst['q']}")
     if not 1.0 < _number(inst["kappa"], "instance.kappa") <= 2.0:
         raise ConfigError(f"instance.kappa must lie in (1, 2], got {inst['kappa']}")
+    for key in ("mu", "sigma_b", "sigma", "target_accuracy"):
+        _number(inst[key], f"instance.{key}")
+    if inst["R"] is not None:
+        _number(inst["R"], "instance.R")
+    for key in ("safety_scale", "acsa_stage0"):
+        _number(cfg["solver"][key], f"solver.{key}")
     xs = inst["x_star"]
     if xs.get("kind") not in ("uniform", "fixed"):
         raise ConfigError("instance.x_star.kind must be 'uniform' or 'fixed'")
@@ -416,9 +422,9 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
         solver = _solver(name)
         restart_cfg = run_cfg["restart"]
         if restart_cfg is None:
+            # sched_report already checked the schedule over these T_max steps
             _, _, trace = solver(
                 oracle, H, sched, bundle["x1"], T_max, rng=rng,
-                params=params if sched_report.ok else None,
                 trace_opts=opts, stop_gap=stop_gap,
             )
         else:
@@ -428,6 +434,7 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
             else:
                 plan = RestartPlan(**restart_cfg)
             sched_desc["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
+            # a plan's stages can run past T_max, so the solver checks its own
             _, rtrace = restart(
                 name, oracle, H, sched, bundle["x1"], plan, rng=rng,
                 params=params if sched_report.ok else None, trace_opts=opts,
@@ -587,11 +594,17 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
 
 
 def _write_trace_csv(path: Path, rows: np.ndarray):
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "psi_gap", "bregman_to_opt", "alpha_t", "gamma_t"])
-        for row in rows:
-            w.writerow([int(row[0])] + [f"{v:.10e}" for v in row[1:]])
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "psi_gap", "bregman_to_opt", "alpha_t", "gamma_t"])
+            for row in rows:
+                w.writerow([int(row[0])] + [f"{v:.10e}" for v in row[1:]])
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)  # a reader never sees a half-written trace
 
 
 def _stable_json(obj) -> str:

@@ -99,6 +99,21 @@ class CertificateReport:
     first_violation: int | None
 
 
+def _recorded_gaps(trace, x_avg, psi, psi_star):
+    """The run's recorded gaps if they are psi(x_avg) - psi_star, else None.
+
+    A solver records gap_fn(x_avg) after every step. When gap_fn was that
+    difference, the record holds the same bits that re-evaluating psi would
+    give; its last row is re-evaluated to confirm it, so a trace recorded
+    with another gap_fn (a relative gap, say) is recomputed.
+    """
+    recorded = trace.psi_gap
+    if recorded is None or recorded.shape != (x_avg.shape[0],):
+        return None
+    last = np.array([psi(x_avg[-1])]) - psi_star
+    return recorded if recorded[-1:].tobytes() == last.tobytes() else None
+
+
 def certificate_check(
     trace,
     params: GeometryParams,
@@ -150,7 +165,9 @@ def certificate_check(
         return float(H.value(x_star)) - hy - np.sum(H.grad(Y) * (x_star - Y), axis=1)
 
     init_term = float(gammas[0]) * float(breg_rows(trace.iterates[:1])[0])
-    gaps = np.array([psi(row) for row in x_avg]) - psi_star
+    gaps = _recorded_gaps(trace, x_avg, psi, psi_star)
+    if gaps is None:
+        gaps = np.array([psi(row) for row in x_avg]) - psi_star
     lhs = A * gaps + gammas * breg_rows(x_next)
     rhs = init_term + martingale + noise_moment + deterministic
     slack = rhs - lhs
@@ -325,6 +342,9 @@ def concentration_check(
     tau grid. Only noise families with a certified exponential moment level
     are admitted; heavy-tailed noise is rejected.
     """
+    if not sigma > 0.0:
+        # the tail bound divides by the noise level
+        raise ParameterError(f"concentration_check needs sigma > 0, got {sigma}")
     weights = np.asarray(weights, dtype=float)
     T = weights.size
     p = q / (q - 1.0)

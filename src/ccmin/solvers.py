@@ -63,6 +63,18 @@ __all__ = [
 TARGETS = ("nacsmd", "acsmd")
 
 
+def _scalar_pow(base: float, exponent: float) -> float:
+    """``base ** exponent`` with the bits and the overflow value (inf) of
+    numpy's 0-d power. Python refuses overflow, zero to a negative power and
+    a negative base to a fractional power; those cases go to numpy."""
+    if base > 0.0:
+        try:
+            return base ** exponent
+        except OverflowError:
+            pass
+    return float(np.float64(base) ** exponent)
+
+
 @dataclass(frozen=True)
 class PolynomialSchedule:
     """alpha_t = (t + offset [+1 if m >= 0])^m, gamma_t = s/(m+1) (t + offset)^{m+1}.
@@ -88,13 +100,24 @@ class PolynomialSchedule:
         if self.safety_scale < 1.0:
             raise ParameterError(f"safety_scale must be >= 1, got {self.safety_scale}")
 
+    # A scalar t (one solver step) is evaluated in Python floats, whose ``**``
+    # gives the bits of numpy's 0-d power and costs a fraction of its
+    # dispatch. An array t keeps numpy, whose vectorized ``**`` can differ
+    # from the 0-d one in the last bit: so a run's steps must not be read off
+    # an array evaluation.
+
     def alpha(self, t):
-        t = np.asarray(t, dtype=float)
         shift = 1.0 if self.m >= 0.0 else 0.0
+        if isinstance(t, (int, float)):
+            return _scalar_pow(float(t) + self.offset + shift, self.m)
+        t = np.asarray(t, dtype=float)
         out = (t + self.offset + shift) ** self.m
         return float(out) if out.ndim == 0 else out
 
     def gamma(self, t):
+        if isinstance(t, (int, float)):
+            return self.safety_scale / (self.m + 1.0) * _scalar_pow(
+                float(t) + self.offset, self.m + 1.0)
         t = np.asarray(t, dtype=float)
         out = self.safety_scale / (self.m + 1.0) * (t + self.offset) ** (self.m + 1.0)
         return float(out) if out.ndim == 0 else out
@@ -159,10 +182,11 @@ def validate_schedule(sched, params: GeometryParams, horizon: int) -> ScheduleRe
     """Exact per-t check of the two schedule inequalities up to ``horizon``."""
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    t = np.arange(1, horizon + 1, dtype=float)
-    alphas = np.asarray(sched.alpha(t), dtype=float)
-    gammas = np.asarray(sched.gamma(t), dtype=float)
-    gammas_next = np.asarray(sched.gamma(t + 1.0), dtype=float)
+    t = np.arange(1, horizon + 2, dtype=float)
+    alphas = np.asarray(sched.alpha(t[:-1]), dtype=float)
+    # one pass over t = 1 .. horizon + 1 serves both gamma_t and gamma_{t+1}
+    gamma_all = np.asarray(sched.gamma(t), dtype=float)
+    gammas, gammas_next = gamma_all[:-1], gamma_all[1:]
     growth_slack = alphas - (gammas_next - gammas)
     beta = 2.0 * params.M / params.mu
     if sched.target == "nacsmd":
@@ -205,6 +229,9 @@ def default_degree(params: GeometryParams, target: str) -> float:
     return fallback
 
 
+_PREFIX_HORIZON = 1024
+
+
 def default_schedule(
     params: GeometryParams,
     target: str,
@@ -222,6 +249,13 @@ def default_schedule(
     family and both inequalities eventually hold, so that is the repair
     applied here (a gamma-only bump would break the growth inequality at
     large t). The starting offset is kept in ``base_offset`` for reports.
+
+    Each candidate is first checked on the first ``min(validate_horizon,
+    1024)`` steps and only one that passes gets the full-horizon check.
+    Every quantity of the check at step t reads steps 1 .. t only (the
+    alpha sum accumulates in order, and the elementwise powers give the
+    same bits at every array length), so a prefix violation is a
+    full-horizon violation and the accepted schedule is the same.
     """
     if target not in TARGETS:
         raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
@@ -234,8 +268,11 @@ def default_schedule(
         m=float(m), offset=float(offset), target=target,
         safety_scale=float(safety_scale), base_offset=float(offset),
     )
+    prefix = min(validate_horizon, _PREFIX_HORIZON)
     for _ in range(max_doublings):
-        if validate_schedule(sched, params, validate_horizon).ok:
+        if validate_schedule(sched, params, prefix).ok and (
+                prefix == validate_horizon
+                or validate_schedule(sched, params, validate_horizon).ok):
             return sched
         sched = replace(sched, offset=2.0 * sched.offset + 1.0)
     raise NumericalError(

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ccmin.bench as bench
@@ -87,6 +88,23 @@ class TestRunExperiment:
         trace = next(p for p in tmp_path.iterdir() if p.name.startswith("trace-"))
         header = trace.read_text().splitlines()[0]
         assert header == "t,psi_gap,bregman_to_opt,alpha_t,gamma_t"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_trace_csv_never_half_written(self, tmp_path, monkeypatch):
+        class FailingWriter:
+            def __init__(self, fh):
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 2:
+                    raise OSError("disk full")
+
+        monkeypatch.setattr(bench.csv, "writer", FailingWriter)
+        path = tmp_path / "trace-x-0.csv"
+        with pytest.raises(OSError, match="disk full"):
+            bench._write_trace_csv(path, np.ones((5, 5)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_embeds_resolved_config_and_certificates(self, tmp_path):
         s = run_experiment(TINY, out_dir=tmp_path)
@@ -302,6 +320,13 @@ class TestCli:
         ({"instance": {"d": [20, "x"]}}, "instance.d"),
         ({"instance": {"kappa": True}}, "instance.kappa"),
         ({"run": {"seeds": {"count": "2"}}}, "run.seeds.count"),
+        ({"instance": {"mu": "2"}, "run": {"T_max": 20, "seeds": [0]}}, "instance.mu"),
+        ({"instance": {"sigma_b": "0.1"}}, "instance.sigma_b"),
+        ({"instance": {"sigma": [1.0]}}, "instance.sigma"),
+        ({"instance": {"target_accuracy": None}}, "instance.target_accuracy"),
+        ({"instance": {"R": "1"}}, "instance.R"),
+        ({"solver": {"safety_scale": "1.5"}}, "solver.safety_scale"),
+        ({"solver": {"acsa_stage0": True}}, "solver.acsa_stage0"),
     ])
     def test_validate_mistyped_value_exit_2(self, tmp_path, capsys, cfg, key):
         assert main(["validate", self.write_cfg(tmp_path, cfg)]) == 2
@@ -346,6 +371,12 @@ class TestCli:
         payload = json.loads((tmp_path / "concentration.json").read_text())
         assert payload["ok"] is True
         assert payload["mgf_estimate"] <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_concentration_nonpositive_sigma_exit_2(self, tmp_path, capsys, sigma):
+        cfg = {"sigma": sigma, "trials": 100, "T": 5}
+        assert main(["concentration", self.write_cfg(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ccmin.bench", "--help"],

@@ -1,0 +1,275 @@
+"""Schedules are evaluated, validated and certified once per use, on the bits
+of the loops they replaced, which are copied here as the reference:
+
+* a scalar ``alpha``/``gamma`` runs in Python floats, against numpy's 0-d
+  power;
+* ``validate_schedule`` takes gamma_t and gamma_{t+1} from one pass;
+* ``default_schedule`` checks a prefix before the full horizon;
+* ``certificate_check`` reuses the gaps a run recorded.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import ccmin.bench as bench
+import ccmin.solvers as solvers
+from ccmin import (
+    CustomSchedule,
+    PolynomialSchedule,
+    PowerNormRegularizer,
+    RidgeInstance,
+    TraceOptions,
+    acsmd,
+    certificate_check,
+    default_schedule,
+    derive_params,
+    exact_optimum,
+    nacsmd,
+    power_uc_constant,
+    ridge_oracle,
+    ridge_psi,
+    validate_schedule,
+)
+
+
+def reference_alpha(sched, t):
+    t = np.asarray(t, dtype=float)
+    shift = 1.0 if sched.m >= 0.0 else 0.0
+    out = (t + sched.offset + shift) ** sched.m
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_gamma(sched, t):
+    t = np.asarray(t, dtype=float)
+    out = sched.safety_scale / (sched.m + 1.0) * (t + sched.offset) ** (sched.m + 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_validate(sched, params, horizon):
+    t = np.arange(1, horizon + 1, dtype=float)
+    alphas = np.asarray(sched.alpha(t), dtype=float)
+    gammas = np.asarray(sched.gamma(t), dtype=float)
+    gammas_next = np.asarray(sched.gamma(t + 1.0), dtype=float)
+    growth_slack = alphas - (gammas_next - gammas)
+    beta = 2.0 * params.M / params.mu
+    if sched.target == "nacsmd":
+        lower_slack = gammas - beta * alphas
+    else:
+        A = np.cumsum(alphas)
+        lower_slack = gammas - beta * alphas * (alphas / A) ** (params.q - 1.0)
+    tol = 1e-9 * (1.0 + np.abs(gammas))
+    bad = (growth_slack < -tol) | (lower_slack < -tol)
+    first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
+    return solvers.ScheduleReport(
+        ok=first is None,
+        first_violation=first,
+        slack_min=float(min(growth_slack.min(), lower_slack.min())),
+        growth_slack_min=float(growth_slack.min()),
+        lower_slack_min=float(lower_slack.min()),
+    )
+
+
+def reference_default_schedule(params, target, m=None, offset=None, safety_scale=1.0,
+                               validate_horizon=1_000_000, max_doublings=60):
+    if m is None:
+        m = solvers.default_degree(params, target)
+    if offset is None:
+        base = 2.0 * (m + 1.0) * params.M / params.mu
+        offset = base if target == "nacsmd" else base ** (1.0 / params.q)
+    sched = PolynomialSchedule(m=float(m), offset=float(offset), target=target,
+                               safety_scale=float(safety_scale), base_offset=float(offset))
+    for _ in range(max_doublings):
+        if reference_validate(sched, params, validate_horizon).ok:
+            return sched
+        sched = dataclasses.replace(sched, offset=2.0 * sched.offset + 1.0)
+    return None
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def same_report(a, b):
+    return (a.ok == b.ok and a.first_violation == b.first_violation
+            and all(bits(getattr(a, k)) == bits(getattr(b, k))
+                    for k in ("slack_min", "growth_slack_min", "lower_slack_min")))
+
+
+class TestScalarSteps:
+    MS = (-0.9, -0.5, -0.25, 0.0, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 7.3)
+    OFFSETS = (0.0, 0.3, 1.0, 17.5, 1234.567)
+    SCALES = (1.0, 1.7, 3.0)
+    TS = (1, 2, 3, 7, 10, 99, 100, 999, 1000, 65_537, 10**6, 123_456_789)
+
+    def test_python_floats_give_the_0d_numpy_bits(self):
+        for m in self.MS:
+            for offset in self.OFFSETS:
+                for s in self.SCALES:
+                    sched = PolynomialSchedule(m=m, offset=offset, target="acsmd", safety_scale=s)
+                    for t in self.TS:
+                        for arg in (t, float(t)):
+                            a, g = sched.alpha(arg), sched.gamma(arg)
+                            assert type(a) is float and type(g) is float
+                            assert bits(a) == bits(reference_alpha(sched, t)), (m, offset, s, t)
+                            assert bits(g) == bits(reference_gamma(sched, t)), (m, offset, s, t)
+
+    def test_arrays_keep_the_numpy_path(self):
+        t = np.arange(1, 2000, dtype=float)
+        for m in self.MS:
+            sched = PolynomialSchedule(m=m, offset=2.5, target="nacsmd", safety_scale=1.3)
+            assert sched.alpha(t).tobytes() == reference_alpha(sched, t).tobytes()
+            assert sched.gamma(t).tobytes() == reference_gamma(sched, t).tobytes()
+
+    def test_overflow_is_inf(self):
+        sched = PolynomialSchedule(m=7.3, offset=1e300, target="nacsmd")
+        with np.errstate(over="ignore"):
+            assert sched.alpha(1) == np.inf
+            assert sched.gamma(1) == np.inf
+            assert sched.alpha(5.0) == reference_alpha(sched, 5.0) == np.inf
+
+    def test_cases_python_refuses_follow_numpy(self):
+        # zero to a negative power, a negative base to a fractional power
+        sched = PolynomialSchedule(m=-0.5, offset=0.0, target="nacsmd")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert sched.alpha(0) == reference_alpha(sched, 0) == np.inf
+            assert np.isnan(sched.alpha(-3)) and np.isnan(reference_alpha(sched, -3))
+            assert np.isnan(sched.gamma(-3.0)) and np.isnan(reference_gamma(sched, -3.0))
+
+
+class TestValidateSchedule:
+    def cases(self):
+        for q, kappa in ((2.0, 2.0), (3.0, 2.0), (4.0, 1.5)):
+            params = derive_params(q, kappa, 3.0, 1.2 * power_uc_constant(q))
+            for target in ("nacsmd", "acsmd"):
+                for m in (0.0, 0.5, 1.0, 2.0, 3.0):
+                    for offset in (0.0, 1.0, 40.0, 1e4):
+                        yield params, PolynomialSchedule(m=m, offset=offset, target=target,
+                                                         safety_scale=1.5)
+
+    @pytest.mark.parametrize("horizon", [1, 7, 1024, 5000])
+    def test_report_matches_two_gamma_passes(self, horizon):
+        n_bad = 0
+        for params, sched in self.cases():
+            got = validate_schedule(sched, params, horizon)
+            assert same_report(got, reference_validate(sched, params, horizon)), sched
+            n_bad += not got.ok
+        assert n_bad > 0  # violations are covered too
+
+    def test_custom_schedule(self):
+        params = derive_params(3.0, 2.0, 3.0, 1.2 * power_uc_constant(3.0))
+        rng = np.random.default_rng(4)
+        for target in ("nacsmd", "acsmd"):
+            sched = CustomSchedule(alphas=rng.uniform(0.5, 2.0, 301),
+                                   gammas=np.cumsum(rng.uniform(1.0, 60.0, 301)), target=target)
+            for horizon in (1, 150, 300):
+                assert same_report(validate_schedule(sched, params, horizon),
+                                   reference_validate(sched, params, horizon))
+
+
+class TestDefaultSchedule:
+    def test_small_horizons_accept_the_reference_schedule(self):
+        for q, kappa in ((2.0, 2.0), (3.0, 2.0), (4.0, 1.5)):
+            params = derive_params(q, kappa, 20.0, 0.7 * power_uc_constant(q))
+            for target in ("nacsmd", "acsmd"):
+                for m in (None, 0.0, 2.0):
+                    for horizon in (1, 100, 1024, 1025, 20_000):
+                        got = default_schedule(params, target, m=m, validate_horizon=horizon)
+                        want = reference_default_schedule(params, target, m=m,
+                                                          validate_horizon=horizon)
+                        assert got == want, (q, target, m, horizon)
+
+    def test_grid_schedules_need_one_full_check_each(self, monkeypatch):
+        """The validated benchmark grid: 16 schedules, each checked once over
+        the full 1M-step horizon (43 full checks without the prefix)."""
+        cfg = bench.resolve_config({
+            "instance": {"d": [20, 50, 100, 200]},
+            "solver": {"schedule_mode": "validated",
+                       "algorithms": ["nacsmd", "acsmd1", "acsmd2", "acsmd3"]},
+            "run": {"seeds": {"count": 2, "base": 0}},
+        })
+        horizons = []
+
+        def counting(sched, params, horizon):
+            horizons.append(horizon)
+            return validate_schedule(sched, params, horizon)
+
+        monkeypatch.setattr(solvers, "validate_schedule", counting)
+        bench._schedule_for.cache_clear()
+        try:
+            found = {}
+            for cell in bench.build_cells(cfg):
+                params = bench._prepare_cell(cfg, cell, 0)["params"]
+                sched = bench._resolve_schedule(cell["algorithm"], params,
+                                                cell["algorithm"]["name"], cfg["solver"],
+                                                cfg["instance"]["mu"])
+                found[sched] = params
+        finally:
+            bench._schedule_for.cache_clear()
+        assert len(found) == 16
+        assert horizons.count(1_000_000) == 16
+        assert set(horizons) == {1024, 1_000_000}
+        for sched, params in found.items():
+            want = reference_default_schedule(params, sched.target, m=sched.m,
+                                              offset=sched.base_offset,
+                                              safety_scale=sched.safety_scale)
+            assert sched == want
+
+
+def ridge_run(solver, d, q, seed, gap_fn=None):
+    rng = np.random.default_rng(seed)
+    inst = RidgeInstance(dimension=d, x_star=0.3 * rng.uniform(-1, 1, d),
+                         sigma_b=0.1, mu=2.0, q=q)
+    params = derive_params(q, 2.0, inst.L, 2.0 * power_uc_constant(q))
+    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    x_opt, psi_star = exact_optimum(inst)
+    calls = []
+
+    def psi(x):
+        calls.append(1)
+        return ridge_psi(inst, x)
+
+    if gap_fn is None:
+        gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
+    sched = default_schedule(params, solver.__name__, validate_horizon=300)
+    opts = TraceOptions(record_iterates=True, record_noise=True, gap_fn=gap_fn)
+    _, _, trace = solver(ridge_oracle(inst), H, sched, np.full(d, 3.25), 300,
+                         rng=np.random.Generator(np.random.Philox(seed)), trace_opts=opts)
+    return trace, (params, H, x_opt, psi, psi_star), calls
+
+
+def same_certificate(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        elif isinstance(x, float):
+            assert bits(x) == bits(y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestCertificateGaps:
+    @pytest.mark.parametrize("solver", [nacsmd, acsmd])
+    @pytest.mark.parametrize("d,q", [(3, 2.0), (20, 3.0), (50, 3.0), (200, 4.0)])
+    def test_recorded_gaps_give_the_recomputed_report(self, solver, d, q):
+        trace, args, calls = ridge_run(solver, d, q, seed=d)
+        recorded = certificate_check(trace, *args)
+        assert len(calls) == 1  # only the last row is re-evaluated
+        del calls[:]
+        recomputed = certificate_check(dataclasses.replace(trace, psi_gap=None), *args)
+        assert len(calls) == trace.T
+        same_certificate(recorded, recomputed)
+        assert recorded.ok
+
+    def test_a_relative_gap_is_recomputed(self):
+        trace, args, calls = ridge_run(acsmd, 20, 3.0, seed=5)
+        gap0 = float(trace.psi_gap[0])
+        rel_trace, _, _ = ridge_run(acsmd, 20, 3.0, seed=5,
+                                    gap_fn=lambda x: (args[3](x) - args[4]) / gap0)
+        del calls[:]
+        got = certificate_check(rel_trace, *args)
+        assert len(calls) == trace.T + 1  # the last-row check, then every row
+        same_certificate(got, certificate_check(dataclasses.replace(trace, psi_gap=None),
+                                                *args))

@@ -18,6 +18,7 @@ from .errors import (
 from .geometry import (
     GeometryParams,
     bregman,
+    bregman_to,
     check_uniform_convexity,
     check_weak_smoothness,
     derive_params,

@@ -48,7 +48,7 @@ from .diagnostics import (
     ridge_psi,
 )
 from .errors import ConfigError, NumericalError, ParameterError
-from .geometry import bregman, derive_params, power_uc_constant
+from .geometry import bregman_to, derive_params, power_uc_constant
 from .oracles import RidgeInstance, additive_noise_oracle, bernoulli_oracle, ridge_oracle
 from .regularizers import PowerNormRegularizer
 from .solvers import (
@@ -149,6 +149,24 @@ def _number(value, key: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
+
+
+def _integer(value, key: str, least: int):
+    """``value`` if it is an integer (a bool is not one) >= ``least``, else a
+    ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_keys(cfg: dict, reals: tuple, counts: tuple):
+    """Type-check a subcommand's keys: ``reals`` must be finite numbers,
+    ``counts`` integers >= 1, and ``seed`` an integer >= 0."""
+    for key in reals:
+        _number(cfg[key], key)
+    for key in counts:
+        _integer(cfg[key], key, 1)
+    _integer(cfg["seed"], "seed", 0)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -389,7 +407,7 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
     eps_abs = run_cfg["epsilon"] * gap0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
     gap_fn = lambda x: psi(x) - psi_star  # noqa: E731
-    bregman_fn = functools.partial(bregman, H, x_opt)
+    bregman_fn = bregman_to(H, x_opt)
     stop_gap = eps_abs if run_cfg["stop_at_target"] else None
     want_cert = bool(run_cfg["certificates"]) and name in ("nacsmd", "acsmd")
     sched_desc = None
@@ -566,8 +584,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
         "config": cfg,
         "cells": cell_summaries,
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(_stable_json(summary))
+    _write_text_atomic(out / "summary.json", _stable_json(summary))
     files["summary.json"] = None
 
     if cfg["output"]["plotdata"]:
@@ -581,30 +598,38 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
                 for t, r in zip(rows[:, 0], rel):
                     plot_rows.append((cell["label"], cell["algorithm"]["label"],
                                       seed, int(t), math.log10(max(r, 1e-300))))
-        (out / "plotdata.csv").write_text(emit_plotdata(plot_rows))
+        _write_text_atomic(out / "plotdata.csv", emit_plotdata(plot_rows))
         files["plotdata.csv"] = None
 
     for name in list(files):
         files[name] = _sha256(out / name)
     manifest = {"version": __version__, "config": cfg, "files": files}
-    tmp = out / "manifest.json.tmp"
-    tmp.write_text(_stable_json(manifest))
-    tmp.replace(out / "manifest.json")  # the manifest appears atomically, last
+    # last, so that every file it hashes is already in place
+    _write_text_atomic(out / "manifest.json", _stable_json(manifest))
     return summary
 
 
-def _write_trace_csv(path: Path, rows: np.ndarray):
+def _write_text_atomic(path: Path, text: str):
+    """Write ``text`` to ``path`` through a ``.tmp`` sibling that replaces it
+    whole, so a reader never sees a half-written file and a failed write
+    leaves no ``.tmp`` behind. Line endings are written as given."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "psi_gap", "bregman_to_opt", "alpha_t", "gamma_t"])
-            for row in rows:
-                w.writerow([int(row[0])] + [f"{v:.10e}" for v in row[1:]])
+            fh.write(text)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    tmp.replace(path)  # a reader never sees a half-written trace
+    tmp.replace(path)
+
+
+def _write_trace_csv(path: Path, rows: np.ndarray):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "psi_gap", "bregman_to_opt", "alpha_t", "gamma_t"])
+    for row in rows:
+        w.writerow([int(row[0])] + [f"{v:.10e}" for v in row[1:]])
+    _write_text_atomic(path, buf.getvalue())
 
 
 def _stable_json(obj) -> str:
@@ -760,6 +785,7 @@ def _cmd_lowerbound(args) -> int:
     defaults.update(cfg)
     if args.seed is not None:
         defaults["seed"] = args.seed
+    _check_keys(defaults, ("mu", "q", "sigma", "epsilon", "gamma"), ("trials",))
     report = lower_bound_experiment(
         defaults["solver"], defaults["mu"], defaults["q"], defaults["sigma"],
         defaults["epsilon"], defaults["gamma"], defaults["trials"], seed=defaults["seed"],
@@ -786,6 +812,7 @@ def _cmd_concentration(args) -> int:
     defaults.update(cfg)
     if args.seed is not None:
         defaults["seed"] = args.seed
+    _check_keys(defaults, ("weight_degree", "sigma", "R", "q"), ("T", "trials", "dim"))
     t = np.arange(1, defaults["T"] + 1, dtype=float)
     weights = t ** defaults["weight_degree"]
     report = concentration_check(

@@ -203,6 +203,22 @@ class LowerBoundReport:
     trials: int
 
 
+class _ReplayOracle:
+    """Hands the step loop the rows of a pre-drawn ``(T, S, d)`` gradient
+    block, one per query, in order."""
+
+    mean_gradient = None
+
+    def __init__(self, block: np.ndarray):
+        self._rows = iter(block)
+
+    def sample_gradient(self, x, rng=None):
+        return next(self._rows)
+
+
+_TRIAL_BLOCK = 1024  # trials run together as the rows of one solver call
+
+
 def lower_bound_experiment(
     solver: str,
     mu: float,
@@ -223,6 +239,18 @@ def lower_bound_experiment(
     1e-9 relative float guard). No algorithm can beat failure probability
     1 - gamma at this horizon, so the empirical rate must sit above
     (1 - gamma) minus three binomial standard errors.
+
+    Trial i draws from its own stream ``Philox(SeedSequence((seed, i)))``:
+    first its sign, then one uniform per step. The oracle's gradient does
+    not depend on the query point, so those T uniforms fix the trial's whole
+    gradient sequence before the run starts. Up to 1024 trials at a time are
+    drawn as one ``(trials, T)`` block of gradients and run as the rows of
+    one ``(trials, 1)`` solver call. This is exact, not a model of the
+    per-trial runs: a block of T uniforms holds the doubles of T successive
+    scalar draws, ``BernoulliOracle.gradients`` is the formula the oracle
+    samples through, and the step loop is elementwise, so every row gets
+    the bits of its trial's own run. A trial is silent when its gradients
+    are all zero.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
@@ -237,27 +265,33 @@ def lower_bound_experiment(
         T = max(1, math.floor(bound))
     run = _solver(solver)
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
+    # validated on max(T, 16) >= T steps, so the runs need no check of their own
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
-    opts = TraceOptions(record_iterates=False, record_noise=False, record_gradients=True)
-    # each trial passes its own stream, so the two signed oracles can be
-    # shared; both signs have the same s and C
-    signed = {nu: bernoulli_oracle(mu, q, sigma, epsilon, nu=nu) for nu in (1, -1)}
-    s_value, C_value = signed[1][1].s, signed[1][1].C
+    opts = TraceOptions(record_iterates=False, record_noise=False)
+    # the two signs share s and C
+    plus, plus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=1)
+    minus, minus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=-1)
 
     failures = 0
     allzero = 0
-    for i in range(trials):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        nu = 1 if rng.random() < 0.5 else -1
-        oracle, inst = signed[nu]
-        _, y, trace = run(oracle, H, sched, np.zeros(1), T, rng=rng,
-                          params=params, trace_opts=opts)
-        subopt = inst.psi(float(y[0])) - inst.psi_star
-        if subopt >= epsilon * (1.0 - 1e-9):
-            failures += 1
-        if not np.any(trace.grad_samples):
-            allzero += 1
+    for start in range(0, trials, _TRIAL_BLOCK):
+        n = min(_TRIAL_BLOCK, trials - start)
+        positive = np.empty((n, 1), dtype=bool)
+        uniforms = np.empty((n, T))
+        for k in range(n):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, start + k))))
+            positive[k] = rng.random() < 0.5
+            uniforms[k] = rng.random(T)
+        grads = np.where(positive, plus.gradients(uniforms), minus.gradients(uniforms))
+        # (T, n, 1): step t hands the loop column t of the block
+        _, y, _ = run(_ReplayOracle(grads.T[:, :, None]), H, sched, np.zeros((n, 1)), T,
+                      trace_opts=opts)
+        for k in range(n):
+            inst = plus_inst if positive[k, 0] else minus_inst
+            if inst.psi(float(y[k, 0])) - inst.psi_star >= epsilon * (1.0 - 1e-9):
+                failures += 1
+        allzero += int(np.count_nonzero(~grads.any(axis=1)))
 
     rate = failures / trials
     theory = 1.0 - gamma
@@ -269,9 +303,9 @@ def lower_bound_experiment(
         threshold=threshold,
         ok=rate >= threshold,
         allzero_rate=allzero / trials,
-        allzero_expected=(1.0 - s_value) ** T,
-        activation=s_value,
-        gradient_scale=C_value,
+        allzero_expected=(1.0 - plus_inst.s) ** T,
+        activation=plus_inst.s,
+        gradient_scale=plus_inst.C,
         trials=trials,
     )
 

@@ -34,6 +34,7 @@ __all__ = [
     "dual_exponent",
     "dual_norm",
     "bregman",
+    "bregman_to",
     "power_uc_constant",
     "power_inv_r",
     "young_gap_bound",
@@ -135,9 +136,20 @@ def bregman(omega, x: np.ndarray, y: np.ndarray) -> float:
     ``omega`` is any object exposing ``value(x) -> float`` and
     ``grad(x) -> array`` (the regularizers in this package do).
     """
+    return bregman_to(omega, x)(y)
+
+
+def bregman_to(omega, x: np.ndarray):
+    """The map y -> bregman(omega, x, y) for a fixed x, with omega(x)
+    evaluated once; the subtraction order, and so the bits, are bregman's."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(omega.value(x) - omega.value(y) - np.dot(np.asarray(omega.grad(y)), x - y))
+    vx = omega.value(x)
+
+    def divergence(y) -> float:
+        y = np.asarray(y, dtype=float)
+        return float(vx - omega.value(y) - np.dot(np.asarray(omega.grad(y)), x - y))
+
+    return divergence
 
 
 @lru_cache(maxsize=None)

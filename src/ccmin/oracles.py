@@ -227,10 +227,14 @@ class BernoulliOracle(StochasticGradientOracle):
         self._rng = _philox(seed)
 
     def sample_gradient(self, x, rng=None):
-        rng = self._rng_or_default(rng)
+        return self.gradients(self._rng_or_default(rng).random(1))
+
+    def gradients(self, u) -> np.ndarray:
+        """The gradients drawn by uniforms ``u`` (any shape): nu C / s where
+        u < s, else 0. The oracle ignores the query point, so a block of
+        uniforms fixes a whole run's gradients in advance."""
         inst = self.instance
-        b = 1.0 / inst.s if rng.random() < inst.s else 0.0
-        return np.array([inst.nu * b * inst.C])
+        return (inst.nu * np.where(u < inst.s, 1.0 / inst.s, 0.0)) * inst.C
 
     def mean_gradient(self, x):
         return np.array([self.instance.nu * self.instance.C])

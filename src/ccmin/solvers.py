@@ -10,6 +10,13 @@ where the oracle is queried and how the average is kept:
   combination of the averaged and raw iterates, and the averaged sequence is
   updated incrementally.
 
+The start point may be one ``(d,)`` vector or an ``(S, d)`` batch of S
+independent runs. Every operation of the step loop is elementwise and the
+scalar steps alpha_t, gamma_t are shared by all rows, so row i of a batch
+gets the bits of a ``(d,)`` run on row i's gradients; the oracle then
+returns an ``(S, d)`` block of gradients per step. A batch records no gap or
+Bregman series, which are one scalar per step.
+
 A schedule is a pair of sequences (alpha_t, gamma_t). Validity means, for
 every t up to the horizon,
 
@@ -292,7 +299,6 @@ class TraceOptions:
 
     record_iterates: bool = True
     record_noise: bool = True
-    record_gradients: bool = False
     thin: int = 1
     gap_fn: object = None
     bregman_fn: object = None
@@ -312,7 +318,6 @@ class RunTrace:
     iterates: np.ndarray | None = None       # rows x_1 .. x_{T+1} (thinned)
     averaged: np.ndarray | None = None       # rows x^ag_1 .. x^ag_{T+1} (thinned)
     query_points: np.ndarray | None = None   # acsmd oracle query points (thinned)
-    grad_samples: np.ndarray | None = None
     noise: np.ndarray | None = None          # realized sample - mean gradient, per t
     psi_gap: np.ndarray | None = None
     bregman_to_opt: np.ndarray | None = None
@@ -342,13 +347,18 @@ def _finish_trace(trace: RunTrace, opts: TraceOptions):
 
 def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
                     trace_opts, stop_gap):
-    """Step loop of both solvers. The two averaging forms agree in exact
-    arithmetic but not in the last bits, so each solver keeps its own."""
+    """Step loop of both solvers, on a ``(d,)`` iterate or an ``(S, d)``
+    batch. The two averaging forms agree in exact arithmetic but not in the
+    last bits, so each solver keeps its own."""
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     opts = trace_opts or TraceOptions()
     if stop_gap is not None and opts.gap_fn is None:
         raise ParameterError(f"{name}: stop_gap needs trace_opts.gap_fn to measure the gap")
+    x = np.array(x1, dtype=float)
+    if x.ndim > 1 and (opts.gap_fn is not None or opts.bregman_fn is not None):
+        raise ParameterError(
+            f"{name}: gap_fn, bregman_fn and stop_gap take one run, not an (S, d) batch")
     if params is not None:
         report = validate_schedule(sched, params, T)
         if not report.ok:
@@ -356,24 +366,21 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
                 f"schedule fails the {name} step conditions at t={report.first_violation} "
                 f"(slack {report.slack_min:.3e})"
             )
-    x = np.array(x1, dtype=float)
-    d = x.size
     record_noise = opts.record_noise and oracle.mean_gradient is not None
 
     alphas = np.empty(T)
     gammas = np.empty(T)
-    iterates = np.empty((T + 1, d)) if opts.record_iterates else None
-    averaged = np.empty((T + 1, d)) if opts.record_iterates else None
-    queries = np.empty((T, d)) if accelerated and opts.record_iterates else None
-    grads = np.empty((T, d)) if opts.record_gradients else None
-    noise = np.empty((T, d)) if record_noise else None
+    iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
+    averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
+    queries = np.empty((T,) + x.shape) if accelerated and opts.record_iterates else None
+    noise = np.empty((T,) + x.shape) if record_noise else None
     psi_gap = np.empty(T) if opts.gap_fn is not None else None
     breg = np.empty(T) if opts.bregman_fn is not None else None
     if iterates is not None:
         iterates[0] = x
         averaged[0] = x
 
-    S = np.zeros(d)
+    S = np.zeros(x.shape)
     A_prev = 0.0
     x_avg = x.copy()
     steps = T
@@ -385,8 +392,6 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         gs = oracle.sample_gradient(x_q, rng)
         if record_noise:
             noise[t - 1] = gs - oracle.mean_gradient(x_q)
-        if grads is not None:
-            grads[t - 1] = gs
         x_next = composite_prox(H, gs, x, a_t, g_t)
         if not np.all(np.isfinite(x_next)):
             raise NumericalError(f"{name}: non-finite iterate at t={t}")
@@ -422,7 +427,6 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         iterates=iterates[: steps + 1] if iterates is not None else None,
         averaged=averaged[: steps + 1] if averaged is not None else None,
         query_points=queries[sl] if queries is not None else None,
-        grad_samples=grads[sl] if grads is not None else None,
         noise=noise[sl] if noise is not None else None,
         psi_gap=psi_gap[sl] if psi_gap is not None else None,
         bregman_to_opt=breg[sl] if breg is not None else None,
@@ -442,7 +446,12 @@ def nacsmd(
     trace_opts: TraceOptions | None = None,
     stop_gap: float | None = None,
 ):
-    """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace)."""
+    """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace).
+
+    ``x1`` is one start point ``(d,)`` or an ``(S, d)`` batch of S runs, each
+    row with the bits of its own ``(d,)`` run; a batch takes no ``gap_fn``,
+    ``bregman_fn`` or ``stop_gap``.
+    """
     return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
                            trace_opts, stop_gap)
 
@@ -463,7 +472,8 @@ def acsmd(
     Maintains x^md_t = (A_{t-1}/A_t) x^ag_t + (alpha_t/A_t) x_t, proxes from
     x_t using the gradient sampled at x^md_t, and averages incrementally:
     x^ag_{t+1} = (A_{t-1}/A_t) x^ag_t + (alpha_t/A_t) x_{t+1}. A_0 = 0 and
-    x^ag_1 = x_1, so the first query lands exactly on x_1.
+    x^ag_1 = x_1, so the first query lands exactly on x_1. ``x1`` may be an
+    ``(S, d)`` batch, as for ``nacsmd``.
     """
     return _mirror_descent("acsmd", True, oracle, H, sched, x1, T, rng, params,
                            trace_opts, stop_gap)

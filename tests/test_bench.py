@@ -106,6 +106,26 @@ class TestRunExperiment:
             bench._write_trace_csv(path, np.ones((5, 5)))
         assert list(tmp_path.iterdir()) == []
 
+    def test_summary_and_plotdata_never_half_written(self, tmp_path, monkeypatch):
+        # a lone surrogate cannot be encoded, so the plotdata write fails
+        monkeypatch.setattr(bench, "emit_plotdata", lambda rows: "t,v\n1,\ud800\n")
+        with pytest.raises(UnicodeEncodeError):
+            run_experiment(TINY, out_dir=tmp_path)
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "summary.json" in names
+        assert not names & {"plotdata.csv", "manifest.json"}
+        assert not [n for n in names if n.endswith(".tmp")]
+
+    def test_atomic_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            bench._write_text_atomic(path, "new \ud800\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+        bench._write_text_atomic(path, "new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+
     def test_summary_embeds_resolved_config_and_certificates(self, tmp_path):
         s = run_experiment(TINY, out_dir=tmp_path)
         assert s["config"]["instance"]["q"] == DEFAULT_CONFIG["instance"]["q"]
@@ -377,6 +397,25 @@ class TestCli:
         cfg = {"sigma": sigma, "trials": 100, "T": 5}
         assert main(["concentration", self.write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("lowerbound", {"trials": "40", "epsilon": 0.05}, "trials"),
+        ("lowerbound", {"trials": 40, "mu": True}, "mu"),
+        ("lowerbound", {"trials": 40.0}, "trials"),
+        ("lowerbound", {"trials": 0}, "trials"),
+        ("lowerbound", {"trials": 5, "seed": -1}, "seed"),
+        ("lowerbound", {"trials": 5, "epsilon": None}, "epsilon"),
+        ("concentration", {"sigma": "1", "trials": 100, "T": 5}, "sigma"),
+        ("concentration", {"trials": 100, "T": 5.5}, "T"),
+        ("concentration", {"trials": 100, "T": 5, "dim": 2.0}, "dim"),
+        ("concentration", {"trials": 100, "T": 5, "seed": "1"}, "seed"),
+        ("concentration", {"trials": 100, "T": 5, "q": [2.0]}, "q"),
+        ("concentration", {"trials": True, "T": 5}, "trials"),
+    ])
+    def test_subcommand_mistyped_value_exit_2(self, tmp_path, capsys, command, cfg, key):
+        assert main([command, self.write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ccmin.bench", "--help"],

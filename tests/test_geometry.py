@@ -5,6 +5,7 @@ from ccmin import (
     ParameterError,
     PowerNormRegularizer,
     bregman,
+    bregman_to,
     check_uniform_convexity,
     check_weak_smoothness,
     derive_params,
@@ -87,6 +88,42 @@ def test_bregman_power_example_against_finite_differences():
     fd_grad = (H.value(y + h) - H.value(y - h)) / (2 * h)
     fd_breg = H.value(x) - H.value(y) - fd_grad * (x - y)[0]
     assert fd_breg == pytest.approx(4.0, rel=1e-6)
+
+
+def reference_bregman(omega, x, y):
+    """``geometry.bregman`` before ``bregman_to``: omega(x) evaluated per call."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(omega.value(x) - omega.value(y) - np.dot(np.asarray(omega.grad(y)), x - y))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 20.0])
+@pytest.mark.parametrize("d", [1, 7, 200])
+def test_bregman_to_keeps_the_bits(q, d):
+    rng = np.random.default_rng(int(q) * 1000 + d)
+    H = PowerNormRegularizer(mu=1.7, q=q, dim=d)
+    for scale in (1e-3, 1.0, 3.0):
+        x = scale * rng.standard_normal(d)
+        to_x = bregman_to(H, x)
+        for _ in range(20):
+            y = scale * rng.standard_normal(d)
+            want = np.float64(reference_bregman(H, x, y)).tobytes()
+            assert np.float64(to_x(y)).tobytes() == want
+            assert np.float64(bregman(H, x, y)).tobytes() == want
+
+
+def test_bregman_to_evaluates_omega_x_once():
+    class Counting(PowerNormRegularizer):
+        def value(self, x):
+            calls.append(np.array(x))
+            return super().value(x)
+
+    calls = []
+    H = Counting(mu=1.0, q=3.0, dim=2)
+    to_x = bregman_to(H, np.array([0.5, -1.0]))
+    for y in np.linspace(-1.0, 1.0, 6):
+        to_x(np.array([y, 2 * y]))
+    assert len(calls) == 1 + 6
 
 
 def test_gradient_matches_finite_differences():

@@ -33,6 +33,7 @@ from .oracles import (
     AdditiveNoiseOracle,
     BernoulliLowerBoundInstance,
     BernoulliOracle,
+    OracleRows,
     RidgeInstance,
     RidgeOracle,
     StochasticGradientOracle,

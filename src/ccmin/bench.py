@@ -10,7 +10,9 @@ the start point are calibration choices, flagged like any other override)
 and any key the user changes is listed under ``overrides`` in all emitted
 artifacts.
 
-Grid cells x seeds run independently (optionally across processes); each run
+Grid cells run independently (optionally across processes), and the seeds
+of one cell run together as the rows of one batched solver call, each row
+with the bits of its seed's run alone; each run
 writes ``trace-<cell>-<seed>.csv`` with header
 ``t,psi_gap,bregman_to_opt,alpha_t,gamma_t``, and the experiment ends with a
 ``summary.json`` (per-cell medians/quartiles, resolved schedules, certificate
@@ -41,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    _ridge_psi,
     certificate_check,
     concentration_check,
     exact_optimum,
@@ -49,7 +52,13 @@ from .diagnostics import (
 )
 from .errors import ConfigError, NumericalError, ParameterError
 from .geometry import bregman_to, derive_params, power_uc_constant
-from .oracles import RidgeInstance, additive_noise_oracle, bernoulli_oracle, ridge_oracle
+from .oracles import (
+    OracleRows,
+    RidgeInstance,
+    additive_noise_oracle,
+    bernoulli_oracle,
+    ridge_oracle,
+)
 from .regularizers import PowerNormRegularizer
 from .solvers import (
     PolynomialSchedule,
@@ -362,7 +371,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
         x1 = np.zeros(1)
         psi = lambda x: b_inst.psi(float(np.asarray(x).ravel()[0]))  # noqa: E731
         return {
-            "oracle": oracle, "params": params, "H": H, "x1": x1,
+            "oracle": oracle, "params": params, "H": H, "x1": x1, "ridge": None,
             "psi": psi, "psi_star": b_inst.psi_star, "x_opt": np.array([b_inst.x_opt]),
             "gap0": b_inst.gap_at_origin, "mu_f": None, "spec": spec,
         }
@@ -388,84 +397,182 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
     return {
-        "oracle": oracle, "params": params, "H": H, "x1": x1,
+        "oracle": oracle, "params": params, "H": H, "x1": x1, "ridge": ridge,
         "psi": psi, "psi_star": psi_star, "x_opt": x_opt,
         "gap0": psi(x1) - psi_star, "mu_f": ridge.mu_F, "spec": spec,
     }
 
 
-def _execute_run(cfg: dict, cell: dict, seed: int):
-    """One solver run; returns (per-run record, trace rows for the CSV)."""
-    run_cfg = cfg["run"]
-    bundle = _prepare_cell(cfg, cell, seed)
-    spec = bundle["spec"]
-    name = spec["name"]
-    params, H, oracle = bundle["params"], bundle["H"], bundle["oracle"]
-    psi, psi_star, gap0 = bundle["psi"], bundle["psi_star"], bundle["gap0"]
-    x_opt = bundle["x_opt"]
-    T_max = int(run_cfg["T_max"])
-    eps_abs = run_cfg["epsilon"] * gap0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
-    gap_fn = lambda x: psi(x) - psi_star  # noqa: E731
-    bregman_fn = bregman_to(H, x_opt)
-    stop_gap = eps_abs if run_cfg["stop_at_target"] else None
-    want_cert = bool(run_cfg["certificates"]) and name in ("nacsmd", "acsmd")
-    sched_desc = None
-    cert_status = "n/a"
+class _RowFn:
+    """A function of an ``(S, d)`` batch, built by ``make`` from per-row
+    data (arrays or lists indexed by row). ``take(keep)`` rebuilds it on the
+    rows ``keep``: a row that leaves a batch run is evaluated no more."""
 
+    def __init__(self, make, *data):
+        self._make, self._data = make, data
+        self._fn = make(*data)
+
+    def __call__(self, x):
+        return self._fn(x)
+
+    def take(self, keep):
+        return _RowFn(self._make, *(
+            d[keep] if isinstance(d, np.ndarray) else [d[i] for i in keep] for d in self._data))
+
+
+def _ridge_gaps(ridge, x_star, psi_star):
+    """x -> psi(x) - psi_star row-wise, row i on the instance ``ridge``
+    with the minimizer data of row i."""
+    return lambda x: _ridge_psi(x, x_star, ridge.sigma_b, ridge.mu, ridge.q) - psi_star
+
+
+def _psi_gaps(psi, psi_star):
+    """x -> psi(x) - psi_star with each row's own objective ``psi[i]``."""
+    return lambda x: np.array([f(row) for f, row in zip(psi, x)]) - psi_star
+
+
+def _execute_cell(cfg: dict, cell: dict, seeds: list) -> list:
+    """Every seed of one grid cell; returns, per seed, its (per-run record,
+    trace rows for the CSV), or the exception that ended its run.
+
+    The seeds run as the rows of one batched solver call, each on its own
+    instance and random stream, so every row has the bits of its seed's run
+    alone. A seed whose set-up fails, or whose row goes non-finite, gets its
+    own error and the other rows go on. Restart runs, whose plans differ per
+    seed, run one seed at a time.
+    """
+    outcomes = {}
+    bundles = {}
+    for seed in seeds:
+        try:
+            bundles[seed] = _prepare_cell(cfg, cell, seed)
+        except (NumericalError, ParameterError) as exc:
+            outcomes[seed] = exc
+    if bundles:
+        try:
+            outcomes.update(_run_cell(cfg, cell, bundles))
+        except (NumericalError, ParameterError) as exc:
+            outcomes.update(dict.fromkeys(bundles, exc))
+    return [outcomes[seed] for seed in seeds]
+
+
+def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
+    """The runs of the prepared seeds ``bundles`` of one cell: {seed:
+    (record, rows) or the exception that ended the seed's run}."""
+    run_cfg = cfg["run"]
+    seeds = list(bundles)
+    rows_data = list(bundles.values())
+    first = rows_data[0]
+    name = first["spec"]["name"]
+    params, H = first["params"], first["H"]
+    T_max = int(run_cfg["T_max"])
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
+            for seed in seeds]
+
+    def batch():
+        """(oracle, start points, gap and Bregman functions, stop gaps) of all rows."""
+        oracle = OracleRows([b["oracle"] for b in rows_data], rngs)
+        psi_star = np.array([b["psi_star"] for b in rows_data])
+        if first["ridge"] is not None:
+            x_star = np.stack([b["ridge"].x_star for b in rows_data])
+            gap_fn = _RowFn(functools.partial(_ridge_gaps, first["ridge"]), x_star, psi_star)
+        else:
+            gap_fn = _RowFn(_psi_gaps, [b["psi"] for b in rows_data], psi_star)
+        bregman_fn = _RowFn(functools.partial(bregman_to, H),
+                            np.stack([b["x_opt"] for b in rows_data]))
+        gap0 = np.array([b["gap0"] for b in rows_data])
+        stop_gap = run_cfg["epsilon"] * gap0 if run_cfg["stop_at_target"] else None
+        return oracle, np.stack([b["x1"] for b in rows_data]), gap_fn, bregman_fn, stop_gap
+
+    want_cert = False
+    restart_cfg = run_cfg["restart"]
     if name == "acsa":
-        if bundle["mu_f"] is None:
+        if first["mu_f"] is None:
             raise ConfigError("the accelerated baseline needs a regression instance")
+        oracle, x1, gap_fn, _, stop_gap = batch()
         _, trace = acsa_baseline(
-            oracle, H, bundle["mu_f"], params.L, bundle["x1"], T_max,
-            rng=rng, gap_fn=gap_fn, stop_gap=stop_gap,
-            stage0=cfg["solver"]["acsa_stage0"],
+            oracle, H, first["mu_f"], params.L, x1, T_max,
+            gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
         )
-        sched_desc = {"kind": "acsa-stage-doubling", "L": params.L, "mu_f": bundle["mu_f"],
+        sched_desc = {"kind": "acsa-stage-doubling", "L": params.L, "mu_f": first["mu_f"],
                       "stage0": cfg["solver"]["acsa_stage0"]}
-        bregman_series = np.full(trace.T, np.nan)
+        runs = [functools.partial(trace.row, k) for k in range(len(seeds))]
     else:
-        sched = _resolve_schedule(spec, params, name, cfg["solver"], cfg["instance"]["mu"])
+        sched = _resolve_schedule(first["spec"], params, name, cfg["solver"],
+                                  cfg["instance"]["mu"])
+        # a schedule's validity reads neither sigma nor R, the only
+        # parameters that differ between the seeds of a cell
         sched_report = validate_schedule(sched, params, T_max)
         sched_desc = dict(sched.describe(), valid=sched_report.ok,
                           mode=cfg["solver"]["schedule_mode"])
-        want_cert = want_cert and sched_report.ok  # the run inequality presumes validity
+        # the run inequality presumes validity
+        want_cert = bool(run_cfg["certificates"]) and sched_report.ok
         opts = TraceOptions(
             record_iterates=want_cert or run_cfg["thin"] > 1,
             record_noise=want_cert,
             thin=1 if want_cert else int(run_cfg["thin"]),
-            gap_fn=gap_fn,
-            bregman_fn=bregman_fn,
         )
-        solver = _solver(name)
-        restart_cfg = run_cfg["restart"]
         if restart_cfg is None:
+            oracle, x1, gap_fn, bregman_fn, stop_gap = batch()
             # sched_report already checked the schedule over these T_max steps
-            _, _, trace = solver(
-                oracle, H, sched, bundle["x1"], T_max, rng=rng,
-                trace_opts=opts, stop_gap=stop_gap,
+            _, _, trace = _solver(name)(
+                oracle, H, sched, x1, T_max,
+                trace_opts=replace(opts, gap_fn=gap_fn, bregman_fn=bregman_fn),
+                stop_gap=stop_gap,
             )
+            runs = [functools.partial(trace.row, k, opts.thin) for k in range(len(seeds))]
         else:
-            if restart_cfg == "auto":
-                V0 = bregman_fn(bundle["x1"])
-                plan = plan_from_params(params, name, max(V0, 1e-12), eps_abs, sched=sched)
-            else:
-                plan = RestartPlan(**restart_cfg)
-            sched_desc["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
-            # a plan's stages can run past T_max, so the solver checks its own
-            _, rtrace = restart(
-                name, oracle, H, sched, bundle["x1"], plan, rng=rng,
-                params=params if sched_report.ok else None, trace_opts=opts,
-            )
-            trace = _flatten_restart(rtrace)
             want_cert = False  # certificates are per-stage statements
-        if want_cert:
-            report = certificate_check(trace, params, H, x_opt, psi, psi_star)
-            cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
-        bregman_series = trace.bregman_to_opt
+            runs = [functools.partial(
+                _restart_run, name, b, sched, sched_report.ok, opts, restart_cfg,
+                run_cfg["epsilon"], rng) for b, rng in zip(rows_data, rngs)]
 
+    out = {}
+    for seed, bundle, run in zip(seeds, rows_data, runs):
+        try:
+            trace = run()
+            desc = dict(sched_desc)
+            if "restart_plan" in trace.meta:
+                desc["restart_plan"] = trace.meta["restart_plan"]
+            cert_status = "n/a"
+            if want_cert:
+                report = certificate_check(trace, bundle["params"], H, bundle["x_opt"],
+                                           bundle["psi"], bundle["psi_star"])
+                cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
+            out[seed] = _run_outcome(cell, seed, bundle, trace, run_cfg["epsilon"],
+                                     cert_status, desc)
+        except (NumericalError, ParameterError) as exc:
+            out[seed] = exc
+    return out
+
+
+def _restart_run(name, bundle, sched, valid, opts, restart_cfg, epsilon, rng):
+    """One seed's restart run, a ``(d,)`` run (a batch of one row of the
+    solver's loop) per stage, flattened to one trace."""
+    H, psi, psi_star = bundle["H"], bundle["psi"], bundle["psi_star"]
+    bregman_fn = bregman_to(H, bundle["x_opt"])
+    if restart_cfg == "auto":
+        V0 = bregman_fn(bundle["x1"])
+        plan = plan_from_params(bundle["params"], name, max(V0, 1e-12),
+                                epsilon * bundle["gap0"], sched=sched)
+    else:
+        plan = RestartPlan(**restart_cfg)
+    # a plan's stages can run past T_max, so the solver checks its own
+    _, rtrace = restart(
+        name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=rng,
+        params=bundle["params"] if valid else None,
+        trace_opts=replace(opts, gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
+    )
+    trace = _flatten_restart(rtrace)
+    trace.meta["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
+    return trace
+
+
+def _run_outcome(cell, seed, bundle, trace, epsilon, cert_status, sched_desc):
+    """(per-run record, trace rows for the CSV) of one finished run."""
+    gap0 = bundle["gap0"]
     rel = trace.psi_gap / gap0
-    hits = np.nonzero(rel <= run_cfg["epsilon"] * (1.0 + 1e-12))[0]
+    hits = np.nonzero(rel <= epsilon * (1.0 + 1e-12))[0]
     iterations = int(hits[0]) + 1 if hits.size else None
     record = {
         "cell": cell["label"],
@@ -473,11 +580,12 @@ def _execute_run(cfg: dict, cell: dict, seed: int):
         "iterations_to_target": iterations,
         "final_relative_gap": float(rel[-1]),
         "gap0": float(gap0),
-        "psi_star": float(psi_star),
+        "psi_star": float(bundle["psi_star"]),
         "steps_run": int(trace.T),
         "certificate": cert_status,
         "schedule": sched_desc,
     }
+    bregman_series = trace.bregman_to_opt
     rows = np.column_stack([
         np.arange(1, trace.T + 1, dtype=float), trace.psi_gap,
         bregman_series if bregman_series is not None else np.full(trace.T, np.nan),
@@ -504,19 +612,24 @@ def _flatten_restart(rtrace):
 
 
 def _job(args):
-    cfg, cell, seed = args
+    """One grid cell, all its seeds: a (record, trace rows) pair per seed."""
+    cfg, cell, seeds = args
     try:
-        record, rows = _execute_run(cfg, cell, seed)
+        outcomes = _execute_cell(cfg, cell, seeds)
     except (NumericalError, ParameterError) as exc:
-        # a diverged run, or one whose cell the parameters rule out (say, a
-        # restart plan on a schedule whose bound is undefined), is recorded
-        # against its cell; the grid keeps going
-        record = {
-            "cell": cell["label"], "seed": seed, "error": str(exc),
-            "iterations_to_target": None, "certificate": "n/a", "schedule": None,
-        }
-        rows = None
-    return record, rows
+        outcomes = [exc] * len(seeds)
+    results = []
+    for seed, outcome in zip(seeds, outcomes):
+        if isinstance(outcome, Exception):
+            # a diverged run, or one whose cell the parameters rule out (say,
+            # a restart plan on a schedule whose bound is undefined), is
+            # recorded against its cell; the grid keeps going
+            outcome = ({
+                "cell": cell["label"], "seed": seed, "error": str(outcome),
+                "iterations_to_target": None, "certificate": "n/a", "schedule": None,
+            }, None)
+        results.append(outcome)
+    return results
 
 
 def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
@@ -528,7 +641,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_traces = bool(cfg["output"]["traces"])
 
-    jobs = [(cfg, cell, seed) for cell in cells for seed in seeds]
+    jobs = [(cfg, cell, seeds) for cell in cells]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_job, jobs, chunksize=1))
@@ -537,13 +650,13 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
 
     files = {}
     trace_index = {}
-    for (cfg_, cell, seed), (record, rows) in zip(jobs, results):
-        key = (cell["label"], seed)
-        trace_index[key] = (record, rows)
-        if write_traces and rows is not None:
-            name = f"trace-{cell['label']}-{seed}.csv"
-            _write_trace_csv(out / name, rows)
-            files[name] = None
+    for cell, cell_results in zip(cells, results):
+        for seed, (record, rows) in zip(seeds, cell_results):
+            trace_index[(cell["label"], seed)] = (record, rows)
+            if write_traces and rows is not None:
+                name = f"trace-{cell['label']}-{seed}.csv"
+                _write_trace_csv(out / name, rows)
+                files[name] = None
 
     T_max = cfg["run"]["T_max"]
     cell_summaries = []
@@ -623,13 +736,14 @@ def _write_text_atomic(path: Path, text: str):
     tmp.replace(path)
 
 
+_TRACE_HEADER = "t,psi_gap,bregman_to_opt,alpha_t,gamma_t\r\n"
+# csv.writer's bytes for these rows: no value needs quoting, "\r\n" ends a line
+_TRACE_ROW = "%d,%.10e,%.10e,%.10e,%.10e\r\n"
+
+
 def _write_trace_csv(path: Path, rows: np.ndarray):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["t", "psi_gap", "bregman_to_opt", "alpha_t", "gamma_t"])
-    for row in rows:
-        w.writerow([int(row[0])] + [f"{v:.10e}" for v in row[1:]])
-    _write_text_atomic(path, buf.getvalue())
+    text = _TRACE_ROW * len(rows) % tuple(rows.ravel().tolist())
+    _write_text_atomic(path, _TRACE_HEADER + text)
 
 
 def _stable_json(obj) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
-from .geometry import GeometryParams, derive_params, power_uc_constant
+from .geometry import GeometryParams, _row_dot, derive_params, power_uc_constant
 from .oracles import AdditiveNoiseOracle, RidgeInstance, bernoulli_oracle
 from .regularizers import PowerNormRegularizer
 from .solvers import TARGETS, TraceOptions, _bisect, _run_inequality_steps, _solver, default_schedule
@@ -46,15 +46,20 @@ __all__ = [
 ]
 
 
-def ridge_psi(instance: RidgeInstance, x: np.ndarray) -> float:
-    """Exact regularized objective of a ridge instance (population form)."""
+def ridge_psi(instance: RidgeInstance, x: np.ndarray):
+    """Exact regularized objective of a ridge instance (population form);
+    one value per row for an ``(S, d)`` batch of points."""
+    return _ridge_psi(x, instance.x_star, instance.sigma_b, instance.mu, instance.q)
+
+
+def _ridge_psi(x, x_star, sigma_b, mu, q):
+    """``ridge_psi`` with the instance spelled out, so that an ``(S, d)``
+    ``x_star`` gives each row of ``x`` its own instance; row i has the bits
+    of the 1-D evaluation."""
     x = np.asarray(x, dtype=float)
-    d = x - instance.x_star
-    return (
-        float(d @ d) / 3.0
-        + instance.sigma_b ** 2
-        + instance.mu / instance.q * float(np.sum(np.abs(x) ** instance.q))
-    )
+    d = x - x_star
+    out = _row_dot(d, d) / 3.0 + sigma_b ** 2 + mu / q * np.sum(np.abs(x) ** q, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
@@ -161,8 +166,7 @@ def certificate_check(
 
     # D(x*, y) rows for y = x_1 and y = x_{t+1}
     def breg_rows(Y):
-        hy = H.mu / H.q * np.sum(np.abs(Y) ** H.q, axis=1)
-        return float(H.value(x_star)) - hy - np.sum(H.grad(Y) * (x_star - Y), axis=1)
+        return H.value(x_star) - H.value(Y) - np.sum(H.grad(Y) * (x_star - Y), axis=1)
 
     init_term = float(gammas[0]) * float(breg_rows(trace.iterates[:1])[0])
     gaps = _recorded_gaps(trace, x_avg, psi, psi_star)
@@ -209,11 +213,15 @@ class _ReplayOracle:
 
     mean_gradient = None
 
-    def __init__(self, block: np.ndarray):
-        self._rows = iter(block)
+    def __init__(self, block: np.ndarray, t: int = 0):
+        self._block, self._t = block, t
 
     def sample_gradient(self, x, rng=None):
-        return next(self._rows)
+        self._t += 1
+        return self._block[self._t - 1]
+
+    def take(self, keep):
+        return _ReplayOracle(self._block[:, keep], self._t)
 
 
 _TRIAL_BLOCK = 1024  # trials run together as the rows of one solver call
@@ -256,6 +264,8 @@ def lower_bound_experiment(
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not q >= 2.0:
+        raise ParameterError(f"q must be >= 2, got {q}")
     p = q / (q - 1.0)
     if T is None:
         bound = (
@@ -285,8 +295,11 @@ def lower_bound_experiment(
             uniforms[k] = rng.random(T)
         grads = np.where(positive, plus.gradients(uniforms), minus.gradients(uniforms))
         # (T, n, 1): step t hands the loop column t of the block
-        _, y, _ = run(_ReplayOracle(grads.T[:, :, None]), H, sched, np.zeros((n, 1)), T,
-                      trace_opts=opts)
+        _, y, trace = run(_ReplayOracle(grads.T[:, :, None]), H, sched, np.zeros((n, 1)), T,
+                          trace_opts=opts)
+        if trace.row_errors:
+            # the first trial to go non-finite ends the experiment, as it would alone
+            raise NumericalError(next(iter(trace.row_errors.values())))
         for k in range(n):
             inst = plus_inst if positive[k, 0] else minus_inst
             if inst.psi(float(y[k, 0])) - inst.psi_star >= epsilon * (1.0 - 1e-9):
@@ -376,9 +389,13 @@ def concentration_check(
     tau grid. Only noise families with a certified exponential moment level
     are admitted; heavy-tailed noise is rejected.
     """
+    # the tail bound divides by the noise level sigma * R, and by q - 1
     if not sigma > 0.0:
-        # the tail bound divides by the noise level
         raise ParameterError(f"concentration_check needs sigma > 0, got {sigma}")
+    if not R > 0.0:
+        raise ParameterError(f"concentration_check needs R > 0, got {R}")
+    if not q >= 2.0:
+        raise ParameterError(f"concentration_check needs q >= 2, got {q}")
     weights = np.asarray(weights, dtype=float)
     T = weights.size
     p = q / (q - 1.0)

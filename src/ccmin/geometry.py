@@ -14,7 +14,8 @@ with the convention 0**0 = 1 so that kappa == q gives M = L.
 
 This module holds that calculus, the norm/divergence primitives, and
 empirical checkers for the two curvature inequalities the analysis relies
-on. Vectors are plain 1-D numpy arrays throughout.
+on. Vectors are plain 1-D numpy arrays; the Bregman maps also take an
+``(S, d)`` batch of C-contiguous rows and give one value per row.
 """
 
 from __future__ import annotations
@@ -130,6 +131,22 @@ def dual_norm(g: np.ndarray, q: float) -> float:
     return lq_norm(g, dual_exponent(q))
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` for 1-D vectors; for ``(S, d)`` arrays, the dot product of
+    each row of ``a`` with the same row of ``b``.
+
+    A stacked ``(1, d) @ (d, 1)`` matmul hands every row to the BLAS dot
+    that a 1-D ``@`` calls, so row i keeps the bits of ``a[i] @ b[i]``.
+    ``einsum``, and matmul on strided rows, sum in other orders and move
+    the last bits, hence the contiguous copies (free for contiguous input).
+    """
+    if a.ndim == 1:
+        return a @ b
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def bregman(omega, x: np.ndarray, y: np.ndarray) -> float:
     """Bregman divergence omega(x) - omega(y) - <grad omega(y), x - y>.
 
@@ -141,13 +158,19 @@ def bregman(omega, x: np.ndarray, y: np.ndarray) -> float:
 
 def bregman_to(omega, x: np.ndarray):
     """The map y -> bregman(omega, x, y) for a fixed x, with omega(x)
-    evaluated once; the subtraction order, and so the bits, are bregman's."""
+    evaluated once; the subtraction order, and so the bits, are bregman's.
+
+    ``x`` and ``y`` may be ``(S, d)`` batches (omega's ``value`` then gives
+    one value per row): row i of the result has the bits of the divergence
+    between row i of ``x`` and row i of ``y``.
+    """
     x = np.asarray(x, dtype=float)
     vx = omega.value(x)
 
-    def divergence(y) -> float:
+    def divergence(y):
         y = np.asarray(y, dtype=float)
-        return float(vx - omega.value(y) - np.dot(np.asarray(omega.grad(y)), x - y))
+        out = vx - omega.value(y) - _row_dot(np.asarray(omega.grad(y)), x - y)
+        return float(out) if np.ndim(out) == 0 else out
 
     return divergence
 

@@ -16,6 +16,10 @@ Three families are provided:
   concentration diagnostics. Its ``draw_noise`` serves both the oracle's
   samples and the blocks of ``diagnostics.concentration_check``.
 
+``OracleRows`` stacks S oracles, each with its own generator, into one
+oracle of ``(S, d)`` batches whose row i gets the draws and the bits of
+oracle i queried alone.
+
 Oracles are immutable descriptions. ``sample_gradient`` takes an explicit
 ``numpy.random.Generator`` so concurrent users can hand each replica its own
 substream; when omitted, a private Philox stream seeded at construction is
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import dual_exponent, lq_norm
+from .geometry import _row_dot, dual_exponent, lq_norm
 from .solvers import _bisect
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "RidgeInstance",
     "RidgeOracle",
     "ridge_oracle",
+    "OracleRows",
     "BernoulliLowerBoundInstance",
     "BernoulliOracle",
     "bernoulli_oracle",
@@ -145,13 +150,15 @@ class RidgeOracle(StochasticGradientOracle):
         self._rng = _philox(seed)
 
     def sample_gradient(self, x, rng=None):
-        rng = self._rng_or_default(rng)
+        a, xi = self._draw(self._rng_or_default(rng))
+        return _ridge_gradients(a, np.asarray(x, dtype=float), self.instance, xi)
+
+    def _draw(self, rng):
+        """One sample's design row a and then, if the labels are noisy, its
+        standard normal label noise."""
         inst = self.instance
         a = rng.uniform(-1.0, 1.0, inst.dimension)
-        b = float(a @ inst.x_star)
-        if inst.sigma_b > 0.0:
-            b += inst.sigma_b * rng.standard_normal()
-        return 2.0 * (float(a @ x) - b) * a
+        return a, (rng.standard_normal() if inst.sigma_b > 0.0 else 0.0)
 
     def mean_gradient(self, x):
         return 2.0 / 3.0 * (np.asarray(x, dtype=float) - self.instance.x_star)
@@ -159,6 +166,60 @@ class RidgeOracle(StochasticGradientOracle):
 
 def ridge_oracle(instance: RidgeInstance, seed: int = 0) -> RidgeOracle:
     return RidgeOracle(instance, seed=seed)
+
+
+def _ridge_gradients(a, x, instance, xi, x_star=None):
+    """2 (<a, x> - b) a with b = <a, x_star> + sigma_b xi, for one sample or
+    row-wise for ``(S, d)`` blocks (``x_star`` then holds each row's own)."""
+    b = _row_dot(a, instance.x_star if x_star is None else x_star)
+    if instance.sigma_b > 0.0:
+        b = b + instance.sigma_b * xi
+    return (2.0 * (_row_dot(a, x) - b))[..., None] * a
+
+
+class OracleRows(StochasticGradientOracle):
+    """S oracles as the rows of one ``(S, d)`` batch.
+
+    Row i is sampled from ``oracles[i]`` with its own generator ``rngs[i]``,
+    so it gets the draws, and the bits, of that oracle queried alone; the
+    ``rng`` argument of ``sample_gradient`` is ignored. Ridge oracles of
+    one noise level draw each row's a_t and label noise in row order and
+    then form every gradient at once through row-wise dot products; other
+    oracles are queried row by row. ``take(keep)`` is the oracle of the
+    rows ``keep`` only, which is how a row leaves a batch run early.
+    """
+
+    def __init__(self, oracles, rngs):
+        self.oracles = list(oracles)
+        self.rngs = list(rngs)
+        if not self.oracles or len(self.rngs) != len(self.oracles):
+            raise ParameterError("OracleRows needs one generator per oracle, and at least one")
+        self.dimension = self.oracles[0].dimension
+        ridge = all(type(o) is RidgeOracle for o in self.oracles) and len(
+            {o.instance.sigma_b for o in self.oracles}) == 1
+        self._x_star = np.stack([o.instance.x_star for o in self.oracles]) if ridge else None
+        if any(o.mean_gradient is None for o in self.oracles):
+            self.mean_gradient = None
+
+    def take(self, keep) -> "OracleRows":
+        return OracleRows([self.oracles[i] for i in keep], [self.rngs[i] for i in keep])
+
+    def sample_gradient(self, x, rng=None):
+        x = np.asarray(x, dtype=float)
+        if self._x_star is None:
+            return np.stack([o.sample_gradient(row, r)
+                             for o, row, r in zip(self.oracles, x, self.rngs)])
+        a = np.empty(x.shape)
+        xi = np.zeros(len(self.rngs))
+        for i, (o, r) in enumerate(zip(self.oracles, self.rngs)):
+            a[i], xi[i] = o._draw(r)
+        return _ridge_gradients(a, x, self.oracles[0].instance, xi, x_star=self._x_star)
+
+    def mean_gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._x_star is None:
+            return np.stack([o.mean_gradient(row) for o, row in zip(self.oracles, x)])
+        return 2.0 / 3.0 * (x - self._x_star)
 
 
 def solve_bernoulli_activation(mu: float, q: float, sigma: float, epsilon: float) -> float:

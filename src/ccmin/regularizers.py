@@ -43,9 +43,11 @@ class PowerNormRegularizer:
         if self.dim < 1:
             raise ParameterError(f"dim must be positive, got {self.dim}")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """H(x); for an ``(S, d)`` batch, one value per row."""
         x = np.asarray(x, dtype=float)
-        return float(self.mu / self.q * np.sum(np.abs(x) ** self.q))
+        out = self.mu / self.q * np.sum(np.abs(x) ** self.q, axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         # sign(0) = 0 picks the minimal-norm subgradient at the kink-free origin

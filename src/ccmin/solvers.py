@@ -11,11 +11,17 @@ where the oracle is queried and how the average is kept:
   updated incrementally.
 
 The start point may be one ``(d,)`` vector or an ``(S, d)`` batch of S
-independent runs. Every operation of the step loop is elementwise and the
-scalar steps alpha_t, gamma_t are shared by all rows, so row i of a batch
-gets the bits of a ``(d,)`` run on row i's gradients; the oracle then
-returns an ``(S, d)`` block of gradients per step. A batch records no gap or
-Bregman series, which are one scalar per step.
+independent runs; a ``(d,)`` run is a batch of one row of the same loop.
+Every operation of the step loop is elementwise and the scalar steps
+alpha_t, gamma_t are shared by all rows, so row i of a batch gets the bits
+of a ``(d,)`` run on row i's gradients. For a batch, the oracle returns an
+``(S, d)`` block of gradients per step (``oracles.OracleRows`` stacks S
+oracles so), and ``gap_fn``/``bregman_fn`` return one value per row. Each
+row has its own ``stop_gap``. A row leaves the batch at once when it
+reaches its stop gap or its iterate goes non-finite: the loop then narrows
+the oracle and the two functions to the rows left through their
+``take(keep)``, so a row that left draws nothing and raises nothing more.
+``RunTrace.row(i)`` is row i's own trace, or raises the error that ended it.
 
 A schedule is a pair of sequences (alpha_t, gamma_t). Validity means, for
 every t up to the horizon,
@@ -293,8 +299,10 @@ class TraceOptions:
     """What a solver records per iteration.
 
     ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate / the raw
-    iterate after each step and stored as scalar series. ``thin`` keeps every
-    k-th row of the per-iterate vector arrays (scalar series stay dense).
+    iterate after each step and stored as scalar series (for an ``(S, d)``
+    batch they take the live rows and give one value per row, and need a
+    ``take(keep)`` if rows can leave early). ``thin`` keeps every k-th row
+    of the per-iterate vector arrays (scalar series stay dense).
     """
 
     record_iterates: bool = True
@@ -310,6 +318,11 @@ class TraceOptions:
 
 @dataclass
 class RunTrace:
+    """What a run recorded. A batch trace holds every row: its T is the
+    number of steps the loop ran, its vector arrays are ``(steps, S, d)``
+    and its gap and Bregman series ``(T, S)``, none thinned. ``row(i)`` is
+    row i's own trace, as views of these arrays."""
+
     algorithm: str
     T: int
     alphas: np.ndarray
@@ -324,6 +337,37 @@ class RunTrace:
     kept_steps: np.ndarray | None = None     # iterate-array row -> step index (0..T)
     stopped_at: int | None = None
     meta: dict = field(default_factory=dict)
+    row_stopped_at: list | None = None       # batch: each row's stopped_at
+    row_errors: dict | None = None           # batch: row -> why it went non-finite
+
+    def row(self, i: int, thin: int = 1) -> "RunTrace":
+        """Row i of a batch trace, as the trace of its own run thinned by
+        ``thin``; raises the NumericalError that ended the row, if one did."""
+        if self.row_stopped_at is None:
+            raise ParameterError("row() needs the trace of a batch run")
+        if i in self.row_errors:
+            raise NumericalError(self.row_errors[i])
+        stopped = self.row_stopped_at[i]
+        k = self.T if stopped is None else stopped
+
+        def cut(arr, n):
+            return None if arr is None else arr[:n, i]
+
+        return _thin_trace(RunTrace(
+            algorithm=self.algorithm,
+            T=k,
+            alphas=self.alphas[:k],
+            gammas=self.gammas[:k],
+            A=np.cumsum(self.alphas[:k]),
+            iterates=cut(self.iterates, k + 1),
+            averaged=cut(self.averaged, k + 1),
+            query_points=cut(self.query_points, k),
+            noise=cut(self.noise, k),
+            psi_gap=cut(self.psi_gap, k),
+            bregman_to_opt=cut(self.bregman_to_opt, k),
+            stopped_at=stopped,
+            meta=dict(self.meta),
+        ), thin)
 
 
 def _thin_rows(arr, thin):
@@ -333,16 +377,120 @@ def _thin_rows(arr, thin):
     return arr[kept], kept
 
 
-def _finish_trace(trace: RunTrace, opts: TraceOptions):
+def _thin_trace(trace: RunTrace, thin: int):
     for name in ("iterates", "averaged", "query_points"):
         arr = getattr(trace, name)
-        thinned, kept = _thin_rows(arr, opts.thin)
+        thinned, kept = _thin_rows(arr, thin)
         setattr(trace, name, thinned)
         if name == "iterates":
             # query_points has T rows, not T+1, so only the iterate rows
             # may map to step indices
             trace.kept_steps = kept
     return trace
+
+
+def _take(obj, keep):
+    """``obj`` narrowed to the rows ``keep``: arrays by indexing, anything
+    else (a batch oracle, a per-row function) through its ``take``."""
+    if obj is None:
+        return None
+    return obj[keep] if isinstance(obj, np.ndarray) else obj.take(keep)
+
+
+class _Rows:
+    """The live rows of a run and how each row ended.
+
+    A ``(d,)`` start runs as a batch of one row, whose oracle and functions
+    take and give ``(d,)`` vectors and scalars. ``leave`` drops rows from
+    the batch and narrows the oracle, the two functions and the stop gaps
+    to the rows left; ``at`` indexes the live rows along the row axis of
+    the ``(T, S, ...)`` record buffers.
+    """
+
+    def __init__(self, x, oracle, rng, gap_fn, bregman_fn, stop_gap):
+        if x.ndim not in (1, 2):
+            raise ParameterError(f"start point must be (d,) or (S, d), got shape {x.shape}")
+        self.single = x.ndim == 1
+        self.x = x[None] if self.single else x
+        n = self.x.shape[0]
+        self.oracle, self.rng = oracle, rng
+        self.gap_fn, self.bregman_fn = gap_fn, bregman_fn
+        self.stop = None if stop_gap is None else np.array(
+            np.broadcast_to(np.asarray(stop_gap, dtype=float), (n,)))
+        self.live = np.arange(n)
+        self.at = slice(None)
+        self.stopped_at = [None] * n
+        self.errors = {}
+        self.x_out = np.empty_like(self.x)
+        self.avg_out = np.empty_like(self.x)
+
+    def sample(self, x):
+        if self.single:
+            return np.reshape(self.oracle.sample_gradient(x[0], self.rng), (1, -1))
+        return self.oracle.sample_gradient(x, self.rng)
+
+    def mean(self, x):
+        if self.single:
+            return np.reshape(self.oracle.mean_gradient(x[0]), (1, -1))
+        return self.oracle.mean_gradient(x)
+
+    def gap(self, x):
+        return self._series(self.gap_fn, x, "gap_fn")
+
+    def bregman(self, x):
+        return self._series(self.bregman_fn, x, "bregman_fn")
+
+    def _series(self, fn, x, what):
+        if self.single:
+            return np.array([float(fn(x[0]))])
+        vals = np.asarray(fn(x), dtype=float)
+        if vals.shape != (x.shape[0],):
+            raise ParameterError(
+                f"{what} must give one value per row of the batch, got shape {vals.shape}")
+        return vals
+
+    def leave(self, gone, x, x_avg, stopped_at=None, error=None):
+        """Rows ``gone`` (a mask over the live rows) leave with the final
+        iterate ``x`` and average ``x_avg``, stopped at ``stopped_at`` or
+        ended by ``error``. Returns the positions of the rows left."""
+        idx = self.live[gone]
+        self.x_out[idx] = x[gone]
+        self.avg_out[idx] = x_avg[gone]
+        for i in idx.tolist():
+            if error is None:
+                self.stopped_at[i] = stopped_at
+            else:
+                self.errors[i] = error
+        keep = np.flatnonzero(~gone)
+        self.live = self.at = self.live[keep]
+        if keep.size:
+            self.oracle, self.gap_fn, self.bregman_fn, self.stop = (
+                _take(obj, keep) for obj in (self.oracle, self.gap_fn, self.bregman_fn, self.stop))
+        return keep
+
+    def leave_if_nonfinite(self, x_new, x, x_avg, error):
+        """The rows whose new iterate ``x_new`` is not finite leave with
+        ``error``, keeping their last iterate ``x`` and average ``x_avg``;
+        returns the positions of the rows left, or None if all are finite."""
+        if np.isfinite(x_new).all():
+            return None
+        return self.leave(~np.isfinite(x_new).all(axis=1), x, x_avg, error=error)
+
+    def finish(self, x, x_avg, trace: RunTrace, thin: int):
+        """(final iterates, final averages, trace) of the run: a ``(d,)``
+        run gives its row's own and raises the error that ended it."""
+        if self.live.size:  # else the last rows left with their own
+            self.x_out[self.live] = x
+            self.avg_out[self.live] = x_avg
+        trace.row_stopped_at, trace.row_errors = self.stopped_at, self.errors
+        if self.single:
+            return self.x_out[0], self.avg_out[0], trace.row(0, thin)
+        return self.x_out, self.avg_out, trace
+
+
+def _first(buf, n):
+    """The first n steps of a record buffer."""
+    return None if buf is None else buf[:n]
 
 
 def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
@@ -355,10 +503,6 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
     opts = trace_opts or TraceOptions()
     if stop_gap is not None and opts.gap_fn is None:
         raise ParameterError(f"{name}: stop_gap needs trace_opts.gap_fn to measure the gap")
-    x = np.array(x1, dtype=float)
-    if x.ndim > 1 and (opts.gap_fn is not None or opts.bregman_fn is not None):
-        raise ParameterError(
-            f"{name}: gap_fn, bregman_fn and stop_gap take one run, not an (S, d) batch")
     if params is not None:
         report = validate_schedule(sched, params, T)
         if not report.ok:
@@ -366,16 +510,21 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
                 f"schedule fails the {name} step conditions at t={report.first_violation} "
                 f"(slack {report.slack_min:.3e})"
             )
+    rows = _Rows(np.array(x1, dtype=float), oracle, rng, opts.gap_fn, opts.bregman_fn, stop_gap)
+    x = rows.x
     record_noise = opts.record_noise and oracle.mean_gradient is not None
 
+    # steps first, so a run that stops early touches only the memory of the
+    # steps it made: numpy backs a large buffer with huge pages, which one
+    # write per row into a rows-first buffer would make resident whole
     alphas = np.empty(T)
     gammas = np.empty(T)
     iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
     averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
     queries = np.empty((T,) + x.shape) if accelerated and opts.record_iterates else None
     noise = np.empty((T,) + x.shape) if record_noise else None
-    psi_gap = np.empty(T) if opts.gap_fn is not None else None
-    breg = np.empty(T) if opts.bregman_fn is not None else None
+    psi_gap = np.empty((T, x.shape[0])) if opts.gap_fn is not None else None
+    breg = np.empty((T, x.shape[0])) if opts.bregman_fn is not None else None
     if iterates is not None:
         iterates[0] = x
         averaged[0] = x
@@ -389,12 +538,16 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         g_t = float(sched.gamma(t))
         A_t = A_prev + a_t
         x_q = (A_prev / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
-        gs = oracle.sample_gradient(x_q, rng)
+        gs = rows.sample(x_q)
         if record_noise:
-            noise[t - 1] = gs - oracle.mean_gradient(x_q)
+            noise[t - 1, rows.at] = gs - rows.mean(x_q)
         x_next = composite_prox(H, gs, x, a_t, g_t)
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalError(f"{name}: non-finite iterate at t={t}")
+        keep = rows.leave_if_nonfinite(x_next, x, x_avg, f"{name}: non-finite iterate at t={t}")
+        if keep is not None:
+            if not keep.size:
+                steps = t - 1
+                break
+            x, x_next, x_avg, S, x_q = x[keep], x_next[keep], x_avg[keep], S[keep], x_q[keep]
         if accelerated:
             x_avg = (A_prev / A_t) * x_avg + (a_t / A_t) * x_next
         else:
@@ -403,19 +556,25 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         alphas[t - 1] = a_t
         gammas[t - 1] = g_t
         if iterates is not None:
-            iterates[t] = x_next
-            averaged[t] = x_avg
+            iterates[t, rows.at] = x_next
+            averaged[t, rows.at] = x_avg
         if queries is not None:
-            queries[t - 1] = x_q
+            queries[t - 1, rows.at] = x_q
         if psi_gap is not None:
-            psi_gap[t - 1] = float(opts.gap_fn(x_avg))
+            gap = rows.gap(x_avg)
+            psi_gap[t - 1, rows.at] = gap
         if breg is not None:
-            breg[t - 1] = float(opts.bregman_fn(x_next))
+            breg[t - 1, rows.at] = rows.bregman(x_next)
         x = x_next
         A_prev = A_t
-        if stop_gap is not None and psi_gap[t - 1] <= stop_gap:
-            steps = t
-            break
+        if rows.stop is not None:
+            done = gap <= rows.stop
+            if done.any():
+                keep = rows.leave(done, x, x_avg, stopped_at=t if t < T else None)
+                if not keep.size:
+                    steps = t
+                    break
+                x, x_avg, S = x[keep], x_avg[keep], S[keep]
 
     sl = slice(0, steps)
     trace = RunTrace(
@@ -424,15 +583,15 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         alphas=alphas[sl],
         gammas=gammas[sl],
         A=np.cumsum(alphas[sl]),
-        iterates=iterates[: steps + 1] if iterates is not None else None,
-        averaged=averaged[: steps + 1] if averaged is not None else None,
-        query_points=queries[sl] if queries is not None else None,
-        noise=noise[sl] if noise is not None else None,
-        psi_gap=psi_gap[sl] if psi_gap is not None else None,
-        bregman_to_opt=breg[sl] if breg is not None else None,
+        iterates=_first(iterates, steps + 1),
+        averaged=_first(averaged, steps + 1),
+        query_points=_first(queries, steps),
+        noise=_first(noise, steps),
+        psi_gap=_first(psi_gap, steps),
+        bregman_to_opt=_first(breg, steps),
         stopped_at=steps if steps < T else None,
     )
-    return x, x_avg, _finish_trace(trace, opts)
+    return rows.finish(x, x_avg, trace, opts.thin)
 
 
 def nacsmd(
@@ -449,8 +608,9 @@ def nacsmd(
     """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace).
 
     ``x1`` is one start point ``(d,)`` or an ``(S, d)`` batch of S runs, each
-    row with the bits of its own ``(d,)`` run; a batch takes no ``gap_fn``,
-    ``bregman_fn`` or ``stop_gap``.
+    row with the bits of its own ``(d,)`` run. For a batch, ``stop_gap`` may
+    be one value per row, the returned iterates are ``(S, d)`` (a row that
+    left early keeps its last ones) and the trace is a batch trace.
     """
     return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
                            trace_opts, stop_gap)
@@ -525,7 +685,8 @@ def restart(
 ):
     """Run n stages of K iterations, chaining the raw (non-averaged) endpoint
     as the next start, then a final T-iteration stage whose averaged output is
-    returned. With n = 0 this is byte-identical to a single solver call."""
+    returned. With n = 0 this is byte-identical to a single solver call. A
+    batch row that goes non-finite ends the whole chain with its error."""
     step = _solver(solver) if isinstance(solver, str) else solver
     x = np.array(x1, dtype=float)
     stage_traces = []
@@ -533,6 +694,8 @@ def restart(
     for _ in range(plan.n):
         x, _, tr = step(oracle, H, sched, x, plan.K, rng=rng, params=params,
                         trace_opts=trace_opts)
+        if tr.row_errors:
+            raise NumericalError(next(iter(tr.row_errors.values())))
         stage_traces.append(tr)
         stage_starts.append(x.copy())
     _, y, final_tr = step(oracle, H, sched, x, plan.T, rng=rng, params=params,
@@ -720,6 +883,11 @@ def acsa_baseline(
     no Euclidean strong convexity to offer, mu_eff = mu_f, and the inner step
     keeps it exact through a per-coordinate monotone solve. Counts one oracle
     query per iteration, like the mirror-descent solvers.
+
+    ``x1`` may be an ``(S, d)`` batch, as for ``nacsmd``: the stage lengths
+    and alpha_t, gamma_t are shared by all rows, the monotone solve stops at
+    a fixed point of every coordinate, and each row has its own ``stop_gap``
+    and the bits of its own run.
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
@@ -731,15 +899,15 @@ def acsa_baseline(
     mu_eff = mu_f + (H.mu if fold else 0.0)
     L_eff = L + (H.mu if fold else 0.0)
 
-    x_ag = np.array(x1, dtype=float)
-    psi_gap = np.empty(T) if gap_fn is not None else None
+    rows = _Rows(np.array(x1, dtype=float), oracle, rng, gap_fn, None, stop_gap)
+    x_ag = rows.x
+    psi_gap = np.empty((T, x_ag.shape[0])) if gap_fn is not None else None
     alphas_used = np.empty(T)
     gammas_used = np.empty(T)
     global_t = 0
     stage = max(1, stage0)
-    stopped = None
 
-    while global_t < T and stopped is None:
+    while global_t < T and rows.live.size:
         N = min(stage, T - global_t)
         x_prev = x_ag.copy()
         for t in range(1, N + 1):
@@ -750,7 +918,7 @@ def acsa_baseline(
                 (1.0 - alpha_t) * (mu_eff + gamma_t) * x_ag
                 + alpha_t * ((1.0 - alpha_t) * mu_eff + gamma_t) * x_prev
             ) / denom
-            gs = oracle.sample_gradient(x_md, rng)
+            gs = rows.sample(x_md)
             if fold:
                 gs = gs + H.grad(x_md)
             beta = (1.0 - alpha_t) * mu_eff + gamma_t
@@ -759,22 +927,30 @@ def acsa_baseline(
                 x_new = rhs / (mu_eff + gamma_t)
             else:
                 x_new = _solve_power_linear(alpha_t * H.mu, mu_eff + gamma_t, rhs, H.q)
-            if not np.all(np.isfinite(x_new)):
-                raise NumericalError(f"acsa_baseline: non-finite iterate at step {global_t + 1}")
+            keep = rows.leave_if_nonfinite(
+                x_new, x_ag, x_ag, f"acsa_baseline: non-finite iterate at step {global_t + 1}")
+            if keep is not None:
+                if not keep.size:
+                    break
+                x_new, x_ag = x_new[keep], x_ag[keep]
             x_ag = alpha_t * x_new + (1.0 - alpha_t) * x_ag
             x_prev = x_new
             alphas_used[global_t] = alpha_t
             gammas_used[global_t] = gamma_t
             global_t += 1
             if psi_gap is not None:
-                gap = float(gap_fn(x_ag))
-                psi_gap[global_t - 1] = gap
-                if stop_gap is not None and gap <= stop_gap:
-                    stopped = global_t
-                    break
+                gap = rows.gap(x_ag)
+                psi_gap[global_t - 1, rows.at] = gap
+                if rows.stop is not None:
+                    done = gap <= rows.stop
+                    if done.any():
+                        keep = rows.leave(done, x_ag, x_ag, stopped_at=global_t)
+                        if not keep.size:
+                            break
+                        x_ag, x_prev = x_ag[keep], x_prev[keep]
         stage *= 2
 
-    steps = stopped if stopped is not None else global_t
+    steps = global_t
     sl = slice(0, steps)
     trace = RunTrace(
         algorithm="acsa",
@@ -782,8 +958,9 @@ def acsa_baseline(
         alphas=alphas_used[sl],
         gammas=gammas_used[sl],
         A=np.cumsum(alphas_used[sl]),
-        psi_gap=psi_gap[sl] if psi_gap is not None else None,
-        stopped_at=stopped,
+        psi_gap=_first(psi_gap, steps),
+        stopped_at=steps if steps < T else None,
         meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold},
     )
+    x_ag, _, trace = rows.finish(x_ag, x_ag, trace, 1)
     return x_ag, trace

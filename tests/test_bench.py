@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,16 +92,25 @@ class TestRunExperiment:
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_trace_csv_never_half_written(self, tmp_path, monkeypatch):
-        class FailingWriter:
+        real_open = Path.open
+
+        class HalfWritten:
+            """A file whose write stores half the text, then fails."""
+
             def __init__(self, fh):
-                self.rows = 0
+                self.fh = fh
 
-            def writerow(self, row):
-                self.rows += 1
-                if self.rows > 2:
-                    raise OSError("disk full")
+            def __enter__(self):
+                return self
 
-        monkeypatch.setattr(bench.csv, "writer", FailingWriter)
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: HalfWritten(real_open(self, *a, **k)))
         path = tmp_path / "trace-x-0.csv"
         with pytest.raises(OSError, match="disk full"):
             bench._write_trace_csv(path, np.ones((5, 5)))
@@ -188,14 +198,13 @@ class TestRunExperiment:
         import ccmin.bench as bench
         from ccmin.errors import NumericalError
 
-        real = bench._execute_run
+        real = bench._execute_cell
 
-        def flaky(cfg, cell, seed):
-            if seed == 1:
-                raise NumericalError("synthetic blow-up at t=3")
-            return real(cfg, cell, seed)
+        def flaky(cfg, cell, seeds):
+            return [NumericalError("synthetic blow-up at t=3") if seed == 1 else outcome
+                    for seed, outcome in zip(seeds, real(cfg, cell, seeds))]
 
-        monkeypatch.setattr(bench, "_execute_run", flaky)
+        monkeypatch.setattr(bench, "_execute_cell", flaky)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}),
                            out_dir=tmp_path)
         cell = s["cells"][0]
@@ -210,10 +219,10 @@ class TestRunExperiment:
     def test_all_errored_cell_has_null_statistics(self, tmp_path, monkeypatch):
         from ccmin.errors import NumericalError
 
-        def broken(cfg, cell, seed):
+        def broken(cfg, cell, seeds):
             raise NumericalError("synthetic blow-up")
 
-        monkeypatch.setattr(bench, "_execute_run", broken)
+        monkeypatch.setattr(bench, "_execute_cell", broken)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}), out_dir=tmp_path)
         cell = s["cells"][0]
         assert [cell[k] for k in ("median_iterations", "q1_iterations", "q3_iterations",
@@ -397,6 +406,17 @@ class TestCli:
         cfg = {"sigma": sigma, "trials": 100, "T": 5}
         assert main(["concentration", self.write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("lowerbound", {"trials": 5, "q": 1.0}, "q must be >= 2"),
+        ("concentration", {"trials": 100, "T": 5, "q": 1.0}, "q >= 2"),
+        ("concentration", {"trials": 100, "T": 5, "R": 0.0}, "R > 0"),
+    ])
+    def test_subcommand_out_of_range_exit_2(self, tmp_path, capsys, command, cfg, key):
+        # each once fell through to a ZeroDivisionError and exit 1
+        assert main([command, self.write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize("command,cfg,key", [
         ("lowerbound", {"trials": "40", "epsilon": 0.05}, "trials"),

@@ -224,6 +224,8 @@ def resolve_config(raw: dict) -> dict:
         name = alg["name"] if isinstance(alg, dict) else alg
         if name not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}; expected one of {_ALGORITHMS}")
+        if name == "acsa" and inst["kind"] == "bernoulli":
+            raise ConfigError("the accelerated baseline needs a regression instance")
 
     run = cfg["run"]
     seeds = run["seeds"]
@@ -487,8 +489,6 @@ def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
     want_cert = False
     restart_cfg = run_cfg["restart"]
     if name == "acsa":
-        if first["mu_f"] is None:
-            raise ConfigError("the accelerated baseline needs a regression instance")
         oracle, x1, gap_fn, _, stop_gap = batch()
         _, trace = acsa_baseline(
             oracle, H, first["mu_f"], params.L, x1, T_max,
@@ -505,13 +505,11 @@ def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
         sched_report = validate_schedule(sched, params, T_max)
         sched_desc = dict(sched.describe(), valid=sched_report.ok,
                           mode=cfg["solver"]["schedule_mode"])
-        # the run inequality presumes validity
-        want_cert = bool(run_cfg["certificates"]) and sched_report.ok
-        opts = TraceOptions(
-            record_iterates=want_cert or run_cfg["thin"] > 1,
-            record_noise=want_cert,
-            thin=1 if want_cert else int(run_cfg["thin"]),
-        )
+        # the run inequality presumes validity, and certificates are
+        # per-stage statements; only they read iterates and noise
+        want_cert = (bool(run_cfg["certificates"]) and sched_report.ok
+                     and restart_cfg is None)
+        opts = TraceOptions(record_iterates=want_cert, record_noise=want_cert)
         if restart_cfg is None:
             oracle, x1, gap_fn, bregman_fn, stop_gap = batch()
             # sched_report already checked the schedule over these T_max steps
@@ -520,9 +518,8 @@ def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
                 trace_opts=replace(opts, gap_fn=gap_fn, bregman_fn=bregman_fn),
                 stop_gap=stop_gap,
             )
-            runs = [functools.partial(trace.row, k, opts.thin) for k in range(len(seeds))]
+            runs = [functools.partial(trace.row, k) for k in range(len(seeds))]
         else:
-            want_cert = False  # certificates are per-stage statements
             runs = [functools.partial(
                 _restart_run, name, b, sched, sched_report.ok, opts, restart_cfg,
                 run_cfg["epsilon"], rng) for b, rng in zip(rows_data, rngs)]
@@ -614,12 +611,8 @@ def _flatten_restart(rtrace):
 def _job(args):
     """One grid cell, all its seeds: a (record, trace rows) pair per seed."""
     cfg, cell, seeds = args
-    try:
-        outcomes = _execute_cell(cfg, cell, seeds)
-    except (NumericalError, ParameterError) as exc:
-        outcomes = [exc] * len(seeds)
     results = []
-    for seed, outcome in zip(seeds, outcomes):
+    for seed, outcome in zip(seeds, _execute_cell(cfg, cell, seeds)):
         if isinstance(outcome, Exception):
             # a diverged run, or one whose cell the parameters rule out (say,
             # a restart plan on a schedule whose bound is undefined), is
@@ -836,6 +829,39 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _subcommand_config(args, what: str, defaults: dict, reals: tuple, counts: tuple) -> dict:
+    """The config of a ``lowerbound`` or ``concentration`` run: ``defaults``
+    updated from the file, its seed overridden by ``--seed``, every key
+    known and type-checked by ``_check_keys``."""
+    raw = _load_config(args.config)
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    cfg = dict(defaults)
+    cfg.update(raw)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    _check_keys(cfg, reals, counts)
+    return cfg
+
+
+def _write_out(out, files: dict):
+    """Write each ``{name: text}`` of ``files`` into the directory ``out``
+    of a subcommand's ``--out``, if one was given."""
+    if out:
+        out = Path(out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_text_atomic(out / name, text)
+
+
+def _write_payload(args, name: str, payload: dict):
+    """Print ``payload`` and write it as ``name`` into ``--out``."""
+    text = _stable_json(payload)
+    sys.stdout.write(text)
+    _write_out(args.out, {name: text})
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
@@ -881,57 +907,39 @@ def _cmd_table(args) -> int:
     summary = json.loads(path.read_text())
     text, csv_text = emit_table(summary)
     sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "table.txt").write_text(text)
-        (out / "table.csv").write_text(csv_text)
+    _write_out(args.out, {"table.txt": text, "table.csv": csv_text})
     return 0
 
 
 def _cmd_lowerbound(args) -> int:
-    cfg = _load_config(args.config)
-    defaults = {"solver": "acsmd", "mu": 1.0, "q": 2.0, "sigma": 1.0,
-                "epsilon": 0.05, "gamma": 0.5, "trials": 400, "seed": 0}
-    unknown = set(cfg) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown lowerbound keys: {sorted(unknown)}")
-    defaults.update(cfg)
-    if args.seed is not None:
-        defaults["seed"] = args.seed
-    _check_keys(defaults, ("mu", "q", "sigma", "epsilon", "gamma"), ("trials",))
+    cfg = _subcommand_config(
+        args, "lowerbound",
+        {"solver": "acsmd", "mu": 1.0, "q": 2.0, "sigma": 1.0,
+         "epsilon": 0.05, "gamma": 0.5, "trials": 400, "seed": 0},
+        ("mu", "q", "sigma", "epsilon", "gamma"), ("trials",))
     report = lower_bound_experiment(
-        defaults["solver"], defaults["mu"], defaults["q"], defaults["sigma"],
-        defaults["epsilon"], defaults["gamma"], defaults["trials"], seed=defaults["seed"],
+        cfg["solver"], cfg["mu"], cfg["q"], cfg["sigma"],
+        cfg["epsilon"], cfg["gamma"], cfg["trials"], seed=cfg["seed"],
     )
     payload = {k: getattr(report, k) for k in (
         "empirical_failure_rate", "T_bound", "theory_rate", "threshold", "ok",
         "allzero_rate", "allzero_expected", "activation", "gradient_scale", "trials",
     )}
-    sys.stdout.write(_stable_json(payload))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "lowerbound.json").write_text(_stable_json(payload))
+    _write_payload(args, "lowerbound.json", payload)
     return 0
 
 
 def _cmd_concentration(args) -> int:
-    cfg = _load_config(args.config)
-    defaults = {"noise": "bounded_sphere", "weight_degree": 0, "T": 100,
-                "trials": 100000, "sigma": 1.0, "R": 1.0, "dim": 4, "q": 2.0, "seed": 0}
-    unknown = set(cfg) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown concentration keys: {sorted(unknown)}")
-    defaults.update(cfg)
-    if args.seed is not None:
-        defaults["seed"] = args.seed
-    _check_keys(defaults, ("weight_degree", "sigma", "R", "q"), ("T", "trials", "dim"))
-    t = np.arange(1, defaults["T"] + 1, dtype=float)
-    weights = t ** defaults["weight_degree"]
+    cfg = _subcommand_config(
+        args, "concentration",
+        {"noise": "bounded_sphere", "weight_degree": 0, "T": 100,
+         "trials": 100000, "sigma": 1.0, "R": 1.0, "dim": 4, "q": 2.0, "seed": 0},
+        ("weight_degree", "sigma", "R", "q"), ("T", "trials", "dim"))
+    t = np.arange(1, cfg["T"] + 1, dtype=float)
+    weights = t ** cfg["weight_degree"]
     report = concentration_check(
-        defaults["noise"], weights, defaults["trials"], seed=defaults["seed"],
-        sigma=defaults["sigma"], R=defaults["R"], dim=defaults["dim"], q=defaults["q"],
+        cfg["noise"], weights, cfg["trials"], seed=cfg["seed"],
+        sigma=cfg["sigma"], R=cfg["R"], dim=cfg["dim"], q=cfg["q"],
     )
     payload = {
         "tau": report.tau.tolist(),
@@ -941,11 +949,7 @@ def _cmd_concentration(args) -> int:
         "mgf_estimate": report.mgf_estimate,
         "sigma_R": report.sigma_R,
     }
-    sys.stdout.write(_stable_json(payload))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "concentration.json").write_text(_stable_json(payload))
+    _write_payload(args, "concentration.json", payload)
     return 0
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
-from .geometry import GeometryParams, _row_dot, derive_params, power_uc_constant
+from .geometry import GeometryParams, _row_dot, bregman_to, derive_params, power_uc_constant
 from .oracles import AdditiveNoiseOracle, RidgeInstance, bernoulli_oracle
 from .regularizers import PowerNormRegularizer
 from .solvers import TARGETS, TraceOptions, _bisect, _run_inequality_steps, _solver, default_schedule
@@ -164,15 +164,13 @@ def certificate_check(
     noise_moment = np.cumsum(noise_steps)
     deterministic = np.cumsum(det_steps)
 
-    # D(x*, y) rows for y = x_1 and y = x_{t+1}
-    def breg_rows(Y):
-        return H.value(x_star) - H.value(Y) - np.sum(H.grad(Y) * (x_star - Y), axis=1)
-
-    init_term = float(gammas[0]) * float(breg_rows(trace.iterates[:1])[0])
+    # D(x*, y) for y = x_1 and for the rows y = x_{t+1}
+    breg = bregman_to(H, x_star)
+    init_term = float(gammas[0]) * breg(trace.iterates[0])
     gaps = _recorded_gaps(trace, x_avg, psi, psi_star)
     if gaps is None:
         gaps = np.array([psi(row) for row in x_avg]) - psi_star
-    lhs = A * gaps + gammas * breg_rows(x_next)
+    lhs = A * gaps + gammas * breg(x_next)
     rhs = init_term + martingale + noise_moment + deterministic
     slack = rhs - lhs
     norm_slack = slack / (1.0 + np.abs(rhs))

@@ -1,7 +1,8 @@
-"""Step-size schedules and the mirror-descent solvers built on them.
+"""Step-size schedules and the three solvers built on them.
 
-Two solvers share one composite mirror-descent step loop and differ only in
-where the oracle is queried and how the average is kept:
+One step loop, ``_run``, serves all three solvers. Each solver hands it
+only its arithmetic, a ``step`` closure that turns the iterate and the
+average into the next ones through one oracle sample:
 
 * ``nacsmd`` — plain composite stochastic mirror descent: query the oracle at
   the current iterate, take one composite prox step, output the alpha-weighted
@@ -9,22 +10,26 @@ where the oracle is queried and how the average is kept:
 * ``acsmd`` — accelerated variant: the oracle is queried at a moving convex
   combination of the averaged and raw iterates, and the averaged sequence is
   updated incrementally.
+* ``acsa_baseline`` — the Euclidean accelerated stochastic approximation
+  baseline, restarted from its average at doubling stage lengths.
 
-The start point may be one ``(d,)`` vector or an ``(S, d)`` batch of S
-independent runs; a ``(d,)`` run is a batch of one row of the same loop.
-Every operation of the step loop is elementwise and the scalar steps
-alpha_t, gamma_t are shared by all rows, so row i of a batch gets the bits
-of a ``(d,)`` run on row i's gradients. For a batch, the oracle returns an
-``(S, d)`` block of gradients per step (``oracles.OracleRows`` stacks S
-oracles so), and ``gap_fn``/``bregman_fn`` return one value per row. Each
-row has its own ``stop_gap``. A row leaves the batch at once when it
-reaches its stop gap or its iterate goes non-finite: the loop then narrows
-the oracle and the two functions to the rows left through their
-``take(keep)``, so a row that left draws nothing and raises nothing more.
-``RunTrace.row(i)`` is row i's own trace, or raises the error that ended it.
+The loop owns everything about rows. The start point may be one ``(d,)``
+vector or an ``(S, d)`` batch of S independent runs; a ``(d,)`` start is
+reshaped once, on entry, into a batch of one row. Every operation of a step
+is elementwise and the scalar steps alpha_t, gamma_t are shared by all
+rows, so row i of a batch gets the bits of a ``(d,)`` run on row i's
+gradients. For a batch, the oracle returns an ``(S, d)`` block of
+gradients per step (``oracles.OracleRows`` stacks S oracles so), and
+``gap_fn``/``bregman_fn`` return one value per row. Each row has its own
+``stop_gap``. A row leaves the batch at once when it reaches its stop gap,
+when its sampled gradient is not finite (the error names the oracle), or
+when its iterate goes non-finite: the loop then narrows the oracle and the
+two functions to the rows left through their ``take(keep)``, so a row that
+left draws nothing and raises nothing more. ``RunTrace.row(i)`` is row i's
+own trace, or raises the error that ended it.
 
-A schedule is a pair of sequences (alpha_t, gamma_t). Validity means, for
-every t up to the horizon,
+A mirror-descent schedule is a pair of sequences (alpha_t, gamma_t).
+Validity means, for every t up to the horizon,
 
     alpha_t >= gamma_{t+1} - gamma_t                        (both solvers)
     gamma_t >= (2M/mu) * alpha_t                            (nacsmd)
@@ -370,22 +375,17 @@ class RunTrace:
         ), thin)
 
 
-def _thin_rows(arr, thin):
-    if arr is None or thin == 1:
-        return arr, None
-    kept = np.unique(np.concatenate([np.arange(0, arr.shape[0], thin), [arr.shape[0] - 1]]))
-    return arr[kept], kept
-
-
 def _thin_trace(trace: RunTrace, thin: int):
+    """``trace`` with every ``thin``-th row of its vector arrays kept, and the last."""
     for name in ("iterates", "averaged", "query_points"):
         arr = getattr(trace, name)
-        thinned, kept = _thin_rows(arr, thin)
-        setattr(trace, name, thinned)
-        if name == "iterates":
-            # query_points has T rows, not T+1, so only the iterate rows
-            # may map to step indices
-            trace.kept_steps = kept
+        if arr is not None and thin > 1:
+            kept = np.unique(np.concatenate([np.arange(0, arr.shape[0], thin), [arr.shape[0] - 1]]))
+            setattr(trace, name, arr[kept])
+            if name == "iterates":
+                # query_points has T rows, not T+1, so only the iterate rows
+                # may map to step indices
+                trace.kept_steps = kept
     return trace
 
 
@@ -398,56 +398,24 @@ def _take(obj, keep):
 
 
 class _Rows:
-    """The live rows of a run and how each row ended.
+    """The live rows of a batch run and how each row ended.
 
-    A ``(d,)`` start runs as a batch of one row, whose oracle and functions
-    take and give ``(d,)`` vectors and scalars. ``leave`` drops rows from
-    the batch and narrows the oracle, the two functions and the stop gaps
-    to the rows left; ``at`` indexes the live rows along the row axis of
-    the ``(T, S, ...)`` record buffers.
+    ``leave`` drops rows from the batch and narrows the oracle, the two
+    functions and the stop gaps to the rows left; ``at`` indexes the live
+    rows along the row axis of the ``(T, S, ...)`` record buffers.
     """
 
-    def __init__(self, x, oracle, rng, gap_fn, bregman_fn, stop_gap):
-        if x.ndim not in (1, 2):
-            raise ParameterError(f"start point must be (d,) or (S, d), got shape {x.shape}")
-        self.single = x.ndim == 1
-        self.x = x[None] if self.single else x
-        n = self.x.shape[0]
-        self.oracle, self.rng = oracle, rng
-        self.gap_fn, self.bregman_fn = gap_fn, bregman_fn
+    def __init__(self, x, oracle, gap_fn, bregman_fn, stop_gap):
+        n = x.shape[0]
+        self.oracle, self.gap_fn, self.bregman_fn = oracle, gap_fn, bregman_fn
         self.stop = None if stop_gap is None else np.array(
             np.broadcast_to(np.asarray(stop_gap, dtype=float), (n,)))
         self.live = np.arange(n)
         self.at = slice(None)
         self.stopped_at = [None] * n
         self.errors = {}
-        self.x_out = np.empty_like(self.x)
-        self.avg_out = np.empty_like(self.x)
-
-    def sample(self, x):
-        if self.single:
-            return np.reshape(self.oracle.sample_gradient(x[0], self.rng), (1, -1))
-        return self.oracle.sample_gradient(x, self.rng)
-
-    def mean(self, x):
-        if self.single:
-            return np.reshape(self.oracle.mean_gradient(x[0]), (1, -1))
-        return self.oracle.mean_gradient(x)
-
-    def gap(self, x):
-        return self._series(self.gap_fn, x, "gap_fn")
-
-    def bregman(self, x):
-        return self._series(self.bregman_fn, x, "bregman_fn")
-
-    def _series(self, fn, x, what):
-        if self.single:
-            return np.array([float(fn(x[0]))])
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape != (x.shape[0],):
-            raise ParameterError(
-                f"{what} must give one value per row of the batch, got shape {vals.shape}")
-        return vals
+        self.x_out = np.empty_like(x)
+        self.avg_out = np.empty_like(x)
 
     def leave(self, gone, x, x_avg, stopped_at=None, error=None):
         """Rows ``gone`` (a mask over the live rows) leave with the final
@@ -468,24 +436,145 @@ class _Rows:
                 _take(obj, keep) for obj in (self.oracle, self.gap_fn, self.bregman_fn, self.stop))
         return keep
 
-    def leave_if_nonfinite(self, x_new, x, x_avg, error):
-        """The rows whose new iterate ``x_new`` is not finite leave with
-        ``error``, keeping their last iterate ``x`` and average ``x_avg``;
-        returns the positions of the rows left, or None if all are finite."""
-        if np.isfinite(x_new).all():
-            return None
-        return self.leave(~np.isfinite(x_new).all(axis=1), x, x_avg, error=error)
 
-    def finish(self, x, x_avg, trace: RunTrace, thin: int):
-        """(final iterates, final averages, trace) of the run: a ``(d,)``
-        run gives its row's own and raises the error that ended it."""
-        if self.live.size:  # else the last rows left with their own
-            self.x_out[self.live] = x
-            self.avg_out[self.live] = x_avg
-        trace.row_stopped_at, trace.row_errors = self.stopped_at, self.errors
-        if self.single:
-            return self.x_out[0], self.avg_out[0], trace.row(0, thin)
-        return self.x_out, self.avg_out, trace
+class _OneRow:
+    """The oracle of a ``(d,)`` run, as the oracle of a batch of one row."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def sample_gradient(self, x, rng=None):
+        return np.reshape(self._oracle.sample_gradient(x[0], rng), (1, -1))
+
+    def mean_gradient(self, x):
+        return np.reshape(self._oracle.mean_gradient(x[0]), (1, -1))
+
+
+def _one_row(fn):
+    """A gap or Bregman function of a ``(d,)`` run, as one of a batch of one row."""
+    return None if fn is None else (lambda x: np.array([float(fn(x[0]))]))
+
+
+def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False, meta=None):
+    """The step loop of every solver, on a ``(d,)`` start or an ``(S, d)`` batch.
+
+    ``step(t, x, x_avg, state, sample)`` is a solver's arithmetic for step t
+    on the live rows: from the iterate ``x`` and the average ``x_avg`` it
+    returns (alpha_t, gamma_t, query point, next iterate, next average),
+    drawing its gradient through ``sample(query point)``. ``state`` is a
+    per-row array, zero at the start, that the step may update in place.
+    Everything about rows is this loop's: the ``(d,)`` reshape, sampling
+    and the noise record, the record buffers, rows leaving at their stop
+    gap or on a non-finite oracle output or iterate (``blame`` formats the
+    error from what went non-finite and the step), and the trace. Returns
+    (final iterates, final averages, trace); a ``(d,)`` run gives its row's
+    own and raises the error that ended it.
+    """
+    x = np.array(x1, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ParameterError(f"start point must be (d,) or (S, d), got shape {x.shape}")
+    record_noise = opts.record_noise and oracle.mean_gradient is not None
+    single = x.ndim == 1
+    gap_fn, bregman_fn = opts.gap_fn, opts.bregman_fn
+    if single:
+        x, oracle = x[None], _OneRow(oracle)
+        gap_fn, bregman_fn = _one_row(gap_fn), _one_row(bregman_fn)
+    rows = _Rows(x, oracle, gap_fn, bregman_fn, stop_gap)
+
+    # steps first, so a run that stops early touches only the memory of the
+    # steps it made: numpy backs a large buffer with huge pages, which one
+    # write per row into a rows-first buffer would make resident whole
+    alphas = np.empty(T)
+    gammas = np.empty(T)
+    iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
+    averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
+    query_points = np.empty((T,) + x.shape) if queries and opts.record_iterates else None
+    noise = np.empty((T,) + x.shape) if record_noise else None
+    psi_gap = np.empty((T, x.shape[0])) if gap_fn is not None else None
+    breg = np.empty((T, x.shape[0])) if bregman_fn is not None else None
+    if iterates is not None:
+        iterates[0] = x
+        averaged[0] = x
+
+    g = None
+
+    def sample(x_q):
+        nonlocal g
+        g = rows.oracle.sample_gradient(x_q, rng)
+        if record_noise:
+            noise[t - 1, rows.at] = g - rows.oracle.mean_gradient(x_q)
+        return g
+
+    state = np.zeros(x.shape)
+    x_avg = x.copy()
+    steps = T
+    for t in range(1, T + 1):
+        a_t, g_t, x_q, x_next, avg_next = step(t, x, x_avg, state, sample)
+        # a row whose gradient is not finite blames the oracle, not its iterate
+        for what in ("oracle output", "iterate"):
+            vals = g if what == "oracle output" else x_next
+            if not np.isfinite(vals).all():
+                keep = rows.leave(~np.isfinite(vals).all(axis=1), x, x_avg,
+                                  error=blame.format(what, t))
+                x, x_avg, state, x_q, x_next, avg_next = (
+                    v[keep] for v in (x, x_avg, state, x_q, x_next, avg_next))
+        if not rows.live.size:
+            steps = t - 1
+            break
+        alphas[t - 1] = a_t
+        gammas[t - 1] = g_t
+        if iterates is not None:
+            iterates[t, rows.at] = x_next
+            averaged[t, rows.at] = avg_next
+        if query_points is not None:
+            query_points[t - 1, rows.at] = x_q
+        if psi_gap is not None:
+            gap = _series(rows.gap_fn, avg_next, "gap_fn")
+            psi_gap[t - 1, rows.at] = gap
+        if breg is not None:
+            breg[t - 1, rows.at] = _series(rows.bregman_fn, x_next, "bregman_fn")
+        x, x_avg = x_next, avg_next
+        if rows.stop is not None:
+            done = gap <= rows.stop
+            if done.any():
+                keep = rows.leave(done, x, x_avg, stopped_at=t if t < T else None)
+                if not keep.size:
+                    steps = t
+                    break
+                x, x_avg, state = x[keep], x_avg[keep], state[keep]
+
+    trace = RunTrace(
+        algorithm=algorithm,
+        T=steps,
+        alphas=alphas[:steps],
+        gammas=gammas[:steps],
+        A=np.cumsum(alphas[:steps]),
+        iterates=_first(iterates, steps + 1),
+        averaged=_first(averaged, steps + 1),
+        query_points=_first(query_points, steps),
+        noise=_first(noise, steps),
+        psi_gap=_first(psi_gap, steps),
+        bregman_to_opt=_first(breg, steps),
+        stopped_at=steps if steps < T else None,
+        meta=meta or {},
+        row_stopped_at=rows.stopped_at,
+        row_errors=rows.errors,
+    )
+    if rows.live.size:  # else the last rows left with their own
+        rows.x_out[rows.live] = x
+        rows.avg_out[rows.live] = x_avg
+    if single:
+        return rows.x_out[0], rows.avg_out[0], trace.row(0, opts.thin)
+    return rows.x_out, rows.avg_out, trace
+
+
+def _series(fn, x, what):
+    """``fn``'s value on each row of ``x``."""
+    vals = np.asarray(fn(x), dtype=float)
+    if vals.shape != (x.shape[0],):
+        raise ParameterError(
+            f"{what} must give one value per row of the batch, got shape {vals.shape}")
+    return vals
 
 
 def _first(buf, n):
@@ -495,9 +584,10 @@ def _first(buf, n):
 
 def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
                     trace_opts, stop_gap):
-    """Step loop of both solvers, on a ``(d,)`` iterate or an ``(S, d)``
-    batch. The two averaging forms agree in exact arithmetic but not in the
-    last bits, so each solver keeps its own."""
+    """The step of both mirror-descent solvers, run by ``_run``. The two
+    averaging forms agree in exact arithmetic but not in the last bits, so
+    each solver keeps its own; nacsmd keeps its alpha-weighted iterate sum
+    in the per-row state."""
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     opts = trace_opts or TraceOptions()
@@ -510,88 +600,25 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
                 f"schedule fails the {name} step conditions at t={report.first_violation} "
                 f"(slack {report.slack_min:.3e})"
             )
-    rows = _Rows(np.array(x1, dtype=float), oracle, rng, opts.gap_fn, opts.bregman_fn, stop_gap)
-    x = rows.x
-    record_noise = opts.record_noise and oracle.mean_gradient is not None
-
-    # steps first, so a run that stops early touches only the memory of the
-    # steps it made: numpy backs a large buffer with huge pages, which one
-    # write per row into a rows-first buffer would make resident whole
-    alphas = np.empty(T)
-    gammas = np.empty(T)
-    iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
-    averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
-    queries = np.empty((T,) + x.shape) if accelerated and opts.record_iterates else None
-    noise = np.empty((T,) + x.shape) if record_noise else None
-    psi_gap = np.empty((T, x.shape[0])) if opts.gap_fn is not None else None
-    breg = np.empty((T, x.shape[0])) if opts.bregman_fn is not None else None
-    if iterates is not None:
-        iterates[0] = x
-        averaged[0] = x
-
-    S = np.zeros(x.shape)
     A_prev = 0.0
-    x_avg = x.copy()
-    steps = T
-    for t in range(1, T + 1):
+
+    def step(t, x, x_avg, S, sample):
+        nonlocal A_prev
         a_t = float(sched.alpha(t))
         g_t = float(sched.gamma(t))
         A_t = A_prev + a_t
         x_q = (A_prev / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
-        gs = rows.sample(x_q)
-        if record_noise:
-            noise[t - 1, rows.at] = gs - rows.mean(x_q)
-        x_next = composite_prox(H, gs, x, a_t, g_t)
-        keep = rows.leave_if_nonfinite(x_next, x, x_avg, f"{name}: non-finite iterate at t={t}")
-        if keep is not None:
-            if not keep.size:
-                steps = t - 1
-                break
-            x, x_next, x_avg, S, x_q = x[keep], x_next[keep], x_avg[keep], S[keep], x_q[keep]
+        x_next = composite_prox(H, sample(x_q), x, a_t, g_t)
         if accelerated:
-            x_avg = (A_prev / A_t) * x_avg + (a_t / A_t) * x_next
+            avg_next = (A_prev / A_t) * x_avg + (a_t / A_t) * x_next
         else:
             S += a_t * x_next
-            x_avg = S / A_t
-        alphas[t - 1] = a_t
-        gammas[t - 1] = g_t
-        if iterates is not None:
-            iterates[t, rows.at] = x_next
-            averaged[t, rows.at] = x_avg
-        if queries is not None:
-            queries[t - 1, rows.at] = x_q
-        if psi_gap is not None:
-            gap = rows.gap(x_avg)
-            psi_gap[t - 1, rows.at] = gap
-        if breg is not None:
-            breg[t - 1, rows.at] = rows.bregman(x_next)
-        x = x_next
+            avg_next = S / A_t
         A_prev = A_t
-        if rows.stop is not None:
-            done = gap <= rows.stop
-            if done.any():
-                keep = rows.leave(done, x, x_avg, stopped_at=t if t < T else None)
-                if not keep.size:
-                    steps = t
-                    break
-                x, x_avg, S = x[keep], x_avg[keep], S[keep]
+        return a_t, g_t, x_q, x_next, avg_next
 
-    sl = slice(0, steps)
-    trace = RunTrace(
-        algorithm=name,
-        T=steps,
-        alphas=alphas[sl],
-        gammas=gammas[sl],
-        A=np.cumsum(alphas[sl]),
-        iterates=_first(iterates, steps + 1),
-        averaged=_first(averaged, steps + 1),
-        query_points=_first(queries, steps),
-        noise=_first(noise, steps),
-        psi_gap=_first(psi_gap, steps),
-        bregman_to_opt=_first(breg, steps),
-        stopped_at=steps if steps < T else None,
-    )
-    return rows.finish(x, x_avg, trace, opts.thin)
+    return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng, opts,
+                stop_gap, queries=accelerated)
 
 
 def nacsmd(
@@ -887,7 +914,8 @@ def acsa_baseline(
     ``x1`` may be an ``(S, d)`` batch, as for ``nacsmd``: the stage lengths
     and alpha_t, gamma_t are shared by all rows, the monotone solve stops at
     a fixed point of every coordinate, and each row has its own ``stop_gap``
-    and the bits of its own run.
+    and the bits of its own run. A row stopped at step T reads
+    ``stopped_at`` None, as on the mirror-descent solvers.
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
@@ -898,69 +926,34 @@ def acsa_baseline(
     fold = H.q == 2.0
     mu_eff = mu_f + (H.mu if fold else 0.0)
     L_eff = L + (H.mu if fold else 0.0)
-
-    rows = _Rows(np.array(x1, dtype=float), oracle, rng, gap_fn, None, stop_gap)
-    x_ag = rows.x
-    psi_gap = np.empty((T, x_ag.shape[0])) if gap_fn is not None else None
-    alphas_used = np.empty(T)
-    gammas_used = np.empty(T)
-    global_t = 0
+    # each step's index within its stage; a stage starts at index 1
+    local = []
     stage = max(1, stage0)
-
-    while global_t < T and rows.live.size:
-        N = min(stage, T - global_t)
-        x_prev = x_ag.copy()
-        for t in range(1, N + 1):
-            alpha_t = 2.0 / (t + 1.0)
-            gamma_t = 4.0 * L_eff / (t * (t + 1.0))
-            denom = gamma_t + (1.0 - alpha_t ** 2) * mu_eff
-            x_md = (
-                (1.0 - alpha_t) * (mu_eff + gamma_t) * x_ag
-                + alpha_t * ((1.0 - alpha_t) * mu_eff + gamma_t) * x_prev
-            ) / denom
-            gs = rows.sample(x_md)
-            if fold:
-                gs = gs + H.grad(x_md)
-            beta = (1.0 - alpha_t) * mu_eff + gamma_t
-            rhs = alpha_t * mu_eff * x_md + beta * x_prev - alpha_t * gs
-            if fold:
-                x_new = rhs / (mu_eff + gamma_t)
-            else:
-                x_new = _solve_power_linear(alpha_t * H.mu, mu_eff + gamma_t, rhs, H.q)
-            keep = rows.leave_if_nonfinite(
-                x_new, x_ag, x_ag, f"acsa_baseline: non-finite iterate at step {global_t + 1}")
-            if keep is not None:
-                if not keep.size:
-                    break
-                x_new, x_ag = x_new[keep], x_ag[keep]
-            x_ag = alpha_t * x_new + (1.0 - alpha_t) * x_ag
-            x_prev = x_new
-            alphas_used[global_t] = alpha_t
-            gammas_used[global_t] = gamma_t
-            global_t += 1
-            if psi_gap is not None:
-                gap = rows.gap(x_ag)
-                psi_gap[global_t - 1, rows.at] = gap
-                if rows.stop is not None:
-                    done = gap <= rows.stop
-                    if done.any():
-                        keep = rows.leave(done, x_ag, x_ag, stopped_at=global_t)
-                        if not keep.size:
-                            break
-                        x_ag, x_prev = x_ag[keep], x_prev[keep]
+    while len(local) < T:
+        local.extend(range(1, min(stage, T - len(local)) + 1))
         stage *= 2
 
-    steps = global_t
-    sl = slice(0, steps)
-    trace = RunTrace(
-        algorithm="acsa",
-        T=steps,
-        alphas=alphas_used[sl],
-        gammas=gammas_used[sl],
-        A=np.cumsum(alphas_used[sl]),
-        psi_gap=_first(psi_gap, steps),
-        stopped_at=steps if steps < T else None,
-        meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold},
-    )
-    x_ag, _, trace = rows.finish(x_ag, x_ag, trace, 1)
+    def step(t, x_prev, x_ag, state, sample):
+        k = local[t - 1]
+        alpha_t = 2.0 / (k + 1.0)
+        gamma_t = 4.0 * L_eff / (k * (k + 1.0))
+        if k == 1:  # a stage restarts its prox centre from the average
+            x_prev = x_ag
+        beta = (1.0 - alpha_t) * mu_eff + gamma_t
+        denom = gamma_t + (1.0 - alpha_t ** 2) * mu_eff
+        x_md = ((1.0 - alpha_t) * (mu_eff + gamma_t) * x_ag + alpha_t * beta * x_prev) / denom
+        gs = sample(x_md)
+        if fold:
+            gs = gs + H.grad(x_md)
+        rhs = alpha_t * mu_eff * x_md + beta * x_prev - alpha_t * gs
+        if fold:
+            x_new = rhs / (mu_eff + gamma_t)
+        else:
+            x_new = _solve_power_linear(alpha_t * H.mu, mu_eff + gamma_t, rhs, H.q)
+        return alpha_t, gamma_t, x_md, x_new, alpha_t * x_new + (1.0 - alpha_t) * x_ag
+
+    _, x_ag, trace = _run(
+        "acsa", "acsa_baseline: non-finite {} at step {}", step, oracle, x1, T, rng,
+        TraceOptions(record_iterates=False, record_noise=False, gap_fn=gap_fn), stop_gap,
+        meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold})
     return x_ag, trace

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -219,10 +220,10 @@ class TestRunExperiment:
     def test_all_errored_cell_has_null_statistics(self, tmp_path, monkeypatch):
         from ccmin.errors import NumericalError
 
-        def broken(cfg, cell, seeds):
+        def broken(cfg, cell, bundles):
             raise NumericalError("synthetic blow-up")
 
-        monkeypatch.setattr(bench, "_execute_cell", broken)
+        monkeypatch.setattr(bench, "_run_cell", broken)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}), out_dir=tmp_path)
         cell = s["cells"][0]
         assert [cell[k] for k in ("median_iterations", "q1_iterations", "q3_iterations",
@@ -362,6 +363,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_baseline_on_the_bernoulli_instance_exit_2(self, tmp_path, capsys, command):
+        # the config is refused before any run starts, so nothing is written
+        cfg = {"instance": {"kind": "bernoulli"}, "solver": {"algorithms": ["nacsmd", "acsa"]}}
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        assert "needs a regression instance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2
 
@@ -390,6 +401,7 @@ class TestCli:
         cfg = {"trials": 40, "epsilon": 0.05}
         rc = main(["lowerbound", self.write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
         assert rc == 0
+        assert (tmp_path / "lowerbound.json").read_text() == capsys.readouterr().out
         payload = json.loads((tmp_path / "lowerbound.json").read_text())
         assert payload["T_bound"] == 3
 
@@ -397,6 +409,7 @@ class TestCli:
         cfg = {"trials": 2000, "T": 20}
         rc = main(["concentration", self.write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
         assert rc == 0
+        assert (tmp_path / "concentration.json").read_text() == capsys.readouterr().out
         payload = json.loads((tmp_path / "concentration.json").read_text())
         assert payload["ok"] is True
         assert payload["mgf_estimate"] <= 2.0 + 1e-9
@@ -438,7 +451,10 @@ class TestCli:
         assert err.startswith("error:") and key in err
 
     def test_console_entry_point(self):
+        # the child imports the ccmin under test, wherever pytest found it
+        paths = [str(Path(bench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run([sys.executable, "-m", "ccmin.bench", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "run" in proc.stdout

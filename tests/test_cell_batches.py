@@ -19,6 +19,7 @@ from ccmin import (
     PowerNormRegularizer,
     RidgeInstance,
     TraceOptions,
+    acsa_baseline,
     acsmd,
     bregman_to,
     certificate_check,
@@ -74,42 +75,53 @@ def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-@pytest.mark.parametrize("solver", [nacsmd, acsmd])
-def test_batch_rows_keep_every_recorded_and_certified_bit(solver):
+@pytest.mark.parametrize("name", ["nacsmd", "acsmd", "acsa"])
+def test_batch_rows_keep_every_recorded_and_certified_bit(name):
     d, q, T = 5, 3.0, 80
     insts = [RidgeInstance(dimension=d, x_star=philox(s, 1).uniform(-0.3, 0.3, d),
                            sigma_b=0.1, mu=2.0, q=q) for s in range(4)]
     opt = [exact_optimum(inst) for inst in insts]
     H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
     params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
-    sched = default_schedule(params, solver.__name__)
     x1 = np.full(d, 3.25)
     stop = np.array([0.0, 0.5, 0.0, 5.0])  # two rows stop early, at their own steps
     x_star, psi_star = np.stack([i.x_star for i in insts]), np.array([o[1] for o in opt])
+
+    def solve(oracle, x1, opts, stop_gap, rng=None):
+        """(final iterates, final averages, trace); the baseline keeps only
+        its averages, its gaps and no certificate."""
+        if name == "acsa":
+            y, trace = acsa_baseline(oracle, H, insts[0].mu_F, params.L, x1, T, rng=rng,
+                                     gap_fn=opts.gap_fn, stop_gap=stop_gap)
+            return y, y, trace
+        sched = default_schedule(params, name)
+        solver = nacsmd if name == "nacsmd" else acsmd
+        return solver(oracle, H, sched, x1, T, rng=rng, trace_opts=opts, stop_gap=stop_gap)
+
     # the grid's own per-row functions
     opts = TraceOptions(
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), np.stack([o[0] for o in opt])))
     oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(4)])
-    x, y, batch = solver(oracle, H, sched, np.tile(x1, (4, 1)), T, trace_opts=opts,
-                         stop_gap=stop)
+    x, y, batch = solve(oracle, np.tile(x1, (4, 1)), opts, stop)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
         one = TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
                            bregman_fn=bregman_to(H, x_opt))
-        xi, yi, alone = solver(ridge_oracle(inst), H, sched, x1, T, rng=philox(i, 7),
-                               trace_opts=one, stop_gap=stop[i] or None)
+        xi, yi, alone = solve(ridge_oracle(inst), x1, one, stop[i] or None, rng=philox(i, 7))
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
         assert row.T == alone.T and row.stopped_at == alone.stopped_at
-        for name in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
-                     "noise", "psi_gap", "bregman_to_opt"):
-            a, b = getattr(row, name), getattr(alone, name)
+        for field in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
+                      "noise", "psi_gap", "bregman_to_opt"):
+            a, b = getattr(row, field), getattr(alone, field)
             assert (a is None) == (b is None)
-            assert a is None or a.tobytes() == b.tobytes(), name
+            assert a is None or a.tobytes() == b.tobytes(), field
+        if name == "acsa":
+            continue
         psi = functools.partial(ridge_psi, inst)
         reports = [certificate_check(tr, params, H, x_opt, psi, p_star) for tr in (row, alone)]
-        for name in ("lhs", "rhs", "slack", "martingale", "noise_moment", "deterministic"):
-            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
+        for field in ("lhs", "rhs", "slack", "martingale", "noise_moment", "deterministic"):
+            assert getattr(reports[0], field).tobytes() == getattr(reports[1], field).tobytes()
     assert [batch.row_stopped_at[i] is not None for i in range(4)] == [False, True, False, True]
 
 
@@ -246,12 +258,12 @@ def test_a_row_that_goes_non_finite_leaves_alone(tmp_path, monkeypatch, stop):
     _, records, plot = grid(cfg, tmp_path / "again", SEEDS)
     errors = {key: r["error"] for key, r in records.items() if "error" in r}
     expected = {
-        ("ridge-d4-Lx1-nacsmd", 1): "nacsmd: non-finite iterate at t=3",
-        ("ridge-d4-Lx1-acsmd1", 1): "acsmd: non-finite iterate at t=3",
+        ("ridge-d4-Lx1-nacsmd", 1): "nacsmd: non-finite oracle output at t=3",
+        ("ridge-d4-Lx1-acsmd1", 1): "acsmd: non-finite oracle output at t=3",
         ("ridge-d4-Lx1-acsmd1", 2): "synthetic set-up failure",
     }
     if not stop:  # with the stop on, acsa reaches its target first
-        expected[("ridge-d4-Lx1-acsa", 1)] = "acsa_baseline: non-finite iterate at step 3"
+        expected[("ridge-d4-Lx1-acsa", 1)] = "acsa_baseline: non-finite oracle output at step 3"
     assert errors == expected
     assert sorted(key[0] for key in plot if key[1] == 1) == (
         ["ridge-d4-Lx1-acsa"] if stop else [])

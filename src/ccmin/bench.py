@@ -16,9 +16,9 @@ with the bits of its seed's run alone; each run
 writes ``trace-<cell>-<seed>.csv`` with header
 ``t,psi_gap,bregman_to_opt,alpha_t,gamma_t``, and the experiment ends with a
 ``summary.json`` (per-cell medians/quartiles, resolved schedules, certificate
-status) plus a ``manifest.json`` carrying the resolved config and file
-hashes. Outputs are deterministic: the same config byte-for-byte reproduces
-the same CSVs.
+status) plus a ``manifest.json`` carrying the resolved config, file hashes
+and the Python, numpy and platform versions. Outputs are deterministic: the
+same config byte-for-byte reproduces the same CSVs and summary.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 """
@@ -35,6 +35,7 @@ import io
 import json
 import math
 import numbers
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -168,6 +169,13 @@ def _integer(value, key: str, least: int):
     return value
 
 
+def _safety_scale(value, key: str):
+    """A schedule's gamma multiplier: a finite number >= 1, else a
+    ConfigError naming ``key``."""
+    if _number(value, key) < 1.0:
+        raise ConfigError(f"{key} must be >= 1, got {value!r}")
+
+
 def _check_keys(cfg: dict, reals: tuple, counts: tuple):
     """Type-check a subcommand's keys: ``reals`` must be finite numbers,
     ``counts`` integers >= 1, and ``seed`` an integer >= 0."""
@@ -204,8 +212,8 @@ def resolve_config(raw: dict) -> dict:
         _number(inst[key], f"instance.{key}")
     if inst["R"] is not None:
         _number(inst["R"], "instance.R")
-    for key in ("safety_scale", "acsa_stage0"):
-        _number(cfg["solver"][key], f"solver.{key}")
+    _safety_scale(cfg["solver"]["safety_scale"], "solver.safety_scale")
+    _integer(cfg["solver"]["acsa_stage0"], "solver.acsa_stage0", 1)
     xs = inst["x_star"]
     if xs.get("kind") not in ("uniform", "fixed"):
         raise ConfigError("instance.x_star.kind must be 'uniform' or 'fixed'")
@@ -224,6 +232,8 @@ def resolve_config(raw: dict) -> dict:
         name = alg["name"] if isinstance(alg, dict) else alg
         if name not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}; expected one of {_ALGORITHMS}")
+        if isinstance(alg, dict) and "safety_scale" in alg:
+            _safety_scale(alg["safety_scale"], f"solver.algorithms[{name}].safety_scale")
         if name == "acsa" and inst["kind"] == "bernoulli":
             raise ConfigError("the accelerated baseline needs a regression instance")
 
@@ -701,7 +711,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
                 if rows is None:
                     continue
                 rel = rows[:, 1] / record["gap0"]
-                for t, r in zip(rows[:, 0], rel):
+                for t, r in zip(rows[:, 0].tolist(), rel.tolist()):
                     plot_rows.append((cell["label"], cell["algorithm"]["label"],
                                       seed, int(t), math.log10(max(r, 1e-300))))
         _write_text_atomic(out / "plotdata.csv", emit_plotdata(plot_rows))
@@ -709,7 +719,13 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
 
     for name in list(files):
         files[name] = _sha256(out / name)
-    manifest = {"version": __version__, "config": cfg, "files": files}
+    # the one block of any artifact that differs between machines; uname,
+    # not platform.platform(), which scans the interpreter binary for libc
+    uname = platform.uname()
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "platform": f"{uname.system}-{uname.release}-{uname.machine}"}
+    manifest = {"version": __version__, "config": cfg, "files": files,
+                "environment": environment}
     # last, so that every file it hashes is already in place
     _write_text_atomic(out / "manifest.json", _stable_json(manifest))
     return summary
@@ -798,15 +814,23 @@ def emit_table(summary: dict):
 
 
 _PLOT_HEADER = ["cell", "algorithm", "seed", "t", "log10_rel_gap"]
+# csv.writer's bytes for a plotdata row once its two labels are quoted as
+# csv.writer quotes them; no number needs quoting
+_PLOT_ROW = "%s,%s,%d,%d,%.17g\r\n"
+
+
+@functools.lru_cache(maxsize=1024)
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def emit_plotdata(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(_PLOT_HEADER)
-    for cell, alg, seed, t, val in rows:
-        w.writerow([cell, alg, int(seed), int(t), f"{val:.17g}"])
-    return buf.getvalue()
+    flat = [x for cell, alg, seed, t, val in rows
+            for x in (_csv_field(cell), _csv_field(alg), seed, t, val)]
+    return ",".join(_PLOT_HEADER) + "\r\n" + _PLOT_ROW * (len(flat) // 5) % tuple(flat)
 
 
 def parse_plotdata(text: str):

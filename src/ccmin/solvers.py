@@ -39,7 +39,9 @@ with A_t the running alpha sum. The run certificates in ``diagnostics`` hold
 on every noise realization provided these inequalities do, so solvers refuse
 nothing but the caller is expected to validate first (the bench harness
 does). ``default_schedule`` builds the standard polynomial family and bumps
-its offset until the inequalities hold on a long horizon.
+its offset until the inequalities hold: on a 1024-step prefix, checked step
+by step, and beyond it either by a closed-form proof for every t or, where
+the proof does not apply, by a scan of the whole horizon.
 
 ``restart`` chains stages of a fixed length, each started from the previous
 stage's final non-averaged iterate, which turns the gamma_1/gamma_K decay of
@@ -250,6 +252,50 @@ def default_degree(params: GeometryParams, target: str) -> float:
 _PREFIX_HORIZON = 1024
 
 
+def _tail_certified(sched: PolynomialSchedule, params: GeometryParams, prefix: int,
+                    horizon: int) -> bool:
+    """True when both schedule inequalities provably hold, and pass
+    ``validate_schedule``'s float check, at every t > ``prefix``, given that
+    they passed on steps 1 .. ``prefix``. False means "not proven", never
+    "invalid". With u = t + offset and beta = 2M/mu:
+
+    * growth, for ``safety_scale`` 1 only: gamma_{t+1} - gamma_t is the
+      integral of v^m over [u, u+1], at most (u+1)^m = alpha_t for m >= 0
+      and at most u^m = alpha_t for m < 0. A larger scale declines, since
+      s * u^m outgrows alpha_t once u is large;
+    * lower slack: gamma_t / (beta alpha_t) is nondecreasing (its log
+      derivative in u is (u+m+1)/(u(u+1)) > 0 for m >= 0, and it is linear
+      in u for m < 0). For acsmd so is X_t = A_t / alpha_t, for every m:
+      X_{t+1} = 1 + r_t X_t with r_t = alpha_t / alpha_{t+1}. For m <= 0,
+      r_t >= 1. For m > 0, r_t < 1 is nondecreasing in t (alpha is
+      log-concave), so X_t <= sum_k r_t^k < 1 / (1 - r_t), which is
+      X_{t+1} >= X_t. The ratio gamma_t / (beta alpha_t^q / A_t^{q-1}) is
+      a product of the two, so a slack of at least 1e-9 gamma_t at
+      t = prefix, far above the float error there, makes the inequality
+      hold in exact arithmetic at every later t;
+    * float error: a sequential ``cumsum`` to the horizon is off by at most
+      about (q-1) * horizon * 2^-53 relative in acsmd's curvature term; the
+      check declines above 2.5e-10, well inside the scan's 1e-9 tolerance.
+      gamma_{horizon+1} and bounds on beta alpha_t and A_t up to the
+      horizon must be finite, so that every value the scan forms is.
+    """
+    if sched.safety_scale != 1.0:
+        return False
+    q, beta = params.q, 2.0 * params.M / params.mu
+    if sched.target == "acsmd" and (q - 1.0) * horizon * 2.0 ** -53 > 2.5e-10:
+        return False
+    with np.errstate(over="ignore"):
+        top = max(sched.alpha(horizon), 1.0)  # alpha_t <= top for every t <= horizon
+        if not math.isfinite(sched.gamma(horizon + 1) + max(beta, horizon) * top):
+            return False
+    alpha, gamma = sched.alpha(prefix), sched.gamma(prefix)
+    need = beta * alpha
+    if sched.target == "acsmd":
+        A = float(np.cumsum(sched.alpha(np.arange(1, prefix + 1, dtype=float)))[-1])
+        need *= (alpha / A) ** (q - 1.0)
+    return gamma - need >= 1e-9 * gamma
+
+
 def default_schedule(
     params: GeometryParams,
     target: str,
@@ -269,11 +315,18 @@ def default_schedule(
     large t). The starting offset is kept in ``base_offset`` for reports.
 
     Each candidate is first checked on the first ``min(validate_horizon,
-    1024)`` steps and only one that passes gets the full-horizon check.
-    Every quantity of the check at step t reads steps 1 .. t only (the
-    alpha sum accumulates in order, and the elementwise powers give the
-    same bits at every array length), so a prefix violation is a
-    full-horizon violation and the accepted schedule is the same.
+    1024)`` steps. Every quantity of the check at step t reads steps 1 .. t
+    only (the alpha sum accumulates in order, and the elementwise powers
+    give the same bits at every array length), so a prefix violation is a
+    full-horizon violation. A candidate that passes is accepted when
+    ``_tail_certified`` proves both inequalities for every later t: with
+    ``safety_scale`` 1, a finite gamma at the horizon, a lower slack of at
+    least 1e-9 gamma_t at the end of the prefix and, for acsmd,
+    (q-1) * validate_horizon * 2^-53 <= 2.5e-10. Otherwise it gets the full
+    ``validate_horizon`` scan, as before. A certified schedule passes that
+    scan too, so the accepted schedule is the same; it is also valid for
+    every t, not only up to ``validate_horizon``, which restart stages
+    running past ``T_max`` rely on.
     """
     if target not in TARGETS:
         raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
@@ -290,6 +343,7 @@ def default_schedule(
     for _ in range(max_doublings):
         if validate_schedule(sched, params, prefix).ok and (
                 prefix == validate_horizon
+                or _tail_certified(sched, params, prefix, validate_horizon)
                 or validate_schedule(sched, params, validate_horizon).ok):
             return sched
         sched = replace(sched, offset=2.0 * sched.offset + 1.0)

@@ -1,6 +1,9 @@
 import copy
+import csv
+import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +87,10 @@ class TestRunExperiment:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert s1 == s2
+        env = json.loads((out1 / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["platform"].startswith(platform.system())
 
     def test_trace_csv_schema(self, tmp_path):
         run_experiment(TINY, out_dir=tmp_path)
@@ -322,6 +329,24 @@ class TestEmitters:
         assert row[0] == "d=3" and row[2] == "err"
         assert row[1] != "err"
 
+    def test_plotdata_has_the_csv_writer_bytes(self):
+        def reference(rows):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["cell", "algorithm", "seed", "t", "log10_rel_gap"])
+            for cell, alg, seed, t, val in rows:
+                w.writerow([cell, alg, int(seed), int(t), f"{val:.17g}"])
+            return buf.getvalue()
+
+        labels = ["ridge-d20-Lx1-acsmd1", "a,b", 'say "hi"', "two\nlines", "cr\rx", "",
+                  " padded ", "50%", "ünï", "'quote'"]
+        values = [-0.123456789012345, -300.0, 5e-324, -2.2250738585072014e-310, 0.0,
+                  -0.0, 1e300, float("inf"), float("-inf"), float("nan"), -1.5]
+        rows = [(labels[i % len(labels)], labels[(3 * i) % len(labels)], i % 7,
+                 np.int64(i + 1), values[i % len(values)]) for i in range(60)]
+        assert emit_plotdata(rows) == reference(rows)
+        assert emit_plotdata([]) == reference([])
+
     def test_plotdata_roundtrip(self):
         rows = [("cell-a", "nacsmd", 0, 1, -0.123456789012345),
                 ("cell-a", "nacsmd", 0, 2, -1.5),
@@ -371,6 +396,23 @@ class TestCli:
         extra = ["--out", str(out)] if command == "run" else []
         assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
         assert "needs a regression instance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("solver,key", [
+        ({"algorithms": ["acsa"], "acsa_stage0": 2.5}, "solver.acsa_stage0"),
+        ({"algorithms": ["acsa"], "acsa_stage0": 0}, "solver.acsa_stage0"),
+        ({"safety_scale": 0.5}, "solver.safety_scale"),
+        ({"algorithms": [{"name": "nacsmd", "safety_scale": 0.5}]}, "].safety_scale"),
+    ])
+    def test_bad_stage0_or_safety_scale_exit_2(self, tmp_path, capsys, command, solver, key):
+        # refused before any run starts, so nothing is written
+        cfg = {"instance": {"d": [3]}, "solver": solver, "run": {"T_max": 20, "seeds": [0]}}
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
         assert not out.exists()
 
     def test_missing_config_exit_2(self, capsys):

@@ -4,7 +4,10 @@ of the loops they replaced, which are copied here as the reference:
 * a scalar ``alpha``/``gamma`` runs in Python floats, against numpy's 0-d
   power;
 * ``validate_schedule`` takes gamma_t and gamma_{t+1} from one pass;
-* ``default_schedule`` checks a prefix before the full horizon;
+* ``default_schedule`` checks a prefix before the full horizon, and skips
+  the full-horizon scan where ``solvers._tail_certified`` proves the tail;
+  a certified schedule must pass the scan, on a seeded grid that also
+  reaches every branch where the proof declines;
 * ``certificate_check`` reuses the gaps a run recorded.
 """
 
@@ -17,6 +20,7 @@ import ccmin.bench as bench
 import ccmin.solvers as solvers
 from ccmin import (
     CustomSchedule,
+    NumericalError,
     PolynomialSchedule,
     PowerNormRegularizer,
     RidgeInstance,
@@ -180,9 +184,10 @@ class TestDefaultSchedule:
                                                           validate_horizon=horizon)
                         assert got == want, (q, target, m, horizon)
 
-    def test_grid_schedules_need_one_full_check_each(self, monkeypatch):
-        """The validated benchmark grid: 16 schedules, each checked once over
-        the full 1M-step horizon (43 full checks without the prefix)."""
+    def test_grid_schedules_need_no_full_check(self, monkeypatch):
+        """The validated benchmark grid: 16 schedules, each accepted on its
+        1024-step prefix and its certified tail, with no 1M-step check (43
+        full checks without the prefix, 16 without the certificate)."""
         cfg = bench.resolve_config({
             "instance": {"d": [20, 50, 100, 200]},
             "solver": {"schedule_mode": "validated",
@@ -208,13 +213,148 @@ class TestDefaultSchedule:
         finally:
             bench._schedule_for.cache_clear()
         assert len(found) == 16
-        assert horizons.count(1_000_000) == 16
-        assert set(horizons) == {1024, 1_000_000}
+        assert horizons.count(1_000_000) == 0
+        assert set(horizons) == {1024}
         for sched, params in found.items():
             want = reference_default_schedule(params, sched.target, m=sched.m,
                                               offset=sched.base_offset,
                                               safety_scale=sched.safety_scale)
             assert sched == want
+
+
+PREFIX = solvers._PREFIX_HORIZON
+
+
+def schedule_grid(seed, n):
+    """Seeded (params, schedule, horizon) cases; the schedule's offset is a
+    random start for ``default_schedule``'s offset chain."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = float(rng.choice([2.0, 2.5, 3.0, 4.0, 7.0, 12.0, 20.0]))
+        kappa = float(rng.uniform(1.05, 2.0))
+        params = derive_params(q, kappa, float(10 ** rng.uniform(-1, 3)),
+                               float(10 ** rng.uniform(-1, 1)) * power_uc_constant(q))
+        m = float(rng.choice([-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0,
+                              rng.uniform(-0.99, 8.0)]))
+        offset = float(rng.choice([0.0, 1.0, 10 ** rng.uniform(0, 4)]))
+        sched = PolynomialSchedule(
+            m=m, offset=offset, target=str(rng.choice(["nacsmd", "acsmd"])),
+            safety_scale=float(rng.choice([1.0, 1.0, 1.0, 1.0, 1.0005, 1.5])),
+            base_offset=offset)
+        yield params, sched, int(rng.choice([PREFIX + 1, 100_000, 1_000_000]))
+
+
+def first_passing(params, sched):
+    """The first candidate of the offset chain that passes the prefix check."""
+    for _ in range(60):
+        if validate_schedule(sched, params, PREFIX).ok:
+            return sched
+        sched = dataclasses.replace(sched, offset=2.0 * sched.offset + 1.0)
+    return None
+
+
+def certified(params, sched, horizon):
+    return solvers._tail_certified(sched, params, PREFIX, horizon)
+
+
+class TestTailCertificate:
+    def test_certified_schedules_pass_the_full_scan(self):
+        n_cert = 0
+        declined = {"scale": [], "float": []}  # whether the scan passed, per decline
+        for params, start, horizon in schedule_grid(seed=12, n=120):
+            sched = first_passing(params, start)
+            if sched is None:
+                continue
+            ok = reference_validate(sched, params, horizon).ok
+            if certified(params, sched, horizon):
+                n_cert += 1
+                assert ok, (params, sched, horizon)
+            elif sched.safety_scale > 1.0:
+                declined["scale"].append(ok)
+            else:
+                assert sched.target == "acsmd" and (params.q - 1.0) * horizon > 2.5e-10 * 2.0 ** 53
+                declined["float"].append(ok)
+        assert n_cert >= 60
+        # both declining branches are reached, and a declined scale fails the scan
+        assert declined["float"] and not all(declined["scale"]), declined
+
+    def test_a_safety_scale_above_one_is_left_to_the_scan(self):
+        # growth holds on the prefix but fails near u = m / ln(s)
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        sched = PolynomialSchedule(m=3.0, offset=10.0, target="nacsmd", safety_scale=1.0005)
+        assert validate_schedule(sched, params, PREFIX).ok
+        assert not certified(params, sched, 100_000)
+        assert not reference_validate(sched, params, 100_000).ok
+
+    def test_an_overflowing_gamma_is_left_to_the_scan(self):
+        # gamma_t is finite on the prefix and overflows before t = 200000
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        for target in ("nacsmd", "acsmd"):
+            sched = PolynomialSchedule(m=60.0, offset=200.0, target=target)
+            assert validate_schedule(sched, params, PREFIX).ok
+            assert not certified(params, sched, 200_000)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not reference_validate(sched, params, 200_000).ok
+            assert certified(params, sched, 30_000)
+
+    def test_a_long_acsmd_sum_is_left_to_the_scan(self):
+        # (q - 1) * horizon * 2^-53 above 2.5e-10: the cumsum's rounding is
+        # no longer provably inside the scan's tolerance
+        params = derive_params(20.0, 2.0, 1.0, 1.0)
+        sched = PolynomialSchedule(m=1.0, offset=1e4, target="acsmd")
+        assert validate_schedule(sched, params, PREFIX).ok
+        assert certified(params, sched, 100_000)
+        assert not certified(params, sched, 1_000_000)
+        assert certified(params, dataclasses.replace(sched, target="nacsmd"), 1_000_000)
+
+    def test_a_prefix_slack_inside_the_tolerance_is_not_a_proof(self):
+        # nacsmd at m = 0: gamma_t - beta alpha_t = t - 1024 - 5e5 exactly.
+        # The scan tolerates it (1e-9 gamma_t is about 1e6), but the
+        # inequality fails in exact arithmetic until t = 501024.
+        beta = 1e15 + 1024 + 5e5
+        params = derive_params(2.0, 2.0, beta, 2.0)
+        assert 2.0 * params.M / params.mu == beta
+        sched = PolynomialSchedule(m=0.0, offset=1e15, target="nacsmd")
+        assert validate_schedule(sched, params, PREFIX).ok
+        assert sched.gamma(2000) - beta * sched.alpha(2000) < 0.0
+        assert not certified(params, sched, 1_000_000)
+        # a slack of 2e6 at the prefix, above 1e-9 gamma_t, is one
+        assert certified(derive_params(2.0, 2.0, 1e15 - 2e6, 2.0), sched, 1_000_000)
+
+    def test_alpha_sum_ratio_is_nondecreasing(self):
+        # A_t / alpha_t never decreases for any m >= 0, small offsets included
+        # (alpha_t / alpha_{t+1} is nondecreasing in t)
+        t = np.arange(1, 20_001, dtype=float)
+        for m in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 30.0):
+            for offset in (0.0, 0.5, 3.0, 1e3):
+                alphas = PolynomialSchedule(m=m, offset=offset, target="acsmd").alpha(t)
+                ratio = np.cumsum(alphas) / alphas
+                assert np.all(np.diff(ratio) >= -1e-12 * ratio[1:]), (m, offset)
+
+    def test_default_schedule_matches_the_full_scan(self, monkeypatch):
+        outcomes = []
+        tail_certified = solvers._tail_certified
+
+        def recording(sched, params, prefix, horizon):
+            got = tail_certified(sched, params, prefix, horizon)
+            outcomes.append((got, sched.safety_scale > 1.0, sched.target))
+            return got
+
+        monkeypatch.setattr(solvers, "_tail_certified", recording)
+        for params, sched, horizon in schedule_grid(seed=4, n=24):
+            if sched.safety_scale > 1.0:
+                horizon = min(horizon, 100_000)  # the reference scans 60 offsets
+            args = dict(m=sched.m, offset=sched.offset, safety_scale=sched.safety_scale,
+                        validate_horizon=horizon)
+            want = reference_default_schedule(params, sched.target, **args)
+            if want is None:
+                with pytest.raises(NumericalError):
+                    default_schedule(params, sched.target, **args)
+            else:
+                assert default_schedule(params, sched.target, **args) == want
+        # certified tails, declined scales and declined long acsmd sums all occur
+        assert {(True, False), (False, True)} <= {o[:2] for o in outcomes}
+        assert (False, False, "acsmd") in outcomes
 
 
 def ridge_run(solver, d, q, seed, gap_fn=None):

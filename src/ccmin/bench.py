@@ -56,6 +56,7 @@ from .geometry import bregman_to, derive_params, power_uc_constant
 from .oracles import (
     OracleRows,
     RidgeInstance,
+    _philox,
     additive_noise_oracle,
     bernoulli_oracle,
     ridge_oracle,
@@ -296,7 +297,7 @@ def _draw_x_star(inst: dict, d: int, seed: int) -> np.ndarray:
         if values.size != d:
             raise ConfigError(f"fixed x_star has {values.size} entries but d={d}")
         return values
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 101))))
+    rng = _philox((seed, 101))
     return xs.get("scale", 1.0) * rng.uniform(-1.0, 1.0, d)
 
 
@@ -313,7 +314,7 @@ def _make_x1(inst: dict, d: int) -> np.ndarray:
 
 
 def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal_mu: float):
-    """Build the run schedule; memoised because it is seed-independent.
+    """Build the run schedule, once per grid cell (it is seed-independent).
 
     In "printed" mode the literal polynomial constants are used: degree per
     the target's standard formula (or the user's m), offset 2(m+1)M/mu for
@@ -322,27 +323,17 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
     small t; "validated" mode instead calls default_schedule, which repairs
     the offset against the calibrated convexity modulus.
     """
-    # a schedule reads q, kappa, L and mu and what derives from them, not the
-    # per-seed noise level or radius, so those are left out of the key
-    return _schedule_for(
-        replace(params, sigma=0.0, R=1.0), target, spec.get("m"), spec.get("offset"),
-        spec.get("safety_scale", solver_cfg["safety_scale"]), solver_cfg["schedule_mode"],
-        nominal_mu,
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _schedule_for(params, target, m, offset, safety, mode, nominal_mu):
-    if mode == "validated":
-        if offset == "condition_root":
-            offset = (params.L / nominal_mu) ** (1.0 / params.q)
+    m, offset = spec.get("m"), spec.get("offset")
+    safety = spec.get("safety_scale", solver_cfg["safety_scale"])
+    validated = solver_cfg["schedule_mode"] == "validated"
+    if offset == "condition_root" or (offset is None and target == "acsmd" and not validated):
+        offset = (params.L / nominal_mu) ** (1.0 / params.q)
+    if validated:
         return default_schedule(params, target, m=m, offset=offset, safety_scale=safety)
     if m is None:
         # the reference experiments run constant alpha_t for nacsmd
         m = 0.0 if target == "nacsmd" else default_degree(params, target)
-    if offset == "condition_root" or offset is None and target == "acsmd":
-        offset = (params.L / nominal_mu) ** (1.0 / params.q)
-    elif offset is None:
+    if offset is None:
         offset = 2.0 * (m + 1.0) * params.M / nominal_mu
     return PolynomialSchedule(m=float(m), offset=float(offset), target=target,
                               safety_scale=safety)
@@ -372,7 +363,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     kind = inst["kind"]
     spec = cell["algorithm"]
     if kind == "bernoulli":
-        rng_nu = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 11))))
+        rng_nu = _philox((seed, 11))
         nu = 1 if rng_nu.random() < 0.5 else -1
         oracle, b_inst = bernoulli_oracle(
             inst["mu"], inst["q"], inst["sigma"], inst["target_accuracy"], nu=nu,
@@ -478,8 +469,7 @@ def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
     name = first["spec"]["name"]
     params, H = first["params"], first["H"]
     T_max = int(run_cfg["T_max"])
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 7))))
-            for seed in seeds]
+    rngs = [_philox((seed, 7)) for seed in seeds]
 
     def batch():
         """(oracle, start points, gap and Bregman functions, stop gaps) of all rows."""

@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
-from .geometry import GeometryParams, _row_dot, bregman_to, derive_params, power_uc_constant
-from .oracles import AdditiveNoiseOracle, RidgeInstance, bernoulli_oracle
+from .geometry import (GeometryParams, _row_dot, bregman_to, derive_params, dual_exponent,
+                       power_uc_constant)
+from .oracles import (AdditiveNoiseOracle, RidgeInstance, _philox, _ridge_mean_gradient,
+                      bernoulli_oracle)
 from .regularizers import PowerNormRegularizer
 from .solvers import TARGETS, TraceOptions, _bisect, _run_inequality_steps, _solver, default_schedule
 
@@ -77,7 +79,7 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
     mu, q = instance.mu, instance.q
 
     def foc(x):
-        return 2.0 / 3.0 * (x - xs) + mu * np.abs(x) ** (q - 1.0) * np.sign(x)
+        return _ridge_mean_gradient(x, xs) + mu * np.abs(x) ** (q - 1.0) * np.sign(x)
 
     x_opt = _bisect(lambda mid: foc(mid) < 0.0, np.minimum(0.0, xs), np.maximum(0.0, xs), 200)
     worst = float(np.max(np.abs(foc(x_opt))))
@@ -130,16 +132,17 @@ def certificate_check(
 ) -> CertificateReport:
     """Evaluate the pathwise inequality of a recorded run at every horizon.
 
-    Needs a full-resolution trace (thin = 1) with iterates and realized
-    noise. ``psi`` is the exact objective; ``x_star`` its unique minimizer.
+    Needs a trace with iterates and realized noise, one row per step.
+    ``psi`` is the exact objective; ``x_star`` its unique minimizer.
     """
     if trace.noise is None:
         raise DiagnosticUnavailableError(
             "certificate_check needs realized noise; run with an oracle exposing "
             "mean_gradient and record_noise=True"
         )
-    if trace.iterates is None or trace.kept_steps is not None:
-        raise DiagnosticUnavailableError("certificate_check needs an unthinned iterate trace")
+    if trace.iterates is None:
+        raise DiagnosticUnavailableError(
+            "certificate_check needs recorded iterates; run with record_iterates=True")
     T = trace.T
     x_star = np.asarray(x_star, dtype=float)
     alphas, gammas, A = trace.alphas, trace.gammas, trace.A
@@ -264,7 +267,7 @@ def lower_bound_experiment(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not q >= 2.0:
         raise ParameterError(f"q must be >= 2, got {q}")
-    p = q / (q - 1.0)
+    p = dual_exponent(q)
     if T is None:
         bound = (
             0.5 / p ** (q - 1.0) * (sigma / mu) * (sigma / epsilon) ** (q - 1.0)
@@ -288,7 +291,7 @@ def lower_bound_experiment(
         positive = np.empty((n, 1), dtype=bool)
         uniforms = np.empty((n, T))
         for k in range(n):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, start + k))))
+            rng = _philox((seed, start + k))
             positive[k] = rng.random() < 0.5
             uniforms[k] = rng.random(T)
         grads = np.where(positive, plus.gradients(uniforms), minus.gradients(uniforms))
@@ -352,7 +355,7 @@ def martingale_tail_bound(tau, weights: np.ndarray, sigma_R: float, q: float):
     """
     tau = np.asarray(tau, dtype=float)
     beta = np.asarray(weights, dtype=float)
-    p = q / (q - 1.0)
+    p = dual_exponent(q)
     S2 = 3.0 * sigma_R * math.sqrt(float(np.sum(beta ** 2)))
     Sq = 3.0 * sigma_R * float(np.sum(np.abs(beta) ** q)) ** (1.0 / q)
     out = np.ones_like(tau)
@@ -396,7 +399,7 @@ def concentration_check(
         raise ParameterError(f"concentration_check needs q >= 2, got {q}")
     weights = np.asarray(weights, dtype=float)
     T = weights.size
-    p = q / (q - 1.0)
+    p = dual_exponent(q)
     probe = AdditiveNoiseOracle(lambda x: np.zeros(dim), dim, noise, sigma, q=q)
     if probe.mgf_sigma is None:
         raise ParameterError(
@@ -409,7 +412,7 @@ def concentration_check(
     for t in range(T):
         dirs[t, t % dim] = R * (1.0 if t % 2 == 0 else -1.0)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC0))))
+    rng = _philox((seed, 0xC0))
     sums = np.empty(trials)
     for done in range(0, trials, chunk):
         n = min(chunk, trials - done)

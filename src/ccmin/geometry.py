@@ -92,7 +92,7 @@ def derive_params(
         raise ParameterError(f"R must be positive, got {R}")
     r = (q - kappa) / kappa
     M = float(L) if r == 0.0 else (r / q) ** r * L
-    p = q / (q - 1.0)
+    p = dual_exponent(q)
     return GeometryParams(
         q=float(q), kappa=float(kappa), L=float(L), mu=float(mu),
         sigma=float(sigma), R=float(R), r=float(r), M=float(M), p=float(p),

@@ -54,7 +54,14 @@ __all__ = [
 
 
 def _philox(seed) -> np.random.Generator:
+    """A Philox generator seeded by ``seed``, an int or a tuple of ints."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _ridge_mean_gradient(x, x_star):
+    """(2/3)(x - x_star), the mean gradient of the ridge loss, for one point
+    or row-wise for ``(S, d)`` blocks of points and minimizers."""
+    return 2.0 / 3.0 * (x - x_star)
 
 
 class StochasticGradientOracle:
@@ -161,7 +168,7 @@ class RidgeOracle(StochasticGradientOracle):
         return a, (rng.standard_normal() if inst.sigma_b > 0.0 else 0.0)
 
     def mean_gradient(self, x):
-        return 2.0 / 3.0 * (np.asarray(x, dtype=float) - self.instance.x_star)
+        return _ridge_mean_gradient(np.asarray(x, dtype=float), self.instance.x_star)
 
 
 def ridge_oracle(instance: RidgeInstance, seed: int = 0) -> RidgeOracle:
@@ -219,7 +226,7 @@ class OracleRows(StochasticGradientOracle):
         x = np.asarray(x, dtype=float)
         if self._x_star is None:
             return np.stack([o.mean_gradient(row) for o, row in zip(self.oracles, x)])
-        return 2.0 / 3.0 * (x - self._x_star)
+        return _ridge_mean_gradient(x, self._x_star)
 
 
 def solve_bernoulli_activation(mu: float, q: float, sigma: float, epsilon: float) -> float:

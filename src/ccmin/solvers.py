@@ -52,6 +52,7 @@ sizes the stages from the computable bound ``expectation_bound``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -360,48 +361,43 @@ class TraceOptions:
     ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate / the raw
     iterate after each step and stored as scalar series (for an ``(S, d)``
     batch they take the live rows and give one value per row, and need a
-    ``take(keep)`` if rows can leave early). ``thin`` keeps every k-th row
-    of the per-iterate vector arrays (scalar series stay dense).
+    ``take(keep)`` if rows can leave early). Every step is recorded: the
+    run certificates hold step by step and read them all.
     """
 
     record_iterates: bool = True
     record_noise: bool = True
-    thin: int = 1
     gap_fn: object = None
     bregman_fn: object = None
-
-    def __post_init__(self):
-        if self.thin < 1:
-            raise ParameterError(f"thin must be >= 1, got {self.thin}")
 
 
 @dataclass
 class RunTrace:
     """What a run recorded. A batch trace holds every row: its T is the
     number of steps the loop ran, its vector arrays are ``(steps, S, d)``
-    and its gap and Bregman series ``(T, S)``, none thinned. ``row(i)`` is
-    row i's own trace, as views of these arrays."""
+    and its gap and Bregman series ``(T, S)``. ``row(i)`` is row i's own
+    trace, as views of these arrays."""
 
     algorithm: str
     T: int
     alphas: np.ndarray
     gammas: np.ndarray
     A: np.ndarray
-    iterates: np.ndarray | None = None       # rows x_1 .. x_{T+1} (thinned)
-    averaged: np.ndarray | None = None       # rows x^ag_1 .. x^ag_{T+1} (thinned)
-    query_points: np.ndarray | None = None   # acsmd oracle query points (thinned)
+    iterates: np.ndarray | None = None       # rows x_1 .. x_{T+1}
+    averaged: np.ndarray | None = None       # rows x^ag_1 .. x^ag_{T+1}
+    query_points: np.ndarray | None = None   # acsmd oracle query points
     noise: np.ndarray | None = None          # realized sample - mean gradient, per t
     psi_gap: np.ndarray | None = None
     bregman_to_opt: np.ndarray | None = None
-    kept_steps: np.ndarray | None = None     # iterate-array row -> step index (0..T)
     stopped_at: int | None = None
     meta: dict = field(default_factory=dict)
     row_stopped_at: list | None = None       # batch: each row's stopped_at
     row_errors: dict | None = None           # batch: row -> why it went non-finite
 
-    def row(self, i: int, thin: int = 1) -> "RunTrace":
-        """Row i of a batch trace, as the trace of its own run thinned by
-        ``thin``; raises the NumericalError that ended the row, if one did."""
+    def row(self, i: int) -> "RunTrace":
+        """Row i of a batch trace, as the trace of its own run; raises the
+        NumericalError that ended the row, if one did. Its A is a prefix of
+        the batch's, since the alpha sum accumulates in order."""
         if self.row_stopped_at is None:
             raise ParameterError("row() needs the trace of a batch run")
         if i in self.row_errors:
@@ -412,12 +408,12 @@ class RunTrace:
         def cut(arr, n):
             return None if arr is None else arr[:n, i]
 
-        return _thin_trace(RunTrace(
+        return RunTrace(
             algorithm=self.algorithm,
             T=k,
             alphas=self.alphas[:k],
             gammas=self.gammas[:k],
-            A=np.cumsum(self.alphas[:k]),
+            A=self.A[:k],
             iterates=cut(self.iterates, k + 1),
             averaged=cut(self.averaged, k + 1),
             query_points=cut(self.query_points, k),
@@ -426,21 +422,7 @@ class RunTrace:
             bregman_to_opt=cut(self.bregman_to_opt, k),
             stopped_at=stopped,
             meta=dict(self.meta),
-        ), thin)
-
-
-def _thin_trace(trace: RunTrace, thin: int):
-    """``trace`` with every ``thin``-th row of its vector arrays kept, and the last."""
-    for name in ("iterates", "averaged", "query_points"):
-        arr = getattr(trace, name)
-        if arr is not None and thin > 1:
-            kept = np.unique(np.concatenate([np.arange(0, arr.shape[0], thin), [arr.shape[0] - 1]]))
-            setattr(trace, name, arr[kept])
-            if name == "iterates":
-                # query_points has T rows, not T+1, so only the iterate rows
-                # may map to step indices
-                trace.kept_steps = kept
-    return trace
+        )
 
 
 def _take(obj, keep):
@@ -618,7 +600,7 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
         rows.x_out[rows.live] = x
         rows.avg_out[rows.live] = x_avg
     if single:
-        return rows.x_out[0], rows.avg_out[0], trace.row(0, opts.thin)
+        return rows.x_out[0], rows.avg_out[0], trace.row(0)
     return rows.x_out, rows.avg_out, trace
 
 
@@ -754,7 +736,7 @@ class RestartTrace:
 
 
 def restart(
-    solver,
+    solver: str,
     oracle,
     H: PowerNormRegularizer,
     sched,
@@ -766,9 +748,10 @@ def restart(
 ):
     """Run n stages of K iterations, chaining the raw (non-averaged) endpoint
     as the next start, then a final T-iteration stage whose averaged output is
-    returned. With n = 0 this is byte-identical to a single solver call. A
-    batch row that goes non-finite ends the whole chain with its error."""
-    step = _solver(solver) if isinstance(solver, str) else solver
+    returned. ``solver`` names one of ``TARGETS``. With n = 0 this is
+    byte-identical to a single solver call. A batch row that goes non-finite
+    ends the whole chain with its error."""
+    step = _solver(solver)
     x = np.array(x1, dtype=float)
     stage_traces = []
     stage_starts = [x.copy()]
@@ -958,12 +941,13 @@ def acsa_baseline(
 
     Classic strongly convex accelerated stochastic approximation with
     alpha_t = 2/(t+1), gamma_t = 4 L_eff / (t (t+1)), restarted from the
-    averaged iterate at doubling stage lengths. For q = 2 the regularizer is
-    folded into the smooth part (L_eff = L + mu_H, mu_eff = mu_f + mu_H) and
-    the inner step is a closed-form quadratic; otherwise the regularizer has
-    no Euclidean strong convexity to offer, mu_eff = mu_f, and the inner step
-    keeps it exact through a per-coordinate monotone solve. Counts one oracle
-    query per iteration, like the mirror-descent solvers.
+    averaged iterate at doubling stage lengths, the first ``stage0`` steps
+    long (an integer >= 1). For q = 2 the regularizer is folded into the
+    smooth part (L_eff = L + mu_H, mu_eff = mu_f + mu_H) and the inner step
+    is a closed-form quadratic; otherwise the regularizer has no Euclidean
+    strong convexity to offer, mu_eff = mu_f, and the inner step keeps it
+    exact through a per-coordinate monotone solve. Counts one oracle query
+    per iteration, like the mirror-descent solvers.
 
     ``x1`` may be an ``(S, d)`` batch, as for ``nacsmd``: the stage lengths
     and alpha_t, gamma_t are shared by all rows, the monotone solve stops at
@@ -977,12 +961,14 @@ def acsa_baseline(
         raise ParameterError(f"mu_f must be positive, got {mu_f}")
     if stop_gap is not None and gap_fn is None:
         raise ParameterError("acsa_baseline: stop_gap needs gap_fn to measure the gap")
+    if isinstance(stage0, bool) or not isinstance(stage0, numbers.Integral) or stage0 < 1:
+        raise ParameterError(f"acsa_baseline: stage0 must be an integer >= 1, got {stage0!r}")
     fold = H.q == 2.0
     mu_eff = mu_f + (H.mu if fold else 0.0)
     L_eff = L + (H.mu if fold else 0.0)
     # each step's index within its stage; a stage starts at index 1
     local = []
-    stage = max(1, stage0)
+    stage = stage0
     while len(local) < T:
         local.extend(range(1, min(stage, T - len(local)) + 1))
         stage *= 2

@@ -117,13 +117,15 @@ class TestCertificate:
         with pytest.raises(DiagnosticUnavailableError):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
 
-    def test_requires_unthinned_trace(self):
+    def test_requires_recorded_iterates(self):
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
         oracle = ridge_oracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
-        _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 30, rng=philox(4),
-                          params=params, trace_opts=TraceOptions(thin=5))
-        with pytest.raises(DiagnosticUnavailableError):
+        _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(4),
+                          params=params,
+                          trace_opts=TraceOptions(record_iterates=False))
+        assert tr.noise is not None
+        with pytest.raises(DiagnosticUnavailableError, match="record_iterates"):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
 
     @pytest.mark.parametrize("q,kappa", [(2.5, 1.8), (6.0, 2.0)])

@@ -85,13 +85,13 @@ class OldRows:
             return None
         return self.leave(~np.isfinite(x_new).all(axis=1), x, x_avg, error=error)
 
-    def finish(self, x, x_avg, trace, thin):
+    def finish(self, x, x_avg, trace):
         if self.live.size:
             self.x_out[self.live] = x
             self.avg_out[self.live] = x_avg
         trace.row_stopped_at, trace.row_errors = self.stopped_at, self.errors
         if self.single:
-            return self.x_out[0], self.avg_out[0], trace.row(0, thin)
+            return self.x_out[0], self.avg_out[0], trace.row(0)
         return self.x_out, self.avg_out, trace
 
 
@@ -171,7 +171,7 @@ def old_acsa_baseline(oracle, H, mu_f, L, x1, T, rng=None, gap_fn=None, stop_gap
         stopped_at=steps if steps < T else None,
         meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold},
     )
-    x_ag, _, trace = rows.finish(x_ag, x_ag, trace, 1)
+    x_ag, _, trace = rows.finish(x_ag, x_ag, trace)
     return x_ag, trace
 
 
@@ -240,7 +240,7 @@ def run_both(make_oracle, H, x1, T, make_gap, stop, stage0):
 def assert_same_trace(old, new, T):
     """``new`` holds every bit of ``old``: a batch trace row by row, since
     the slots of a row after it left hold nothing."""
-    for name in ("T", "algorithm", "meta", "kept_steps", "iterates", "averaged",
+    for name in ("T", "algorithm", "meta", "iterates", "averaged",
                  "query_points", "noise", "bregman_to_opt"):
         assert getattr(new, name) == getattr(old, name), name
     for name in ("alphas", "gammas", "A"):

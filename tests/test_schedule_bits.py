@@ -201,17 +201,13 @@ class TestDefaultSchedule:
             return validate_schedule(sched, params, horizon)
 
         monkeypatch.setattr(solvers, "validate_schedule", counting)
-        bench._schedule_for.cache_clear()
-        try:
-            found = {}
-            for cell in bench.build_cells(cfg):
-                params = bench._prepare_cell(cfg, cell, 0)["params"]
-                sched = bench._resolve_schedule(cell["algorithm"], params,
-                                                cell["algorithm"]["name"], cfg["solver"],
-                                                cfg["instance"]["mu"])
-                found[sched] = params
-        finally:
-            bench._schedule_for.cache_clear()
+        found = {}
+        for cell in bench.build_cells(cfg):
+            params = bench._prepare_cell(cfg, cell, 0)["params"]
+            sched = bench._resolve_schedule(cell["algorithm"], params,
+                                            cell["algorithm"]["name"], cfg["solver"],
+                                            cfg["instance"]["mu"])
+            found[sched] = params
         assert len(found) == 16
         assert horizons.count(1_000_000) == 0
         assert set(horizons) == {1024}

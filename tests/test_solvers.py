@@ -213,24 +213,11 @@ class TestSolvers:
                 run = nacsmd if solver == "nacsmd" else acsmd
                 run(oracle, H, sched, np.zeros(2), 50, params=params, stop_gap=1e9)
 
-    def test_thinning_keeps_endpoints(self):
-        inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
-        sched = default_schedule(params, "nacsmd", validate_horizon=200)
-        opts = TraceOptions(thin=7)
-        _, _, tr = nacsmd(oracle, H, sched, np.zeros(2), 100, params=params,
-                          trace_opts=opts)
-        assert tr.kept_steps is not None
-        assert tr.kept_steps[0] == 0 and tr.kept_steps[-1] == 100
-        assert tr.iterates.shape[0] == tr.kept_steps.size
-
-    @pytest.mark.parametrize("solver", [nacsmd, acsmd])
-    def test_thinned_steps_map_iterate_rows(self, solver):
-        inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
-        sched = default_schedule(params, solver.__name__, validate_horizon=200)
-        _, _, tr = solver(oracle, H, sched, np.zeros(2), 100, params=params,
-                          trace_opts=TraceOptions(thin=7))
-        assert tr.kept_steps[-1] == 100
-        assert tr.iterates.shape[0] == tr.averaged.shape[0] == tr.kept_steps.size
+    @pytest.mark.parametrize("stage0", [2.5, 0, -3, True, 4.0])
+    def test_baseline_rejects_a_stage0_that_is_no_integer_from_one(self, stage0):
+        inst, oracle, params, H = deterministic_ridge(d=2, q=3.0)
+        with pytest.raises(ParameterError, match="stage0"):
+            acsa_baseline(oracle, H, inst.mu_F, params.L, np.zeros(2), 10, stage0=stage0)
 
 
 class TestRestart:

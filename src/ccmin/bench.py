@@ -258,6 +258,13 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("run.epsilon must lie in (0, 1)")
     if _number(run["thin"], "run.thin") < 1:
         raise ConfigError("run.thin must be >= 1")
+    # a cell's label names its trace files and its summary entry
+    labels = [cell["label"] for cell in build_cells(cfg)]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(
+                f"{labels.count(label)} grid cells share the label {label!r}; list each "
+                "d and L_multiplier once and give repeated algorithms their own 'label'")
     return cfg
 
 
@@ -339,6 +346,15 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
                               safety_scale=safety)
 
 
+def _cell_schedule(cfg: dict, cell: dict, params):
+    """The run schedule of a ``nacsmd``/``acsmd`` cell and its
+    ``validate_schedule`` report at ``T_max``: what ``ccmin run`` runs and
+    ``ccmin validate`` checks."""
+    spec = cell["algorithm"]
+    sched = _resolve_schedule(spec, params, spec["name"], cfg["solver"], cfg["instance"]["mu"])
+    return sched, validate_schedule(sched, params, int(cfg["run"]["T_max"]))
+
+
 @functools.lru_cache(maxsize=256)
 def _ridge_optimum(x_star_bytes: bytes, sigma_b: float, mu: float, q: float):
     """``exact_optimum`` of the ridge instance with these inputs, solved once.
@@ -388,10 +404,8 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     )
     L_declared = ridge.L * cell["L_multiplier"]
     mu_eff = inst["mu"] * power_uc_constant(inst["q"])
-    params = derive_params(
-        inst["q"], inst["kappa"], L_declared, mu_eff,
-        sigma=ridge.declared_sigma, R=ridge.radius_estimate,
-    )
+    params = derive_params(inst["q"], inst["kappa"], L_declared, mu_eff,
+                           sigma=ridge.declared_sigma)
     H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"], dim=d)
     oracle = ridge_oracle(ridge)
     if kind == "custom-deterministic":
@@ -498,11 +512,9 @@ def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
                       "stage0": cfg["solver"]["acsa_stage0"]}
         runs = [functools.partial(trace.row, k) for k in range(len(seeds))]
     else:
-        sched = _resolve_schedule(first["spec"], params, name, cfg["solver"],
-                                  cfg["instance"]["mu"])
-        # a schedule's validity reads neither sigma nor R, the only
-        # parameters that differ between the seeds of a cell
-        sched_report = validate_schedule(sched, params, T_max)
+        # a schedule's validity does not read sigma, the one parameter
+        # that differs between the seeds of a cell
+        sched, sched_report = _cell_schedule(cfg, cell, params)
         sched_desc = dict(sched.describe(), valid=sched_report.ok,
                           mode=cfg["solver"]["schedule_mode"])
         # the run inequality presumes validity, and certificates are
@@ -633,6 +645,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_traces = bool(cfg["output"]["traces"])
+    write_plot = bool(cfg["output"]["plotdata"])
 
     jobs = [(cfg, cell, seeds) for cell in cells]
     if workers > 1:
@@ -642,19 +655,23 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
         results = [_job(j) for j in jobs]
 
     files = {}
-    trace_index = {}
+    T_max = cfg["run"]["T_max"]
+    cell_summaries = []
+    plot_rows = []
     for cell, cell_results in zip(cells, results):
         for seed, (record, rows) in zip(seeds, cell_results):
-            trace_index[(cell["label"], seed)] = (record, rows)
-            if write_traces and rows is not None:
+            if rows is None:
+                continue
+            if write_traces:
                 name = f"trace-{cell['label']}-{seed}.csv"
                 _write_trace_csv(out / name, rows)
                 files[name] = None
-
-    T_max = cfg["run"]["T_max"]
-    cell_summaries = []
-    for cell in cells:
-        records = [trace_index[(cell["label"], s)][0] for s in seeds]
+            if write_plot:
+                rel = rows[:, 1] / record["gap0"]
+                for t, r in zip(rows[:, 0].tolist(), rel.tolist()):
+                    plot_rows.append((cell["label"], cell["algorithm"]["label"],
+                                      seed, int(t), math.log10(max(r, 1e-300))))
+        records = [record for record, _ in cell_results]
         its = [r["iterations_to_target"] for r in records]
         # an errored run has no count to censor, so only completed runs count
         completed = [r["iterations_to_target"] for r in records if "error" not in r]
@@ -693,17 +710,7 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     _write_text_atomic(out / "summary.json", _stable_json(summary))
     files["summary.json"] = None
 
-    if cfg["output"]["plotdata"]:
-        plot_rows = []
-        for cell in cells:
-            for seed in seeds:
-                record, rows = trace_index[(cell["label"], seed)]
-                if rows is None:
-                    continue
-                rel = rows[:, 1] / record["gap0"]
-                for t, r in zip(rows[:, 0].tolist(), rel.tolist()):
-                    plot_rows.append((cell["label"], cell["algorithm"]["label"],
-                                      seed, int(t), math.log10(max(r, 1e-300))))
+    if write_plot:
         _write_text_atomic(out / "plotdata.csv", emit_plotdata(plot_rows))
         files["plotdata.csv"] = None
 
@@ -899,13 +906,9 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = resolve_config(_load_config(args.config))
     for cell in build_cells(cfg):
-        if cell["algorithm"]["name"] in ("nacsmd", "acsmd") and cfg["instance"]["kind"] != "bernoulli":
+        if cell["algorithm"]["name"] in ("nacsmd", "acsmd"):
             bundle = _prepare_cell(cfg, cell, cfg["run"]["seeds"][0])
-            sched = _resolve_schedule(
-                cell["algorithm"], bundle["params"], cell["algorithm"]["name"],
-                cfg["solver"], cfg["instance"]["mu"],
-            )
-            report = validate_schedule(sched, bundle["params"], cfg["run"]["T_max"])
+            _, report = _cell_schedule(cfg, cell, bundle["params"])
             if not report.ok and cfg["solver"]["schedule_mode"] == "validated":
                 raise ConfigError(
                     f"cell {cell['label']}: schedule invalid at t={report.first_violation}"

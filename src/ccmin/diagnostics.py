@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DiagnosticUnavailableError, NumericalError, ParameterError
-from .geometry import (GeometryParams, _row_dot, bregman_to, derive_params, dual_exponent,
-                       power_uc_constant)
+from .geometry import (GeometryParams, _bisect, _row_dot, bregman_to, derive_params,
+                       dual_exponent, power_uc_constant)
 from .oracles import (AdditiveNoiseOracle, RidgeInstance, _philox, _ridge_mean_gradient,
                       bernoulli_oracle)
 from .regularizers import PowerNormRegularizer
-from .solvers import TARGETS, TraceOptions, _bisect, _run_inequality_steps, _solver, default_schedule
+from .solvers import TARGETS, TraceOptions, _run_inequality_steps, _solver, default_schedule
 
 __all__ = [
     "exact_optimum",

@@ -12,10 +12,12 @@ run certificates — is driven by three derived constants:
 
 with the convention 0**0 = 1 so that kappa == q gives M = L.
 
-This module holds that calculus, the norm/divergence primitives, and
-empirical checkers for the two curvature inequalities the analysis relies
-on. Vectors are plain 1-D numpy arrays; the Bregman maps also take an
-``(S, d)`` batch of C-contiguous rows and give one value per row.
+This module holds that calculus, the norm/divergence primitives, the
+numeric primitives that several modules share (a row-wise dot product and a
+vectorised bisection), and empirical checkers for the two curvature
+inequalities the analysis relies on. Vectors are plain 1-D numpy arrays;
+the Bregman maps also take an ``(S, d)`` batch of C-contiguous rows and give
+one value per row.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class GeometryParams:
 
     ``mu`` must be a genuine uniform-convexity modulus of the regularizer in
     use (see :func:`power_uc_constant`); ``sigma`` is the oracle noise level
-    (p-th dual-norm moment scale) and ``R`` a radius bound on the iterates
-    around the optimum, used only by concentration diagnostics.
+    (p-th dual-norm moment scale). Radius bounds are not a field:
+    ``diagnostics.concentration_check`` takes its own ``R``.
     """
 
     q: float
@@ -61,7 +63,6 @@ class GeometryParams:
     L: float
     mu: float
     sigma: float = 0.0
-    R: float = 1.0
     r: float = 0.0
     M: float = 0.0
     p: float = 2.0
@@ -73,9 +74,9 @@ def derive_params(
     L: float,
     mu: float,
     sigma: float = 0.0,
-    R: float = 1.0,
 ) -> GeometryParams:
-    """Validate the base constants and fill in r, M, p."""
+    """Validate the base constants and fill in r, M, p. Only the constants
+    that a schedule, a bound or a certificate reads are kept."""
     if not q >= 2.0:
         raise ParameterError(f"q must be >= 2, got {q}")
     if not 1.0 < kappa <= 2.0:
@@ -88,14 +89,12 @@ def derive_params(
         raise ParameterError(f"mu must be positive, got {mu}")
     if sigma < 0.0:
         raise ParameterError(f"sigma must be nonnegative, got {sigma}")
-    if not R > 0.0:
-        raise ParameterError(f"R must be positive, got {R}")
     r = (q - kappa) / kappa
     M = float(L) if r == 0.0 else (r / q) ** r * L
     p = dual_exponent(q)
     return GeometryParams(
         q=float(q), kappa=float(kappa), L=float(L), mu=float(mu),
-        sigma=float(sigma), R=float(R), r=float(r), M=float(M), p=float(p),
+        sigma=float(sigma), r=float(r), M=float(M), p=float(p),
     )
 
 
@@ -145,6 +144,25 @@ def _row_dot(a: np.ndarray, b: np.ndarray):
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray:
+    """Vectorised bisection of the brackets [lo, hi]; returns their midpoints.
+
+    ``go_up(mid)`` marks the rows whose root lies above ``mid``. Each step
+    depends only on the bits of (lo, hi), so once a step leaves both
+    unchanged every later step would too: the loop stops there, which gives
+    the same bits as running all ``max_steps`` steps.
+    """
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        up = go_up(mid)
+        new_lo = np.where(up, mid, lo)
+        new_hi = np.where(up, hi, mid)
+        if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
+            break
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
 
 
 def bregman(omega, x: np.ndarray, y: np.ndarray) -> float:

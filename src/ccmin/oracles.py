@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import _row_dot, dual_exponent, lq_norm
-from .solvers import _bisect
+from .geometry import _bisect, _row_dot, dual_exponent, lq_norm
 
 __all__ = [
     "StochasticGradientOracle",
@@ -119,6 +118,8 @@ class RidgeInstance:
             raise ParameterError(f"mu must be nonnegative, got {self.mu}")
         if self.q < 2.0:
             raise ParameterError(f"q must be >= 2, got {self.q}")
+        if self.R is not None and not self.R > 0.0:
+            raise ParameterError(f"R must be positive, got {self.R}")
 
     @property
     def L(self) -> float:

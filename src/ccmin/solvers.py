@@ -46,7 +46,8 @@ the proof does not apply, by a scan of the whole horizon.
 ``restart`` chains stages of a fixed length, each started from the previous
 stage's final non-averaged iterate, which turns the gamma_1/gamma_K decay of
 the initialization term into geometric convergence; ``plan_from_params``
-sizes the stages from the computable bound ``expectation_bound``.
+sizes the stages from the computable mean bound that ``expectation_bound``
+evaluates.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .geometry import GeometryParams, power_inv_r
+from .geometry import GeometryParams, _bisect, power_inv_r
 from .regularizers import PowerNormRegularizer, composite_prox
 
 __all__ = [
@@ -491,7 +492,7 @@ def _one_row(fn):
     return None if fn is None else (lambda x: np.array([float(fn(x[0]))]))
 
 
-def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False, meta=None):
+def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False):
     """The step loop of every solver, on a ``(d,)`` start or an ``(S, d)`` batch.
 
     ``step(t, x, x_avg, state, sample)`` is a solver's arithmetic for step t
@@ -592,7 +593,6 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
         psi_gap=_first(psi_gap, steps),
         bregman_to_opt=_first(breg, steps),
         stopped_at=steps if steps < T else None,
-        meta=meta or {},
         row_stopped_at=rows.stopped_at,
         row_errors=rows.errors,
     )
@@ -800,8 +800,9 @@ def expectation_bound(params: GeometryParams, sched, target: str, V0: float, T: 
         (gamma_1 * V0 + sum noise terms + sum deterministic terms) / A_T
 
     with the noise moments replaced by their declared level sigma^p. This is
-    the quantity restart planning compares against the target accuracy, and
-    run reports record it instead of hard-coded rate constants.
+    the quantity restart planning compares against the target accuracy;
+    ``plan_from_params`` streams the same terms in chunks rather than
+    evaluating this over its whole horizon.
     """
     t = np.arange(1, T + 1, dtype=float)
     A, noise, det = _bound_term_arrays(params, sched, target, t)
@@ -838,7 +839,12 @@ def plan_from_params(
     * K = smallest horizon with gamma_K >= 2 gamma_1, so each stage at least
       halves the divergence to the optimum (plus its own residual terms);
     * T = smallest horizon >= K at which the bound with start error epsilon
-      falls below epsilon (driven by the noise term when sigma > 0).
+      falls below epsilon (driven by the noise term when sigma > 0), found
+      by streaming the bound's terms in chunks of 2^17 steps.
+
+    ``meta`` holds ``target``, ``gamma1`` (gamma_1), ``halving_ratio``
+    (gamma_1 / gamma_K, at most 1/2) and ``schedule`` (the schedule's
+    ``describe()``).
     """
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -884,29 +890,9 @@ def plan_from_params(
         "target": target,
         "gamma1": gamma1,
         "halving_ratio": gamma1 / float(sched.gamma(K)),
-        "bound_at_T": expectation_bound(params, sched, target, epsilon, T),
         "schedule": sched.describe(),
     }
     return RestartPlan(n=n, K=K, T=T, meta=meta)
-
-
-def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray:
-    """Vectorised bisection of the brackets [lo, hi]; returns their midpoints.
-
-    ``go_up(mid)`` marks the rows whose root lies above ``mid``. Each step
-    depends only on the bits of (lo, hi), so once a step leaves both
-    unchanged every later step would too: the loop stops there, which gives
-    the same bits as running all ``max_steps`` steps.
-    """
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        up = go_up(mid)
-        new_lo = np.where(up, mid, lo)
-        new_hi = np.where(up, hi, mid)
-        if new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes():
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
 
 
 def _solve_power_linear(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray:
@@ -994,6 +980,5 @@ def acsa_baseline(
 
     _, x_ag, trace = _run(
         "acsa", "acsa_baseline: non-finite {} at step {}", step, oracle, x1, T, rng,
-        TraceOptions(record_iterates=False, record_noise=False, gap_fn=gap_fn), stop_gap,
-        meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold})
+        TraceOptions(record_iterates=False, record_noise=False, gap_fn=gap_fn), stop_gap)
     return x_ag, trace

@@ -237,6 +237,21 @@ class TestRunExperiment:
                                   "hit_rate")] == [None] * 4
         assert emit_table(s)[1].splitlines()[1] == "d=3,err"
 
+    def test_zero_target_vector_runs(self, tmp_path):
+        # x_star = 0 gives the radius estimate 2||x_star||_q = 0; no
+        # schedule, bound or certificate reads a radius, so its runs go on
+        cfg = {"instance": {"d": [3], "x_star": {"kind": "uniform", "scale": 0.0}},
+               "solver": {"algorithms": ["nacsmd", "acsa"]},
+               "run": {"T_max": 40, "seeds": [0, 1]}}
+        s = run_experiment(cfg, out_dir=tmp_path)
+        assert [c["failed_runs"] for c in s["cells"]] == [{}, {}]
+
+    def test_nonpositive_radius_recorded_per_run(self, tmp_path):
+        cfg = {"instance": {"d": [3], "R": -1}, "solver": {"algorithms": ["nacsmd"]},
+               "run": {"T_max": 40, "seeds": [0]}}
+        s = run_experiment(cfg, out_dir=tmp_path)
+        assert s["cells"][0]["failed_runs"] == {"0": "R must be positive, got -1"}
+
     def test_parameter_error_recorded_without_aborting(self, tmp_path):
         # printed smooth-case acsmd1 breaks its step condition, so the auto
         # restart planner rejects it; the nacsmd cell must still complete
@@ -414,6 +429,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("instance,algorithms", [
+        ({"d": [3]}, ["nacsmd", {"name": "nacsmd", "m": 1.0}]),
+        ({"d": [3, 3]}, ["nacsmd"]),
+        ({"d": [3], "L_multiplier": [1.0, 1.0]}, ["nacsmd"]),
+        ({"d": [3], "L_multiplier": [1.0, 1.0000001]}, ["nacsmd"]),  # both print Lx1
+    ])
+    def test_cells_sharing_a_label_exit_2(self, tmp_path, capsys, command, instance,
+                                           algorithms):
+        # two cells with one label would write one set of trace files and
+        # report one cell's runs under both; refused before any run starts
+        cfg = {"instance": instance, "solver": {"algorithms": algorithms},
+               "run": {"T_max": 40, "seeds": [0, 1]}}
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'ridge-d3-Lx1-nacsmd'" in err
+        assert not out.exists()
+
+    def test_validate_resolves_every_schedule_run_does(self, tmp_path, monkeypatch, capsys):
+        cfg = {"instance": {"kind": "bernoulli"},
+               "solver": {"algorithms": ["nacsmd", "acsmd1"], "schedule_mode": "validated"},
+               "run": {"T_max": 30, "seeds": [0, 1]},
+               "output": {"traces": False, "plotdata": False}}
+        path = self.write_cfg(tmp_path, cfg)
+        real = bench._resolve_schedule
+        resolved = {}
+        for command in ("validate", "run"):
+            seen = resolved[command] = set()
+
+            def recording(spec, *args, seen=seen):
+                seen.add(spec["label"])
+                return real(spec, *args)
+
+            monkeypatch.setattr(bench, "_resolve_schedule", recording)
+            extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+            assert main([command, path] + extra) == 0
+        assert resolved["validate"] == resolved["run"] == {"nacsmd", "acsmd1"}
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2

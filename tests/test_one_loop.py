@@ -97,7 +97,9 @@ class OldRows:
 
 def old_acsa_baseline(oracle, H, mu_f, L, x1, T, rng=None, gap_fn=None, stop_gap=None,
                       stage0=4):
-    """The old baseline loop, verbatim."""
+    """The old baseline loop, verbatim but for the trace ``meta`` of its
+    folded constants, which the baseline no longer attaches (nothing read
+    it); every number it computes is the old loop's."""
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     if not mu_f > 0.0:
@@ -169,7 +171,6 @@ def old_acsa_baseline(oracle, H, mu_f, L, x1, T, rng=None, gap_fn=None, stop_gap
         A=np.cumsum(alphas_used[sl]),
         psi_gap=None if psi_gap is None else psi_gap[:steps],
         stopped_at=steps if steps < T else None,
-        meta={"mu_eff": mu_eff, "L_eff": L_eff, "folded": fold},
     )
     x_ag, _, trace = rows.finish(x_ag, x_ag, trace)
     return x_ag, trace

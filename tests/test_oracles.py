@@ -77,6 +77,11 @@ class TestRidge:
         R = inst.radius_estimate
         assert inst.declared_sigma == pytest.approx(16 ** (2 / p) * 0.01 + 2 * 256 * R ** 2)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ParameterError, match="R must be positive"):
+            RidgeInstance(dimension=2, x_star=np.ones(2), sigma_b=0.1, mu=2.0, q=3.0, R=R)
+
 
 class TestBernoulli:
     def test_scale_constant_example(self):

@@ -309,6 +309,33 @@ class TestPlanning:
         # noise-dominated: halving epsilon roughly multiplies T by 2^(q-1) = 2
         assert 1.7 <= t2 / t1 <= 2.9
 
+    def test_plan_does_not_evaluate_the_full_horizon_bound(self, monkeypatch):
+        # the chunked search already found T; a second pass over all T steps
+        # would only allocate T-step arrays
+        import ccmin.solvers as solvers
+
+        calls = []
+        real = solvers.expectation_bound
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "expectation_bound", counted)
+        params = derive_params(2.0, 2.0, 1.0, 1.0, sigma=2.0)
+        plan = plan_from_params(params, "nacsmd", 1.0, 1e-2)
+        assert calls == []
+        assert sorted(plan.meta) == ["gamma1", "halving_ratio", "schedule", "target"]
+
+    @pytest.mark.parametrize("target,args,V0,want", [
+        ("nacsmd", (3.0, 2.0, 1.5, 2.0 * power_uc_constant(3.0), 0.5), 4.0,
+         (9, 3, 6750, "0x1.7974c0d9e251bp-2")),
+        ("acsmd", (2.0, 2.0, 10.0, 1.0, 0.3), 8.0, (10, 26, 31, "0x1.f71d52300e633p-2")),
+    ])
+    def test_plans_keep_their_bits(self, target, args, V0, want):
+        plan = plan_from_params(derive_params(*args), target, V0, 1e-2)
+        assert (plan.n, plan.K, plan.T, float.hex(plan.meta["halving_ratio"])) == want
+
     def test_expectation_bound_decreases(self):
         params = derive_params(4.0, 2.0, 1.0, 0.5, sigma=1.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=5000)

@@ -59,7 +59,9 @@ from .solvers import (
 )
 from .diagnostics import (
     CertificateReport,
+    NoiseTerms,
     certificate_check,
+    certificate_options,
     concentration_check,
     exact_optimum,
     lower_bound_experiment,

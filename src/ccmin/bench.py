@@ -10,10 +10,12 @@ the start point are calibration choices, flagged like any other override)
 and any key the user changes is listed under ``overrides`` in all emitted
 artifacts.
 
-Grid cells run independently (optionally across processes), and the seeds
-of one cell run together as the rows of one batched solver call, each row
-with the bits of its seed's run alone; each run
-writes ``trace-<cell>-<seed>.csv`` with header
+The grid runs in groups of cells (optionally across processes): the seeds
+of every mirror-descent cell of one (d, L_multiplier, solver) are the rows
+of one batched solver call, each row under its own cell's schedule and with
+the bits of its run alone; a baseline cell runs its seeds as a batch of its
+own, and a restart cell one seed at a time. Each run writes
+``trace-<cell>-<seed>.csv`` with header
 ``t,psi_gap,bregman_to_opt,alpha_t,gamma_t``, and the experiment ends with a
 ``summary.json`` (per-cell medians/quartiles, resolved schedules, certificate
 status) plus a ``manifest.json`` carrying the resolved config, file hashes
@@ -37,13 +39,13 @@ import math
 import numbers
 import platform
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    NoiseTerms,
     _ridge_psi,
     certificate_check,
     concentration_check,
@@ -201,8 +203,8 @@ def resolve_config(raw: dict) -> dict:
     for key in ("d", "L_multiplier"):
         if not isinstance(inst[key], list):
             inst[key] = [inst[key]]
-    if any(int(_number(d, "instance.d")) < 1 for d in inst["d"]):
-        raise ConfigError("instance.d entries must be positive")
+    for d in inst["d"]:
+        _integer(d, "instance.d", 1)
     if any(_number(m, "instance.L_multiplier") <= 0 for m in inst["L_multiplier"]):
         raise ConfigError("instance.L_multiplier entries must be positive")
     if _number(inst["q"], "instance.q") < 2.0:
@@ -448,114 +450,160 @@ def _psi_gaps(psi, psi_star):
     return lambda x: np.array([f(row) for f, row in zip(psi, x)]) - psi_star
 
 
-def _execute_cell(cfg: dict, cell: dict, seeds: list) -> list:
-    """Every seed of one grid cell; returns, per seed, its (per-run record,
-    trace rows for the CSV), or the exception that ended its run.
+def _groups(cfg: dict, cells: list) -> list:
+    """The cells that run as one batch: without restarts, the mirror-descent
+    cells of one (d, L_multiplier, solver), whatever their schedules; every
+    other cell alone. Groups keep the grid's cell order."""
+    groups = {}
+    for cell in cells:
+        name = cell["algorithm"]["name"]
+        batched = name != "acsa" and cfg["run"]["restart"] is None
+        key = (cell["d"], cell["L_multiplier"], name) if batched else cell["label"]
+        groups.setdefault(key, []).append(cell)
+    return list(groups.values())
 
-    The seeds run as the rows of one batched solver call, each on its own
-    instance and random stream, so every row has the bits of its seed's run
-    alone. A seed whose set-up fails, or whose row goes non-finite, gets its
-    own error and the other rows go on. Restart runs, whose plans differ per
-    seed, run one seed at a time.
+
+def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
+    """Every seed of a group of grid cells; returns, per cell and then per
+    seed, its (per-run record, trace rows for the CSV), or the exception
+    that ended its run.
+
+    The runs of a group are the rows of one batched solver call, each on
+    its own instance, random stream and cell schedule, so every row has the
+    bits of its run alone. A run whose set-up fails, a cell whose schedule
+    fails, or a row that goes non-finite gets its own error and the other
+    rows go on. Restart runs, whose plans differ per seed, run one seed at
+    a time.
     """
     outcomes = {}
-    bundles = {}
-    for seed in seeds:
+    prepared = []
+    for cell in cells:
+        bundles = {}
+        for seed in seeds:
+            try:
+                bundles[seed] = _prepare_cell(cfg, cell, seed)
+            except (NumericalError, ParameterError) as exc:
+                outcomes[cell["label"], seed] = exc
+        if bundles:
+            prepared.append((cell, bundles))
+    if prepared:
         try:
-            bundles[seed] = _prepare_cell(cfg, cell, seed)
+            outcomes.update(_run_group(cfg, prepared))
         except (NumericalError, ParameterError) as exc:
-            outcomes[seed] = exc
-    if bundles:
-        try:
-            outcomes.update(_run_cell(cfg, cell, bundles))
-        except (NumericalError, ParameterError) as exc:
-            outcomes.update(dict.fromkeys(bundles, exc))
-    return [outcomes[seed] for seed in seeds]
+            outcomes.update({(cell["label"], seed): exc
+                             for cell, bundles in prepared for seed in bundles})
+    return [[outcomes[cell["label"], seed] for seed in seeds] for cell in cells]
 
 
-def _run_cell(cfg: dict, cell: dict, bundles: dict) -> dict:
-    """The runs of the prepared seeds ``bundles`` of one cell: {seed:
-    (record, rows) or the exception that ended the seed's run}."""
+def _batch(cfg: dict, rows_data: list):
+    """(oracle, start points, gap and Bregman functions, stop gaps) of the
+    prepared runs ``rows_data``, one row each, all of one (d, L_multiplier)."""
     run_cfg = cfg["run"]
-    seeds = list(bundles)
-    rows_data = list(bundles.values())
     first = rows_data[0]
-    name = first["spec"]["name"]
-    params, H = first["params"], first["H"]
-    T_max = int(run_cfg["T_max"])
-    rngs = [_philox((seed, 7)) for seed in seeds]
-
-    def batch():
-        """(oracle, start points, gap and Bregman functions, stop gaps) of all rows."""
-        oracle = OracleRows([b["oracle"] for b in rows_data], rngs)
-        psi_star = np.array([b["psi_star"] for b in rows_data])
-        if first["ridge"] is not None:
-            x_star = np.stack([b["ridge"].x_star for b in rows_data])
-            gap_fn = _RowFn(functools.partial(_ridge_gaps, first["ridge"]), x_star, psi_star)
-        else:
-            gap_fn = _RowFn(_psi_gaps, [b["psi"] for b in rows_data], psi_star)
-        bregman_fn = _RowFn(functools.partial(bregman_to, H),
-                            np.stack([b["x_opt"] for b in rows_data]))
-        gap0 = np.array([b["gap0"] for b in rows_data])
-        stop_gap = run_cfg["epsilon"] * gap0 if run_cfg["stop_at_target"] else None
-        return oracle, np.stack([b["x1"] for b in rows_data]), gap_fn, bregman_fn, stop_gap
-
-    want_cert = False
-    restart_cfg = run_cfg["restart"]
-    if name == "acsa":
-        oracle, x1, gap_fn, _, stop_gap = batch()
-        _, trace = acsa_baseline(
-            oracle, H, first["mu_f"], params.L, x1, T_max,
-            gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
-        )
-        sched_desc = {"kind": "acsa-stage-doubling", "L": params.L, "mu_f": first["mu_f"],
-                      "stage0": cfg["solver"]["acsa_stage0"]}
-        runs = [functools.partial(trace.row, k) for k in range(len(seeds))]
+    oracle = OracleRows([b["oracle"] for b in rows_data], [b["rng"] for b in rows_data])
+    psi_star = np.array([b["psi_star"] for b in rows_data])
+    if first["ridge"] is not None:
+        x_star = np.stack([b["ridge"].x_star for b in rows_data])
+        gap_fn = _RowFn(functools.partial(_ridge_gaps, first["ridge"]), x_star, psi_star)
     else:
-        # a schedule's validity does not read sigma, the one parameter
-        # that differs between the seeds of a cell
-        sched, sched_report = _cell_schedule(cfg, cell, params)
-        sched_desc = dict(sched.describe(), valid=sched_report.ok,
-                          mode=cfg["solver"]["schedule_mode"])
-        # the run inequality presumes validity, and certificates are
-        # per-stage statements; only they read iterates and noise
-        want_cert = (bool(run_cfg["certificates"]) and sched_report.ok
-                     and restart_cfg is None)
-        opts = TraceOptions(record_iterates=want_cert, record_noise=want_cert)
-        if restart_cfg is None:
-            oracle, x1, gap_fn, bregman_fn, stop_gap = batch()
-            # sched_report already checked the schedule over these T_max steps
-            _, _, trace = _solver(name)(
-                oracle, H, sched, x1, T_max,
-                trace_opts=replace(opts, gap_fn=gap_fn, bregman_fn=bregman_fn),
-                stop_gap=stop_gap,
-            )
-            runs = [functools.partial(trace.row, k) for k in range(len(seeds))]
-        else:
-            runs = [functools.partial(
-                _restart_run, name, b, sched, sched_report.ok, opts, restart_cfg,
-                run_cfg["epsilon"], rng) for b, rng in zip(rows_data, rngs)]
+        gap_fn = _RowFn(_psi_gaps, [b["psi"] for b in rows_data], psi_star)
+    bregman_fn = _RowFn(functools.partial(bregman_to, first["H"]),
+                        np.stack([b["x_opt"] for b in rows_data]))
+    gap0 = np.array([b["gap0"] for b in rows_data])
+    stop_gap = run_cfg["epsilon"] * gap0 if run_cfg["stop_at_target"] else None
+    return oracle, np.stack([b["x1"] for b in rows_data]), gap_fn, bregman_fn, stop_gap
 
+
+def _run_group(cfg: dict, prepared: list) -> dict:
+    """The runs of the prepared cells ``prepared``, a list of (cell, {seed:
+    bundle}): {(label, seed): (record, rows) or the exception that ended
+    the run}."""
+    run_cfg = cfg["run"]
+    T_max = int(run_cfg["T_max"])
+    restart_cfg = run_cfg["restart"]
+    name = prepared[0][0]["algorithm"]["name"]
     out = {}
-    for seed, bundle, run in zip(seeds, rows_data, runs):
+    runs = []  # (cell, seed, bundle, schedule description, certify?, run)
+    rows_data, scheds = [], []
+    certify_any = False
+
+    def batch_row(k):
+        return trace.row(k)  # the batch trace, once the batch has run
+    for cell, bundles in prepared:
+        for seed, bundle in bundles.items():
+            bundle["rng"] = _philox((seed, 7))
+        first = next(iter(bundles.values()))
+        if name == "acsa":
+            desc = {"kind": "acsa-stage-doubling", "L": first["params"].L,
+                    "mu_f": first["mu_f"], "stage0": cfg["solver"]["acsa_stage0"]}
+            want_cert = False
+        else:
+            try:
+                # a schedule's validity does not read sigma, the one
+                # parameter that differs between the seeds of a cell
+                sched, sched_report = _cell_schedule(cfg, cell, first["params"])
+            except (NumericalError, ParameterError) as exc:
+                out.update({(cell["label"], seed): exc for seed in bundles})
+                continue
+            desc = dict(sched.describe(), valid=sched_report.ok,
+                        mode=cfg["solver"]["schedule_mode"])
+            # the run inequality presumes validity, and certificates are
+            # per-stage statements
+            want_cert = (bool(run_cfg["certificates"]) and sched_report.ok
+                         and restart_cfg is None)
+        for seed, bundle in bundles.items():
+            if restart_cfg is not None and name != "acsa":
+                runs.append((cell, seed, bundle, desc, False, functools.partial(
+                    _restart_run, name, bundle, sched, sched_report.ok, restart_cfg,
+                    run_cfg["epsilon"])))
+                continue
+            runs.append((cell, seed, bundle, desc, want_cert,
+                         functools.partial(batch_row, len(rows_data))))
+            rows_data.append(bundle)
+            scheds.append(None if name == "acsa" else sched)
+            certify_any |= want_cert
+
+    if rows_data:
+        oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, rows_data)
+        first = rows_data[0]
+        if name == "acsa":
+            _, trace = acsa_baseline(
+                oracle, first["H"], first["mu_f"], first["params"].L, x1, T_max,
+                gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
+            )
+        else:
+            # only the certified rows read the noise terms, but every row
+            # may compute them: they do not touch the run
+            noise_fn = None
+            if certify_any:
+                noise_fn = NoiseTerms(np.stack([b["x_opt"] for b in rows_data]),
+                                      first["params"].p)
+            # _cell_schedule already checked each schedule over these T_max steps
+            _, _, trace = _solver(name)(
+                oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
+                trace_opts=TraceOptions(record_iterates=False, gap_fn=gap_fn,
+                                        bregman_fn=bregman_fn, noise_fn=noise_fn),
+            )
+
+    for cell, seed, bundle, desc, want_cert, run in runs:
         try:
-            trace = run()
-            desc = dict(sched_desc)
-            if "restart_plan" in trace.meta:
-                desc["restart_plan"] = trace.meta["restart_plan"]
+            trace_i = run()
+            desc_i = dict(desc)
+            if "restart_plan" in trace_i.meta:
+                desc_i["restart_plan"] = trace_i.meta["restart_plan"]
             cert_status = "n/a"
             if want_cert:
-                report = certificate_check(trace, bundle["params"], H, bundle["x_opt"],
-                                           bundle["psi"], bundle["psi_star"])
+                report = certificate_check(trace_i, bundle["params"], bundle["H"],
+                                           bundle["x_opt"], bundle["psi"], bundle["psi_star"])
                 cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
-            out[seed] = _run_outcome(cell, seed, bundle, trace, run_cfg["epsilon"],
-                                     cert_status, desc)
+            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, trace_i,
+                                                    run_cfg["epsilon"], cert_status, desc_i)
         except (NumericalError, ParameterError) as exc:
-            out[seed] = exc
+            out[cell["label"], seed] = exc
     return out
 
 
-def _restart_run(name, bundle, sched, valid, opts, restart_cfg, epsilon, rng):
+def _restart_run(name, bundle, sched, valid, restart_cfg, epsilon):
     """One seed's restart run, a ``(d,)`` run (a batch of one row of the
     solver's loop) per stage, flattened to one trace."""
     H, psi, psi_star = bundle["H"], bundle["psi"], bundle["psi_star"]
@@ -568,9 +616,10 @@ def _restart_run(name, bundle, sched, valid, opts, restart_cfg, epsilon, rng):
         plan = RestartPlan(**restart_cfg)
     # a plan's stages can run past T_max, so the solver checks its own
     _, rtrace = restart(
-        name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=rng,
+        name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
         params=bundle["params"] if valid else None,
-        trace_opts=replace(opts, gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
+        trace_opts=TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
+                                bregman_fn=bregman_fn),
     )
     trace = _flatten_restart(rtrace)
     trace.meta["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
@@ -621,19 +670,23 @@ def _flatten_restart(rtrace):
 
 
 def _job(args):
-    """One grid cell, all its seeds: a (record, trace rows) pair per seed."""
-    cfg, cell, seeds = args
+    """One group of grid cells, all their seeds: per cell, a (record, trace
+    rows) pair per seed."""
+    cfg, cells, seeds = args
     results = []
-    for seed, outcome in zip(seeds, _execute_cell(cfg, cell, seeds)):
-        if isinstance(outcome, Exception):
-            # a diverged run, or one whose cell the parameters rule out (say,
-            # a restart plan on a schedule whose bound is undefined), is
-            # recorded against its cell; the grid keeps going
-            outcome = ({
-                "cell": cell["label"], "seed": seed, "error": str(outcome),
-                "iterations_to_target": None, "certificate": "n/a", "schedule": None,
-            }, None)
-        results.append(outcome)
+    for cell, outcomes in zip(cells, _execute_group(cfg, cells, seeds)):
+        cell_results = []
+        for seed, outcome in zip(seeds, outcomes):
+            if isinstance(outcome, Exception):
+                # a diverged run, or one whose cell the parameters rule out
+                # (say, a restart plan on a schedule whose bound is
+                # undefined), is recorded against its cell; the grid keeps going
+                outcome = ({
+                    "cell": cell["label"], "seed": seed, "error": str(outcome),
+                    "iterations_to_target": None, "certificate": "n/a", "schedule": None,
+                }, None)
+            cell_results.append(outcome)
+        results.append(cell_results)
     return results
 
 
@@ -647,12 +700,16 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     write_traces = bool(cfg["output"]["traces"])
     write_plot = bool(cfg["output"]["plotdata"])
 
-    jobs = [(cfg, cell, seeds) for cell in cells]
+    jobs = [(cfg, group, seeds) for group in _groups(cfg, cells)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_job, jobs, chunksize=1))
+            done = list(pool.map(_job, jobs, chunksize=1))
     else:
-        results = [_job(j) for j in jobs]
+        done = [_job(j) for j in jobs]
+    by_label = {cell["label"]: cell_results
+                for (_, group, _), group_results in zip(jobs, done)
+                for cell, cell_results in zip(group, group_results)}
+    results = [by_label[cell["label"]] for cell in cells]
 
     files = {}
     T_max = cfg["run"]["T_max"]

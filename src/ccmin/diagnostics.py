@@ -13,11 +13,15 @@ either solver satisfies, at every horizon t and for every noise realization,
 (with the accelerated variant replacing the last sum by
 L sum_s A_s (2 M alpha_s^q / (mu A_s^{q-1} gamma_s))^{1/r}). This is not a
 statement in expectation — it can be asserted on a single trace, provided the
-trace recorded the realized noise delta_s = sample - mean gradient, which
-requires an oracle that exposes its mean gradient. That makes the check a
-test-mode feature; production oracles cannot reveal their mean. The last two
-sums share their per-step terms with ``solvers.expectation_bound``, which
-puts sigma^p where the certificate has the realized ||delta_s||_*^p.
+run streamed its two reads of the realized noise delta_s = sample - mean
+gradient, ||delta_s||_* and <delta_s, x* - x_s>, which requires an oracle
+that exposes its mean gradient. That makes the check a test-mode feature;
+production oracles cannot reveal their mean. A run records these as two
+numbers per step (``NoiseTerms``), next to its gap and Bregman series, so a
+certified batch of S rows keeps O(T S) numbers, not the O(T S d) of its
+iterates and noise. The last two sums share their per-step terms with
+``solvers.expectation_bound``, which puts sigma^p where the certificate has
+the realized ||delta_s||_*^p.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ __all__ = [
     "exact_optimum",
     "ridge_psi",
     "CertificateReport",
+    "NoiseTerms",
+    "certificate_options",
     "certificate_check",
     "LowerBoundReport",
     "lower_bound_experiment",
@@ -106,19 +112,43 @@ class CertificateReport:
     first_violation: int | None
 
 
-def _recorded_gaps(trace, x_avg, psi, psi_star):
-    """The run's recorded gaps if they are psi(x_avg) - psi_star, else None.
+class NoiseTerms:
+    """The run inequality's two per-step reads of the realized noise, as a
+    solver's ``TraceOptions.noise_fn``: for each row, ||delta_t||_p and
+    <delta_t, x* - x_t>, written as the certificate wrote them over a
+    recorded run, so each keeps the bits of that evaluation. ``x_star`` is
+    one ``(d,)`` minimizer or an ``(S, d)`` batch of each row's own;
+    ``take(keep)`` keeps the rows ``keep``."""
 
-    A solver records gap_fn(x_avg) after every step. When gap_fn was that
-    difference, the record holds the same bits that re-evaluating psi would
-    give; its last row is re-evaluated to confirm it, so a trace recorded
-    with another gap_fn (a relative gap, say) is recomputed.
-    """
-    recorded = trace.psi_gap
-    if recorded is None or recorded.shape != (x_avg.shape[0],):
-        return None
-    last = np.array([psi(x_avg[-1])]) - psi_star
-    return recorded if recorded[-1:].tobytes() == last.tobytes() else None
+    def __init__(self, x_star, p: float):
+        self.x_star, self.p = np.asarray(x_star, dtype=float), p
+
+    def __call__(self, delta, x):
+        p = self.p
+        return (np.sum(np.abs(delta) ** p, axis=-1) ** (1.0 / p),
+                np.sum(delta * (self.x_star - x), axis=-1))
+
+    def take(self, keep):
+        return NoiseTerms(self.x_star if self.x_star.ndim == 1 else self.x_star[keep], self.p)
+
+
+def certificate_options(params: GeometryParams, H: PowerNormRegularizer, x_star, psi,
+                        psi_star: float) -> TraceOptions:
+    """What a ``(d,)`` run must record for ``certificate_check``: the gap
+    psi - psi_star, the Bregman divergence D(x*, .) and the noise terms. No
+    iterate is recorded; certificate memory is O(T)."""
+    return TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
+                        bregman_fn=bregman_to(H, x_star),
+                        noise_fn=NoiseTerms(x_star, params.p))
+
+
+def _verified(series, last, what):
+    """The recorded ``series`` if its last value has the bits of ``last``,
+    the same quantity evaluated afresh at the run's last point."""
+    if series is None or series[-1:].tobytes() != last.tobytes():
+        raise DiagnosticUnavailableError(
+            f"certificate_check needs the run's {what} series; see certificate_options")
+    return series
 
 
 def certificate_check(
@@ -132,33 +162,32 @@ def certificate_check(
 ) -> CertificateReport:
     """Evaluate the pathwise inequality of a recorded run at every horizon.
 
-    Needs a trace with iterates and realized noise, one row per step.
+    Reads the run's series, one value per step, as ``certificate_options``
+    has a run record them: the noise terms of ``NoiseTerms(x_star,
+    params.p)``, the gap psi(x^ag_{t+1}) - psi_star and the divergence
+    D(x*, x_{t+1}). The last value of the gap and divergence series is
+    evaluated afresh at the trace's last points and must have the same
+    bits, so a series of another function (a relative gap, say) is refused.
     ``psi`` is the exact objective; ``x_star`` its unique minimizer.
     """
-    if trace.noise is None:
+    if trace.noise_norm is None:
         raise DiagnosticUnavailableError(
-            "certificate_check needs realized noise; run with an oracle exposing "
-            "mean_gradient and record_noise=True"
+            "certificate_check needs the run's noise terms; run with an oracle exposing "
+            "mean_gradient and trace_opts.noise_fn (see certificate_options)"
         )
-    if trace.iterates is None:
-        raise DiagnosticUnavailableError(
-            "certificate_check needs recorded iterates; run with record_iterates=True")
-    T = trace.T
-    x_star = np.asarray(x_star, dtype=float)
-    alphas, gammas, A = trace.alphas, trace.gammas, trace.A
-    delta = trace.noise                       # (T, d)
-    x_t = trace.iterates[:T]                  # x_1 .. x_T
-    x_next = trace.iterates[1:]               # x_2 .. x_{T+1}
-    x_avg = trace.averaged[1:]                # xag_2 .. xag_{T+1}
-
-    p = params.p
-    dual_norms = np.sum(np.abs(delta) ** p, axis=1) ** (1.0 / p)
-
-    martingale = np.cumsum(alphas * np.sum(delta * (x_star - x_t), axis=1))
     if trace.algorithm not in TARGETS:
         raise ParameterError(f"no certificate for algorithm {trace.algorithm!r}")
+    x_star = np.asarray(x_star, dtype=float)
+    alphas, gammas, A = trace.alphas, trace.gammas, trace.A
+    breg = bregman_to(H, x_star)
+    gaps = _verified(trace.psi_gap, np.array([psi(trace.last_average)]) - psi_star,
+                     "gap psi - psi_star")
+    divergences = _verified(trace.bregman_to_opt, np.array([breg(trace.last)]),
+                            "Bregman divergence to x_star")
+
+    martingale = np.cumsum(alphas * trace.noise_inner)
     noise_steps, det_steps, base = _run_inequality_steps(
-        params, trace.algorithm, alphas, gammas, A, dual_norms ** p)
+        params, trace.algorithm, alphas, gammas, A, trace.noise_norm ** params.p)
     if params.r == 0.0 and np.any(base > 1.0 + 1e-9):
         raise ParameterError(
             "certificate_check: schedule violates gamma_t >= 2 M alpha_t / mu in the "
@@ -167,13 +196,8 @@ def certificate_check(
     noise_moment = np.cumsum(noise_steps)
     deterministic = np.cumsum(det_steps)
 
-    # D(x*, y) for y = x_1 and for the rows y = x_{t+1}
-    breg = bregman_to(H, x_star)
-    init_term = float(gammas[0]) * breg(trace.iterates[0])
-    gaps = _recorded_gaps(trace, x_avg, psi, psi_star)
-    if gaps is None:
-        gaps = np.array([psi(row) for row in x_avg]) - psi_star
-    lhs = A * gaps + gammas * breg(x_next)
+    init_term = float(gammas[0]) * breg(trace.start)
+    lhs = A * gaps + gammas * divergences
     rhs = init_term + martingale + noise_moment + deterministic
     slack = rhs - lhs
     norm_slack = slack / (1.0 + np.abs(rhs))
@@ -279,7 +303,7 @@ def lower_bound_experiment(
     # validated on max(T, 16) >= T steps, so the runs need no check of their own
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
-    opts = TraceOptions(record_iterates=False, record_noise=False)
+    opts = TraceOptions(record_iterates=False)
     # the two signs share s and C
     plus, plus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=1)
     minus, minus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=-1)

@@ -193,6 +193,9 @@ def bregman_to(omega, x: np.ndarray):
     return divergence
 
 
+_UC_CHUNK = 1 << 15
+
+
 @lru_cache(maxsize=None)
 def power_uc_constant(q: float) -> float:
     """Exact modulus ratio of the scalar power t -> |t|^q, q >= 2.
@@ -223,8 +226,14 @@ def power_uc_constant(q: float) -> float:
     grid = np.concatenate(
         [np.linspace(-80.0, 0.9999, 400_001), np.linspace(1.0001, 80.0, 40_001)]
     )
-    vals = ratio(grid)
-    i = int(np.argmin(vals))
+    # the first global minimum, as np.argmin over the whole grid finds it,
+    # without holding the grid's temporaries all at once
+    i, best_val = 0, np.inf
+    for start in range(0, grid.size, _UC_CHUNK):
+        vals = ratio(grid[start:start + _UC_CHUNK])
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            i, best_val = start + j, float(vals[j])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
 
@@ -245,7 +254,7 @@ def power_uc_constant(q: float) -> float:
             f2 = float(ratio(c2))
         if b - a < 1e-13 * (1.0 + abs(a)):
             break
-    best = min(float(vals[i]), f1, f2)
+    best = min(best_val, f1, f2)
     return float(min(best, 1.0))
 
 

@@ -55,6 +55,11 @@ class PowerNormRegularizer:
         return self.mu * np.abs(x) ** (self.q - 1.0) * np.sign(x)
 
 
+def _positive(value) -> bool:
+    """``value > 0`` for a scalar, or for every entry of an array (NaN is not)."""
+    return bool((value > 0.0).all()) if isinstance(value, np.ndarray) else value > 0.0
+
+
 def composite_prox(
     H: PowerNormRegularizer,
     g: np.ndarray,
@@ -65,13 +70,17 @@ def composite_prox(
 ) -> np.ndarray:
     """Closed-form minimizer of alpha*[<g,x> + H(x)] + gamma*D^H(x,y).
 
-    ``box`` is an optional (lower, upper) pair of arrays/scalars; because the
-    objective is coordinate separable and scalar convex, clipping the
-    unconstrained solution is the exact box-constrained minimizer.
+    ``alpha`` and ``gamma`` may be scalars or arrays that broadcast against
+    ``g`` (an ``(S, 1)`` column gives each row of an ``(S, d)`` batch its
+    own); they meet the data only through elementwise ``+ - * /``, so a row
+    gets the bits of the scalar call. ``box`` is an optional (lower, upper)
+    pair of arrays/scalars; because the objective is coordinate separable
+    and scalar convex, clipping the unconstrained solution is the exact
+    box-constrained minimizer.
     """
-    if not alpha > 0.0:
+    if not _positive(alpha):
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not gamma > 0.0:
+    if not _positive(gamma):
         raise ParameterError(f"gamma must be positive, got {gamma}")
     g = np.asarray(g, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -16,15 +16,18 @@ average into the next ones through one oracle sample:
 The loop owns everything about rows. The start point may be one ``(d,)``
 vector or an ``(S, d)`` batch of S independent runs; a ``(d,)`` start is
 reshaped once, on entry, into a batch of one row. Every operation of a step
-is elementwise and the scalar steps alpha_t, gamma_t are shared by all
-rows, so row i of a batch gets the bits of a ``(d,)`` run on row i's
-gradients. For a batch, the oracle returns an ``(S, d)`` block of
+is elementwise, so row i of a batch gets the bits of a ``(d,)`` run on row
+i's gradients. The steps alpha_t, gamma_t are scalars shared by all rows, or,
+when the mirror-descent solvers get one schedule per row, ``(S, 1)``
+columns: each distinct schedule is evaluated once a step as a scalar, and a
+column only meets the iterates through elementwise ``+ - * /``, which round
+as they do for the scalar. For a batch, the oracle returns an ``(S, d)`` block of
 gradients per step (``oracles.OracleRows`` stacks S oracles so), and
 ``gap_fn``/``bregman_fn`` return one value per row. Each row has its own
 ``stop_gap``. A row leaves the batch at once when it reaches its stop gap,
 when its sampled gradient is not finite (the error names the oracle), or
 when its iterate goes non-finite: the loop then narrows the oracle and the
-two functions to the rows left through their ``take(keep)``, so a row that
+per-row functions to the rows left through their ``take(keep)``, so a row that
 left draws nothing and raises nothing more. ``RunTrace.row(i)`` is row i's
 own trace, or raises the error that ended it.
 
@@ -362,22 +365,30 @@ class TraceOptions:
     ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate / the raw
     iterate after each step and stored as scalar series (for an ``(S, d)``
     batch they take the live rows and give one value per row, and need a
-    ``take(keep)`` if rows can leave early). Every step is recorded: the
-    run certificates hold step by step and read them all.
+    ``take(keep)`` if rows can leave early). ``noise_fn(delta, x)`` gets
+    every step's realized noise delta_t = sample - mean gradient and the
+    iterate x_t the step started from, always as ``(S, d)`` rows (a ``(d,)``
+    run is a batch of one), and returns two values per row, stored as the
+    series ``noise_norm`` and ``noise_inner``; it is only called when the
+    oracle exposes ``mean_gradient``. ``diagnostics.NoiseTerms`` is the one
+    the run certificates read. Every step is recorded: the certificates hold
+    step by step and read them all.
     """
 
     record_iterates: bool = True
-    record_noise: bool = True
     gap_fn: object = None
     bregman_fn: object = None
+    noise_fn: object = None
 
 
 @dataclass
 class RunTrace:
     """What a run recorded. A batch trace holds every row: its T is the
-    number of steps the loop ran, its vector arrays are ``(steps, S, d)``
-    and its gap and Bregman series ``(T, S)``. ``row(i)`` is row i's own
-    trace, as views of these arrays."""
+    number of steps the loop ran, its vector arrays are ``(steps, S, d)``,
+    its gap, Bregman and noise series ``(T, S)``, its alphas, gammas and A
+    ``(T,)`` when the rows share one schedule and ``(T, S)`` when each has
+    its own, and its end points ``(S, d)``. ``row(i)`` is row i's own trace,
+    as views of these arrays."""
 
     algorithm: str
     T: int
@@ -387,9 +398,13 @@ class RunTrace:
     iterates: np.ndarray | None = None       # rows x_1 .. x_{T+1}
     averaged: np.ndarray | None = None       # rows x^ag_1 .. x^ag_{T+1}
     query_points: np.ndarray | None = None   # acsmd oracle query points
-    noise: np.ndarray | None = None          # realized sample - mean gradient, per t
+    noise_norm: np.ndarray | None = None     # noise_fn's first value, per t
+    noise_inner: np.ndarray | None = None    # noise_fn's second value, per t
     psi_gap: np.ndarray | None = None
     bregman_to_opt: np.ndarray | None = None
+    start: np.ndarray | None = None          # x_1
+    last: np.ndarray | None = None           # x_{T+1}
+    last_average: np.ndarray | None = None   # x^ag_{T+1}
     stopped_at: int | None = None
     meta: dict = field(default_factory=dict)
     row_stopped_at: list | None = None       # batch: each row's stopped_at
@@ -409,18 +424,28 @@ class RunTrace:
         def cut(arr, n):
             return None if arr is None else arr[:n, i]
 
+        def steps(arr):  # shared by the rows, or one column each
+            return arr[:k] if arr.ndim == 1 else arr[:k, i]
+
+        def point(arr):
+            return None if arr is None else arr[i]
+
         return RunTrace(
             algorithm=self.algorithm,
             T=k,
-            alphas=self.alphas[:k],
-            gammas=self.gammas[:k],
-            A=self.A[:k],
+            alphas=steps(self.alphas),
+            gammas=steps(self.gammas),
+            A=steps(self.A),
             iterates=cut(self.iterates, k + 1),
             averaged=cut(self.averaged, k + 1),
             query_points=cut(self.query_points, k),
-            noise=cut(self.noise, k),
+            noise_norm=cut(self.noise_norm, k),
+            noise_inner=cut(self.noise_inner, k),
             psi_gap=cut(self.psi_gap, k),
             bregman_to_opt=cut(self.bregman_to_opt, k),
+            start=point(self.start),
+            last=point(self.last),
+            last_average=point(self.last_average),
             stopped_at=stopped,
             meta=dict(self.meta),
         )
@@ -437,14 +462,14 @@ def _take(obj, keep):
 class _Rows:
     """The live rows of a batch run and how each row ended.
 
-    ``leave`` drops rows from the batch and narrows the oracle, the two
-    functions and the stop gaps to the rows left; ``at`` indexes the live
-    rows along the row axis of the ``(T, S, ...)`` record buffers.
+    ``leave`` drops rows from the batch and narrows the oracle, the three
+    per-row functions and the stop gaps to the rows left; ``at`` indexes
+    the live rows along the row axis of the ``(T, S, ...)`` record buffers.
     """
 
-    def __init__(self, x, oracle, gap_fn, bregman_fn, stop_gap):
+    def __init__(self, x, oracle, fns, stop_gap):
         n = x.shape[0]
-        self.oracle, self.gap_fn, self.bregman_fn = oracle, gap_fn, bregman_fn
+        self.oracle, self.fns = oracle, fns
         self.stop = None if stop_gap is None else np.array(
             np.broadcast_to(np.asarray(stop_gap, dtype=float), (n,)))
         self.live = np.arange(n)
@@ -469,8 +494,8 @@ class _Rows:
         keep = np.flatnonzero(~gone)
         self.live = self.at = self.live[keep]
         if keep.size:
-            self.oracle, self.gap_fn, self.bregman_fn, self.stop = (
-                _take(obj, keep) for obj in (self.oracle, self.gap_fn, self.bregman_fn, self.stop))
+            self.oracle, self.stop = _take(self.oracle, keep), _take(self.stop, keep)
+            self.fns = {k: _take(fn, keep) for k, fn in self.fns.items()}
         return keep
 
 
@@ -492,16 +517,19 @@ def _one_row(fn):
     return None if fn is None else (lambda x: np.array([float(fn(x[0]))]))
 
 
-def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False):
+def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False,
+         row_steps=False):
     """The step loop of every solver, on a ``(d,)`` start or an ``(S, d)`` batch.
 
-    ``step(t, x, x_avg, state, sample)`` is a solver's arithmetic for step t
-    on the live rows: from the iterate ``x`` and the average ``x_avg`` it
-    returns (alpha_t, gamma_t, query point, next iterate, next average),
-    drawing its gradient through ``sample(query point)``. ``state`` is a
-    per-row array, zero at the start, that the step may update in place.
+    ``step(t, x, x_avg, state, sample, live)`` is a solver's arithmetic for
+    step t on the live rows, whose batch positions are ``live``: from the
+    iterate ``x`` and the average ``x_avg`` it returns (alpha_t, gamma_t,
+    query point, next iterate, next average), drawing its gradient through
+    ``sample(query point)``. alpha_t and gamma_t are floats, or, with
+    ``row_steps``, ``(live rows, 1)`` columns. ``state`` is a per-row
+    array, zero at the start, that the step may update in place.
     Everything about rows is this loop's: the ``(d,)`` reshape, sampling
-    and the noise record, the record buffers, rows leaving at their stop
+    and the noise terms, the record buffers, rows leaving at their stop
     gap or on a non-finite oracle output or iterate (``blame`` formats the
     error from what went non-finite and the step), and the trace. Returns
     (final iterates, final averages, trace); a ``(d,)`` run gives its row's
@@ -510,66 +538,76 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
     x = np.array(x1, dtype=float)
     if x.ndim not in (1, 2):
         raise ParameterError(f"start point must be (d,) or (S, d), got shape {x.shape}")
-    record_noise = opts.record_noise and oracle.mean_gradient is not None
     single = x.ndim == 1
-    gap_fn, bregman_fn = opts.gap_fn, opts.bregman_fn
+    noise_fn = opts.noise_fn
+    if noise_fn is not None and oracle.mean_gradient is None:
+        noise_fn = None  # no mean gradient, no realized noise
+    fns = {"gap": opts.gap_fn, "bregman": opts.bregman_fn, "noise": noise_fn}
     if single:
         x, oracle = x[None], _OneRow(oracle)
-        gap_fn, bregman_fn = _one_row(gap_fn), _one_row(bregman_fn)
-    rows = _Rows(x, oracle, gap_fn, bregman_fn, stop_gap)
+        fns["gap"], fns["bregman"] = _one_row(fns["gap"]), _one_row(fns["bregman"])
+    rows = _Rows(x, oracle, {k: fn for k, fn in fns.items() if fn is not None}, stop_gap)
+    start = x
 
     # steps first, so a run that stops early touches only the memory of the
     # steps it made: numpy backs a large buffer with huge pages, which one
     # write per row into a rows-first buffer would make resident whole
-    alphas = np.empty(T)
-    gammas = np.empty(T)
+    def series(what):
+        return np.empty((T, x.shape[0])) if what in rows.fns else None
+
+    # a row's column past the step it left at is never written, and never read
+    alphas = np.zeros((T, x.shape[0]) if row_steps else T)
+    gammas = np.zeros(alphas.shape)
     iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
     averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
     query_points = np.empty((T,) + x.shape) if queries and opts.record_iterates else None
-    noise = np.empty((T,) + x.shape) if record_noise else None
-    psi_gap = np.empty((T, x.shape[0])) if gap_fn is not None else None
-    breg = np.empty((T, x.shape[0])) if bregman_fn is not None else None
+    noise_norm, noise_inner = series("noise"), series("noise")
+    psi_gap, breg = series("gap"), series("bregman")
     if iterates is not None:
         iterates[0] = x
         averaged[0] = x
 
-    g = None
+    g = delta = None
 
     def sample(x_q):
-        nonlocal g
+        nonlocal g, delta
         g = rows.oracle.sample_gradient(x_q, rng)
-        if record_noise:
-            noise[t - 1, rows.at] = g - rows.oracle.mean_gradient(x_q)
+        if noise_norm is not None:
+            delta = g - rows.oracle.mean_gradient(x_q)
         return g
 
     state = np.zeros(x.shape)
     x_avg = x.copy()
     steps = T
     for t in range(1, T + 1):
-        a_t, g_t, x_q, x_next, avg_next = step(t, x, x_avg, state, sample)
+        a_t, g_t, x_q, x_next, avg_next = step(t, x, x_avg, state, sample, rows.live)
+        if row_steps:
+            alphas[t - 1, rows.at], gammas[t - 1, rows.at] = a_t[:, 0], g_t[:, 0]
+        else:
+            alphas[t - 1], gammas[t - 1] = a_t, g_t
         # a row whose gradient is not finite blames the oracle, not its iterate
         for what in ("oracle output", "iterate"):
             vals = g if what == "oracle output" else x_next
             if not np.isfinite(vals).all():
                 keep = rows.leave(~np.isfinite(vals).all(axis=1), x, x_avg,
                                   error=blame.format(what, t))
-                x, x_avg, state, x_q, x_next, avg_next = (
-                    v[keep] for v in (x, x_avg, state, x_q, x_next, avg_next))
+                x, x_avg, state, x_q, x_next, avg_next, delta = (
+                    _take(v, keep) for v in (x, x_avg, state, x_q, x_next, avg_next, delta))
         if not rows.live.size:
             steps = t - 1
             break
-        alphas[t - 1] = a_t
-        gammas[t - 1] = g_t
+        if noise_norm is not None:  # x is still the iterate x_t the step started from
+            noise_norm[t - 1, rows.at], noise_inner[t - 1, rows.at] = rows.fns["noise"](delta, x)
         if iterates is not None:
             iterates[t, rows.at] = x_next
             averaged[t, rows.at] = avg_next
         if query_points is not None:
             query_points[t - 1, rows.at] = x_q
         if psi_gap is not None:
-            gap = _series(rows.gap_fn, avg_next, "gap_fn")
+            gap = _series(rows.fns["gap"], avg_next, "gap_fn")
             psi_gap[t - 1, rows.at] = gap
         if breg is not None:
-            breg[t - 1, rows.at] = _series(rows.bregman_fn, x_next, "bregman_fn")
+            breg[t - 1, rows.at] = _series(rows.fns["bregman"], x_next, "bregman_fn")
         x, x_avg = x_next, avg_next
         if rows.stop is not None:
             done = gap <= rows.stop
@@ -580,25 +618,29 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
                     break
                 x, x_avg, state = x[keep], x_avg[keep], state[keep]
 
+    if rows.live.size:  # else the last rows left with their own
+        rows.x_out[rows.live] = x
+        rows.avg_out[rows.live] = x_avg
     trace = RunTrace(
         algorithm=algorithm,
         T=steps,
         alphas=alphas[:steps],
         gammas=gammas[:steps],
-        A=np.cumsum(alphas[:steps]),
+        A=np.cumsum(alphas[:steps], axis=0),
         iterates=_first(iterates, steps + 1),
         averaged=_first(averaged, steps + 1),
         query_points=_first(query_points, steps),
-        noise=_first(noise, steps),
+        noise_norm=_first(noise_norm, steps),
+        noise_inner=_first(noise_inner, steps),
         psi_gap=_first(psi_gap, steps),
         bregman_to_opt=_first(breg, steps),
+        start=start,
+        last=rows.x_out,
+        last_average=rows.avg_out,
         stopped_at=steps if steps < T else None,
         row_stopped_at=rows.stopped_at,
         row_errors=rows.errors,
     )
-    if rows.live.size:  # else the last rows left with their own
-        rows.x_out[rows.live] = x
-        rows.avg_out[rows.live] = x_avg
     if single:
         return rows.x_out[0], rows.avg_out[0], trace.row(0)
     return rows.x_out, rows.avg_out, trace
@@ -623,38 +665,63 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
     """The step of both mirror-descent solvers, run by ``_run``. The two
     averaging forms agree in exact arithmetic but not in the last bits, so
     each solver keeps its own; nacsmd keeps its alpha-weighted iterate sum
-    in the per-row state."""
+    in the per-row state.
+
+    ``sched`` is one schedule for every row, or a list or tuple with one
+    per row. Each distinct schedule (by identity) is evaluated once a step,
+    as a scalar, and keeps its own running alpha sum; with more than one,
+    the step reads them as ``(S, 1)`` columns picked by each row's schedule.
+    """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     opts = trace_opts or TraceOptions()
     if stop_gap is not None and opts.gap_fn is None:
         raise ParameterError(f"{name}: stop_gap needs trace_opts.gap_fn to measure the gap")
+    per_row = list(sched) if isinstance(sched, (list, tuple)) else [sched]
+    n = 1 if np.ndim(x1) == 1 else len(x1)
+    if len(per_row) not in (1, n):
+        raise ParameterError(
+            f"{name}: got {len(per_row)} schedules for a batch of {n} rows")
+    scheds = list({id(sc): sc for sc in per_row}.values())
+    which = None
+    if len(scheds) > 1:
+        index = {id(sc): j for j, sc in enumerate(scheds)}
+        which = np.array([index[id(sc)] for sc in per_row])
     if params is not None:
-        report = validate_schedule(sched, params, T)
-        if not report.ok:
-            raise ParameterError(
-                f"schedule fails the {name} step conditions at t={report.first_violation} "
-                f"(slack {report.slack_min:.3e})"
-            )
-    A_prev = 0.0
+        for sc in scheds:
+            report = validate_schedule(sc, params, T)
+            if not report.ok:
+                raise ParameterError(
+                    f"schedule fails the {name} step conditions at t={report.first_violation} "
+                    f"(slack {report.slack_min:.3e})"
+                )
+    A_prev = [0.0] * len(scheds)
 
-    def step(t, x, x_avg, S, sample):
-        nonlocal A_prev
-        a_t = float(sched.alpha(t))
-        g_t = float(sched.gamma(t))
-        A_t = A_prev + a_t
-        x_q = (A_prev / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
+    def coefficients(t, live):
+        """(alpha_t, gamma_t, A_{t-1}, A_t) of the live rows: floats for one
+        schedule, else ``(live rows, 1)`` columns."""
+        vals = []
+        for j, sc in enumerate(scheds):
+            a_t = float(sc.alpha(t))
+            vals.append((a_t, float(sc.gamma(t)), A_prev[j], A_prev[j] + a_t))
+            A_prev[j] += a_t
+        if which is None:
+            return vals[0]
+        return np.array(vals)[which[live]].T[:, :, None]
+
+    def step(t, x, x_avg, S, sample, live):
+        a_t, g_t, A_p, A_t = coefficients(t, live)
+        x_q = (A_p / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
         x_next = composite_prox(H, sample(x_q), x, a_t, g_t)
         if accelerated:
-            avg_next = (A_prev / A_t) * x_avg + (a_t / A_t) * x_next
+            avg_next = (A_p / A_t) * x_avg + (a_t / A_t) * x_next
         else:
             S += a_t * x_next
             avg_next = S / A_t
-        A_prev = A_t
         return a_t, g_t, x_q, x_next, avg_next
 
     return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng, opts,
-                stop_gap, queries=accelerated)
+                stop_gap, queries=accelerated, row_steps=which is not None)
 
 
 def nacsmd(
@@ -671,9 +738,9 @@ def nacsmd(
     """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace).
 
     ``x1`` is one start point ``(d,)`` or an ``(S, d)`` batch of S runs, each
-    row with the bits of its own ``(d,)`` run. For a batch, ``stop_gap`` may
-    be one value per row, the returned iterates are ``(S, d)`` (a row that
-    left early keeps its last ones) and the trace is a batch trace.
+    row with the bits of its own ``(d,)`` run. For a batch, ``sched`` and
+    ``stop_gap`` may be one per row, the returned iterates are ``(S, d)`` (a
+    row that left early keeps its last ones) and the trace is a batch trace.
     """
     return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
                            trace_opts, stop_gap)
@@ -959,7 +1026,7 @@ def acsa_baseline(
         local.extend(range(1, min(stage, T - len(local)) + 1))
         stage *= 2
 
-    def step(t, x_prev, x_ag, state, sample):
+    def step(t, x_prev, x_ag, state, sample, live):
         k = local[t - 1]
         alpha_t = 2.0 / (k + 1.0)
         gamma_t = 4.0 * L_eff / (k * (k + 1.0))
@@ -980,5 +1047,5 @@ def acsa_baseline(
 
     _, x_ag, trace = _run(
         "acsa", "acsa_baseline: non-finite {} at step {}", step, oracle, x1, T, rng,
-        TraceOptions(record_iterates=False, record_noise=False, gap_fn=gap_fn), stop_gap)
+        TraceOptions(record_iterates=False, gap_fn=gap_fn), stop_gap)
     return x_ag, trace

@@ -12,6 +12,7 @@ of the criterion is asserted separately so a single red line isolates the
 irreproducible claim.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from ccmin import (
     acsmd,
     additive_noise_oracle,
     certificate_check,
+    certificate_options,
     composite_prox,
     concentration_check,
     default_schedule,
@@ -85,10 +87,13 @@ def test_criterion_1_pathwise_certificates():
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             x_opt, psi_star = exact_optimum(inst)
             psi = lambda x, i=inst: ridge_psi(i, x)  # noqa: E731
+            # the iterates too, for the region check below
+            opts = dataclasses.replace(certificate_options(params, H, x_opt, psi, psi_star),
+                                       record_iterates=True)
             for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
                 sched = default_schedule(params, target, validate_horizon=2 * T)
                 _, _, tr = solver(oracle, H, sched, np.zeros(d), T,
-                                  rng=philox(seed, 7), params=params)
+                                  rng=philox(seed, 7), params=params, trace_opts=opts)
                 rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
                 checked += 1
                 if not rep.ok:
@@ -287,7 +292,7 @@ def test_criterion_8_noise_rate_slope():
     from ccmin import ridge_oracle
 
     gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
-    opts = TraceOptions(record_iterates=False, record_noise=False, gap_fn=gap_fn)
+    opts = TraceOptions(record_iterates=False, gap_fn=gap_fn)
     curves = []
     for seed in range(100):
         oracle = ridge_oracle(inst)

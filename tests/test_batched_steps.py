@@ -63,7 +63,7 @@ def test_batched_rows_match_single_runs(name, q, S):
     a = 0.6
     b = rng.uniform(-1.0, 1.0, (S, d))
     noise = rng.standard_normal((T, S, d)) * np.array([0.0, 0.3, 5.0])
-    opts = TraceOptions(record_iterates=True, record_noise=False)
+    opts = TraceOptions(record_iterates=True)
     solver = SOLVERS[name]
     x, y, trace = solver(DriftOracle(a, b, noise), H, sched, x1, T, trace_opts=opts)
     assert x.shape == y.shape == (S, d)
@@ -150,7 +150,7 @@ def reference_lower_bound(solver, mu, q, sigma, epsilon, gamma, trials, seed=0, 
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
-    opts = TraceOptions(record_iterates=False, record_noise=False)
+    opts = TraceOptions(record_iterates=False)
     signed = {}
     for nu in (1, -1):
         _, inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=nu)

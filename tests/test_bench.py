@@ -67,6 +67,12 @@ class TestConfig:
         assert DEFAULT_CONFIG == before
         assert resolve_config({"instance": {"d": 50}})["overrides"] == []
 
+    @pytest.mark.parametrize("d", [3.7, 0.5, 0, -2, 20.0, True])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        # once truncated to 3 (3.7) or refused as "must be positive" (0.5)
+        with pytest.raises(ConfigError, match=r"instance\.d must be an integer >= 1, got "):
+            resolve_config({"instance": {"d": [20, d]}})
+
     def test_grid_expansion(self):
         cfg = resolve_config({"instance": {"d": [2, 3], "L_multiplier": [1, 5]}})
         cells = build_cells(cfg)
@@ -206,13 +212,14 @@ class TestRunExperiment:
         import ccmin.bench as bench
         from ccmin.errors import NumericalError
 
-        real = bench._execute_cell
+        real = bench._execute_group
 
-        def flaky(cfg, cell, seeds):
-            return [NumericalError("synthetic blow-up at t=3") if seed == 1 else outcome
-                    for seed, outcome in zip(seeds, real(cfg, cell, seeds))]
+        def flaky(cfg, cells, seeds):
+            return [[NumericalError("synthetic blow-up at t=3") if seed == 1 else outcome
+                     for seed, outcome in zip(seeds, outcomes)]
+                    for outcomes in real(cfg, cells, seeds)]
 
-        monkeypatch.setattr(bench, "_execute_cell", flaky)
+        monkeypatch.setattr(bench, "_execute_group", flaky)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}),
                            out_dir=tmp_path)
         cell = s["cells"][0]
@@ -227,10 +234,10 @@ class TestRunExperiment:
     def test_all_errored_cell_has_null_statistics(self, tmp_path, monkeypatch):
         from ccmin.errors import NumericalError
 
-        def broken(cfg, cell, bundles):
+        def broken(cfg, prepared):
             raise NumericalError("synthetic blow-up")
 
-        monkeypatch.setattr(bench, "_run_cell", broken)
+        monkeypatch.setattr(bench, "_run_group", broken)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}), out_dir=tmp_path)
         cell = s["cells"][0]
         assert [cell[k] for k in ("median_iterations", "q1_iterations", "q3_iterations",
@@ -402,6 +409,15 @@ class TestCli:
         assert main(["validate", self.write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("d", [3.7, 0.5])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_integer_dimension_exit_2(self, tmp_path, capsys, command, d):
+        cfg = {"instance": {"d": [d]}, "run": {"T_max": 20, "seeds": [0]}}
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        assert capsys.readouterr().err == f"error: instance.d must be an integer >= 1, got {d}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_baseline_on_the_bernoulli_instance_exit_2(self, tmp_path, capsys, command):

@@ -15,6 +15,7 @@ import pytest
 
 import ccmin.bench as bench
 from ccmin import (
+    NoiseTerms,
     OracleRows,
     PowerNormRegularizer,
     RidgeInstance,
@@ -99,20 +100,23 @@ def test_batch_rows_keep_every_recorded_and_certified_bit(name):
         return solver(oracle, H, sched, x1, T, rng=rng, trace_opts=opts, stop_gap=stop_gap)
 
     # the grid's own per-row functions
+    x_opts = np.stack([o[0] for o in opt])
     opts = TraceOptions(
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
-        bregman_fn=bench._RowFn(functools.partial(bregman_to, H), np.stack([o[0] for o in opt])))
+        bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
+        noise_fn=NoiseTerms(x_opts, params.p))
     oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(4)])
     x, y, batch = solve(oracle, np.tile(x1, (4, 1)), opts, stop)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
         one = TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
-                           bregman_fn=bregman_to(H, x_opt))
+                           bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p))
         xi, yi, alone = solve(ridge_oracle(inst), x1, one, stop[i] or None, rng=philox(i, 7))
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
         assert row.T == alone.T and row.stopped_at == alone.stopped_at
         for field in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
-                      "noise", "psi_gap", "bregman_to_opt"):
+                      "noise_norm", "noise_inner", "psi_gap", "bregman_to_opt", "start",
+                      "last", "last_average"):
             a, b = getattr(row, field), getattr(alone, field)
             assert (a is None) == (b is None)
             assert a is None or a.tobytes() == b.tobytes(), field
@@ -133,8 +137,9 @@ def grid(cfg, out_dir, seeds, workers=1):
 
     def job(args):
         results = real_job(args)
-        for seed, (record, _) in zip(args[2], results):
-            records[(args[1]["label"], seed)] = record
+        for cell, cell_results in zip(args[1], results):
+            for seed, (record, _) in zip(args[2], cell_results):
+                records[(cell["label"], seed)] = record
         return results
 
     # the pool pickles the job function by name, so only a serial grid is watched
@@ -271,3 +276,156 @@ def test_a_row_that_goes_non_finite_leaves_alone(tmp_path, monkeypatch, stop):
     # two for the acsa row that reached its target at step 2
     assert sorted({o.calls for o in poisoned}) == ([2, 3] if stop else [3])
     assert all(math.isfinite(r["final_relative_gap"]) for r in records.values() if "error" not in r)
+
+
+# The mirror-descent cells of one (d, L_multiplier, solver) run as one batch,
+# each row under its own cell's schedule.
+MIXED = ["nacsmd", "acsmd1", "acsmd2", "acsmd3"]
+
+
+def one_algorithm_grids(cfg, tmp_path, seeds):
+    """What one-algorithm, one-seed grids write, merged."""
+    traces, records, plot = {}, {}, {}
+    for alg in cfg["solver"]["algorithms"]:
+        one_cfg = dict(cfg, solver=dict(cfg["solver"], algorithms=[alg]))
+        for seed in seeds:
+            t, r, p = grid(one_cfg, tmp_path / f"{alg}-{seed}", [seed])
+            traces.update(t)
+            records.update(r)
+            plot.update(p)
+    return traces, records, plot
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stop", [True, False])
+@pytest.mark.parametrize("mode", ["printed", "validated"])
+def test_mixed_schedule_batch_equals_one_algorithm_grids(tmp_path, mode, stop, workers):
+    cfg = {
+        "instance": {"d": [3, 6]},
+        "solver": {"algorithms": MIXED, "schedule_mode": mode},
+        "run": {"epsilon": 0.05, "T_max": 60, "stop_at_target": stop},
+    }
+    traces, records, plot = grid(cfg, tmp_path / "all", SEEDS, workers)
+    one_traces, one_records, one_plot = one_algorithm_grids(cfg, tmp_path, SEEDS)
+    assert len(traces) == 2 * len(MIXED) * len(SEEDS)
+    assert traces == one_traces
+    assert plot == one_plot
+    if workers == 1:
+        assert records == one_records
+        # certificates where the schedule validates, as alone
+        assert any(r["certificate"] == "ok" for r in records.values())
+
+
+def test_one_solver_call_per_d_and_solver(tmp_path, monkeypatch):
+    calls = []
+    real = bench._solver
+
+    def solver(name):
+        run = real(name)
+
+        def counted(oracle, H, sched, x1, T, **kwargs):
+            calls.append((name, np.shape(x1), len({id(s) for s in sched})))
+            return run(oracle, H, sched, x1, T, **kwargs)
+        return counted
+
+    monkeypatch.setattr(bench, "_solver", solver)
+    cfg = {"instance": {"d": [3, 6]}, "solver": {"algorithms": ["acsa"] + MIXED},
+           "run": {"T_max": 30, "seeds": [0, 1]}}
+    run_experiment(cfg, out_dir=tmp_path)
+    assert calls == [("nacsmd", (2, 3), 1), ("acsmd", (6, 3), 3),
+                     ("nacsmd", (2, 6), 1), ("acsmd", (6, 6), 3)]
+
+
+class CountedSchedule:
+    """A schedule that records every t it is evaluated at."""
+
+    def __init__(self, sched):
+        self.sched, self.target, self.ts = sched, sched.target, []
+
+    def alpha(self, t):
+        self.ts.append(t)
+        return self.sched.alpha(t)
+
+    def gamma(self, t):
+        return self.sched.gamma(t)
+
+
+@pytest.mark.parametrize("name", ["nacsmd", "acsmd"])
+def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
+    d, q, T = 5, 3.0, 80
+    insts = [RidgeInstance(dimension=d, x_star=philox(s, 1).uniform(-0.3, 0.3, d),
+                           sigma_b=0.1, mu=2.0, q=q) for s in range(6)]
+    opt = [exact_optimum(inst) for inst in insts]
+    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
+    solver = nacsmd if name == "nacsmd" else acsmd
+    m = [0.0, 1.0, 2.0] if name == "nacsmd" else [1.0, 2.0, 3.0]
+    scheds = [CountedSchedule(default_schedule(params, name, m=k)) for k in m]
+    per_row = [scheds[i % 3] for i in range(6)]
+    stop = np.array([0.0, 0.5, 0.0, 5.0, 0.0, 0.05])  # rows leave at their own steps
+    x1 = np.full(d, 3.25)
+    x_star, psi_star = np.stack([i.x_star for i in insts]), np.array([o[1] for o in opt])
+    x_opts = np.stack([o[0] for o in opt])
+    opts = TraceOptions(
+        gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
+        bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
+        noise_fn=NoiseTerms(x_opts, params.p))
+    oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(6)])
+    x, y, batch = solver(oracle, H, per_row, np.tile(x1, (6, 1)), T, trace_opts=opts,
+                         stop_gap=stop)
+    # every step evaluates each distinct schedule once, at a scalar t
+    assert all(sc.ts == list(range(1, batch.T + 1)) for sc in scheds)
+    assert batch.alphas.shape == (batch.T, 6)
+    for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
+        one = TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                           bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p))
+        xi, yi, alone = solver(ridge_oracle(inst), H, per_row[i].sched, x1, T,
+                               rng=philox(i, 7), trace_opts=one, stop_gap=stop[i] or None)
+        row = batch.row(i)
+        assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
+        assert row.T == alone.T and row.stopped_at == alone.stopped_at
+        for field in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
+                      "noise_norm", "noise_inner", "psi_gap", "bregman_to_opt", "start",
+                      "last", "last_average"):
+            a, b = getattr(row, field), getattr(alone, field)
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes(), field
+        psi = functools.partial(ridge_psi, inst)
+        reports = [certificate_check(tr, params, H, x_opt, psi, p_star) for tr in (row, alone)]
+        for field in ("lhs", "rhs", "slack", "martingale", "noise_moment", "deterministic"):
+            assert getattr(reports[0], field).tobytes() == getattr(reports[1], field).tobytes()
+    assert [s is not None for s in batch.row_stopped_at].count(True) >= 2
+
+
+def test_schedules_must_match_the_rows():
+    H = PowerNormRegularizer(mu=2.0, q=3.0, dim=2)
+    params = derive_params(3.0, 2.0, 1.0, 2.0 * power_uc_constant(3.0))
+    sched = default_schedule(params, "acsmd")
+    oracle = OracleRows([ridge_oracle(RidgeInstance(dimension=2, x_star=np.zeros(2),
+                                                    sigma_b=0.1, mu=2.0, q=3.0))] * 3,
+                        [philox(s) for s in range(3)])
+    with pytest.raises(bench.ParameterError, match="2 schedules for a batch of 3 rows"):
+        acsmd(oracle, H, [sched, sched], np.zeros((3, 2)), 5)
+
+
+def test_a_cell_whose_schedule_fails_errors_only_its_runs(tmp_path, monkeypatch):
+    real = bench.default_schedule
+
+    def failing(params, target, m=None, **kwargs):
+        if m == 2.0:
+            raise bench.NumericalError("synthetic schedule failure")
+        return real(params, target, m=m, **kwargs)
+
+    monkeypatch.setattr(bench, "default_schedule", failing)
+    cfg = {
+        "instance": {"d": [3]},
+        "solver": {"algorithms": MIXED, "schedule_mode": "validated"},
+        "run": {"epsilon": 0.05, "T_max": 40},
+    }
+    traces, records, plot = grid(cfg, tmp_path / "all", SEEDS)
+    errors = {key: r["error"] for key, r in records.items() if "error" in r}
+    assert errors == {("ridge-d3-Lx1-acsmd2", s): "synthetic schedule failure" for s in SEEDS}
+    rest = dict(cfg, solver=dict(cfg["solver"], algorithms=["nacsmd", "acsmd1", "acsmd3"]))
+    one_traces, one_records, one_plot = one_algorithm_grids(rest, tmp_path, SEEDS)
+    assert traces == one_traces and plot == one_plot
+    assert {k: r for k, r in records.items() if k not in errors} == one_records

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ccmin.diagnostics as diagnostics
 from ccmin import (
     DiagnosticUnavailableError,
+    NoiseTerms,
     ParameterError,
     PowerNormRegularizer,
     RidgeInstance,
@@ -11,6 +14,7 @@ from ccmin import (
     additive_noise_oracle,
     bernoulli_oracle,
     certificate_check,
+    certificate_options,
     concentration_check,
     default_schedule,
     derive_params,
@@ -74,12 +78,15 @@ class TestExactOptimum:
 
 class TestCertificate:
     def run_trace(self, solver, target, params, H, inst, sigma=0.0, T=200, seed=1):
+        x_opt, psi_star = exact_optimum(inst)
         oracle = additive_noise_oracle(
             lambda x, xs=inst.x_star: 2.0 / 3.0 * (np.asarray(x, dtype=float) - xs),
             inst.dimension, kind="bounded_sphere", sigma=sigma, q=inst.q)
         sched = default_schedule(params, target, validate_horizon=max(2 * T, 500))
         _, _, tr = solver(oracle, H, sched, np.zeros(inst.dimension), T,
-                          rng=philox(seed), params=params)
+                          rng=philox(seed), params=params,
+                          trace_opts=certificate_options(params, H, x_opt,
+                                                         lambda x: ridge_psi(inst, x), psi_star))
         return tr
 
     def test_noiseless_run_has_zero_stochastic_terms(self):
@@ -111,21 +118,24 @@ class TestCertificate:
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
         oracle = ridge_oracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
+        opts = certificate_options(params, H, x_opt, psi, psi_star)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(3),
                           params=params,
-                          trace_opts=TraceOptions(record_noise=False))
-        with pytest.raises(DiagnosticUnavailableError):
+                          trace_opts=dataclasses.replace(opts, noise_fn=None))
+        with pytest.raises(DiagnosticUnavailableError, match="noise terms"):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
 
     def test_requires_recorded_iterates(self):
+        # the gap and Bregman series stand in for the iterates a certificate
+        # once re-evaluated; a run that recorded neither is refused
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
         oracle = ridge_oracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(4),
                           params=params,
-                          trace_opts=TraceOptions(record_iterates=False))
-        assert tr.noise is not None
-        with pytest.raises(DiagnosticUnavailableError, match="record_iterates"):
+                          trace_opts=TraceOptions(noise_fn=NoiseTerms(x_opt, params.p)))
+        assert tr.noise_norm is not None
+        with pytest.raises(DiagnosticUnavailableError, match="gap psi - psi_star"):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
 
     @pytest.mark.parametrize("q,kappa", [(2.5, 1.8), (6.0, 2.0)])
@@ -152,16 +162,31 @@ class TestCertificate:
             for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
                 sched = default_schedule(params, target, validate_horizon=600)
                 _, _, tr = solver(oracle, H, sched, np.zeros(d), 300,
-                                  rng=philox(seed, 7), params=params)
+                                  rng=philox(seed, 7), params=params,
+                                  trace_opts=certificate_options(params, H, x_opt, psi,
+                                                                 psi_star))
                 rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
                 assert rep.ok, (q, kappa, noise, target, seed, rep.first_violation)
 
 
-def reference_certificate_terms(trace, params):
-    """The certificate's noise-moment and deterministic sums, as first written."""
+class RecordedNoise(NoiseTerms):
+    """``NoiseTerms`` of a ``(d,)`` run that also keeps every delta_t."""
+
+    def __init__(self, x_star, p):
+        super().__init__(x_star, p)
+        self.deltas = []
+
+    def __call__(self, delta, x):
+        self.deltas.append(delta[0].copy())
+        return super().__call__(delta, x)
+
+
+def reference_certificate_terms(trace, params, noise):
+    """The certificate's noise-moment and deterministic sums, as first
+    written, from the realized noise ``noise`` (T, d)."""
     alphas, gammas, A = trace.alphas, trace.gammas, trace.A
     p, q, mu, M, L, r = params.p, params.q, params.mu, params.M, params.L, params.r
-    dual_norms = np.sum(np.abs(trace.noise) ** p, axis=1) ** (1.0 / p)
+    dual_norms = np.sum(np.abs(noise) ** p, axis=1) ** (1.0 / p)
     noise_moment = np.cumsum(
         2.0 * dual_norms ** p / (p * mu ** (p / q)) * (alphas ** q / gammas) ** (p / q)
     )
@@ -198,10 +223,14 @@ def test_run_inequality_terms_keep_their_bits(q, solver, target):
     params = derive_params(q, 2.0, inst.L, 2.0 * power_uc_constant(q), sigma=0.3)
     assert (params.r == 0.0) == (q == 2.0)
     sched = default_schedule(params, target, validate_horizon=500)
+    recorded = RecordedNoise(x_opt, params.p)
+    opts = dataclasses.replace(certificate_options(params, H, x_opt, psi, psi_star),
+                               noise_fn=recorded)
     _, _, tr = solver(ridge_oracle(inst), H, sched, np.zeros(inst.dimension), 200,
-                      rng=philox(int(q), 17), params=params)
+                      rng=philox(int(q), 17), params=params, trace_opts=opts)
     rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
-    noise_moment, deterministic = reference_certificate_terms(tr, params)
+    noise_moment, deterministic = reference_certificate_terms(tr, params,
+                                                              np.array(recorded.deltas))
     assert rep.noise_moment.tobytes() == noise_moment.tobytes()
     assert rep.deterministic.tobytes() == deterministic.tobytes()
 
@@ -327,8 +356,7 @@ class TestExpectationBound:
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             _, x_avg, _ = nacsmd(oracle, H, sched, x1, T, rng=philox(14, seed),
                                  params=params,
-                                 trace_opts=TraceOptions(record_iterates=False,
-                                                         record_noise=False))
+                                 trace_opts=TraceOptions(record_iterates=False))
             gaps.append(ridge_psi(inst, x_avg) - psi_star)
         V0 = H.value(x_opt) - H.value(x1) - float(H.grad(x1) @ (x_opt - x1))
         bound = expectation_bound(params, sched, "nacsmd", V0, T)

@@ -157,6 +157,19 @@ def test_quadratic_loss_gradient_matches_finite_differences():
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+@pytest.mark.parametrize("q,bits", [
+    (2.5, "0x1.8939be04e001ap-1"),
+    (3.0, "0x1.2bec333018867p-1"),
+    (3.5, "0x1.c6086fea1c864p-2"),
+    (4.0, "0x1.5555555555555p-2"),
+    (6.0, "0x1.9ee41a9562a5ap-4"),
+])
+def test_power_uc_constant_keeps_its_bits(q, bits):
+    # the values of the whole-grid search; the grid is now scanned in chunks
+    power_uc_constant.cache_clear()
+    assert power_uc_constant(q).hex() == bits
+
+
 def test_power_uc_constant_values():
     assert power_uc_constant(2.0) == 1.0
     # q = 4: minimizer of the scalar ratio sits at a = -2b with value 1/3

@@ -8,7 +8,8 @@ of the loops they replaced, which are copied here as the reference:
   the full-horizon scan where ``solvers._tail_certified`` proves the tail;
   a certified schedule must pass the scan, on a seeded grid that also
   reaches every branch where the proof declines;
-* ``certificate_check`` reuses the gaps a run recorded.
+* ``certificate_check`` reuses the gaps a run recorded, and refuses a gap
+  series of another function.
 """
 
 import dataclasses
@@ -20,13 +21,14 @@ import ccmin.bench as bench
 import ccmin.solvers as solvers
 from ccmin import (
     CustomSchedule,
+    DiagnosticUnavailableError,
     NumericalError,
     PolynomialSchedule,
     PowerNormRegularizer,
     RidgeInstance,
-    TraceOptions,
     acsmd,
     certificate_check,
+    certificate_options,
     default_schedule,
     derive_params,
     exact_optimum,
@@ -366,10 +368,13 @@ def ridge_run(solver, d, q, seed, gap_fn=None):
         calls.append(1)
         return ridge_psi(inst, x)
 
-    if gap_fn is None:
-        gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
+    # the run's gap function does not count towards the calls
+    opts = dataclasses.replace(
+        certificate_options(params, H, x_opt, lambda x: ridge_psi(inst, x), psi_star),
+        record_iterates=True)
+    if gap_fn is not None:
+        opts = dataclasses.replace(opts, gap_fn=gap_fn)
     sched = default_schedule(params, solver.__name__, validate_horizon=300)
-    opts = TraceOptions(record_iterates=True, record_noise=True, gap_fn=gap_fn)
     _, _, trace = solver(ridge_oracle(inst), H, sched, np.full(d, 3.25), 300,
                          rng=np.random.Generator(np.random.Philox(seed)), trace_opts=opts)
     return trace, (params, H, x_opt, psi, psi_star), calls
@@ -394,18 +399,19 @@ class TestCertificateGaps:
         recorded = certificate_check(trace, *args)
         assert len(calls) == 1  # only the last row is re-evaluated
         del calls[:]
-        recomputed = certificate_check(dataclasses.replace(trace, psi_gap=None), *args)
-        assert len(calls) == trace.T
+        _, _, _, psi, psi_star = args
+        gaps = np.array([psi(row) for row in trace.averaged[1:]]) - psi_star
+        recomputed = certificate_check(dataclasses.replace(trace, psi_gap=gaps), *args)
+        assert len(calls) == trace.T + 1
         same_certificate(recorded, recomputed)
         assert recorded.ok
 
-    def test_a_relative_gap_is_recomputed(self):
+    def test_a_relative_gap_is_refused(self):
         trace, args, calls = ridge_run(acsmd, 20, 3.0, seed=5)
         gap0 = float(trace.psi_gap[0])
         rel_trace, _, _ = ridge_run(acsmd, 20, 3.0, seed=5,
                                     gap_fn=lambda x: (args[3](x) - args[4]) / gap0)
-        del calls[:]
-        got = certificate_check(rel_trace, *args)
-        assert len(calls) == trace.T + 1  # the last-row check, then every row
-        same_certificate(got, certificate_check(dataclasses.replace(trace, psi_gap=None),
-                                                *args))
+        with pytest.raises(DiagnosticUnavailableError, match="gap psi - psi_star"):
+            certificate_check(rel_trace, *args)
+        with pytest.raises(DiagnosticUnavailableError, match="Bregman"):
+            certificate_check(dataclasses.replace(trace, bregman_to_opt=None), *args)

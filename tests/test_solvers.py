@@ -3,6 +3,7 @@ import pytest
 
 from ccmin import (
     CustomSchedule,
+    NoiseTerms,
     NumericalError,
     ParameterError,
     PowerNormRegularizer,
@@ -178,12 +179,14 @@ class TestSolvers:
         for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
             sched = default_schedule(params, target, validate_horizon=300)
             runs = []
+            opts = TraceOptions(noise_fn=NoiseTerms(inst.x_star, params.p))
             for _ in range(2):
                 _, _, tr = solver(oracle, H, sched, np.zeros(4), 200,
-                                  rng=philox(77), params=params)
+                                  rng=philox(77), params=params, trace_opts=opts)
                 runs.append(tr)
             assert np.array_equal(runs[0].iterates, runs[1].iterates)
-            assert np.array_equal(runs[0].noise, runs[1].noise)
+            assert np.array_equal(runs[0].noise_norm, runs[1].noise_norm)
+            assert np.array_equal(runs[0].noise_inner, runs[1].noise_inner)
 
     def test_nan_gradient_raises_numerical_error(self):
         H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)

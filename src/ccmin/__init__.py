@@ -17,17 +17,12 @@ from .errors import (
 )
 from .geometry import (
     GeometryParams,
-    bregman,
     bregman_to,
-    check_uniform_convexity,
-    check_weak_smoothness,
     derive_params,
     dual_exponent,
-    dual_norm,
     lq_norm,
     power_inv_r,
     power_uc_constant,
-    young_gap_bound,
 )
 from .oracles import (
     AdditiveNoiseOracle,
@@ -43,7 +38,6 @@ from .oracles import (
 )
 from .regularizers import PowerNormRegularizer, composite_prox, prox_bisection_oracle
 from .solvers import (
-    CustomSchedule,
     PolynomialSchedule,
     RestartPlan,
     RunTrace,

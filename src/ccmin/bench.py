@@ -172,11 +172,30 @@ def _integer(value, key: str, least: int):
     return value
 
 
-def _safety_scale(value, key: str):
-    """A schedule's gamma multiplier: a finite number >= 1, else a
-    ConfigError naming ``key``."""
-    if _number(value, key) < 1.0:
-        raise ConfigError(f"{key} must be >= 1, got {value!r}")
+def _unit_scale(value, key: str):
+    """``safety_scale`` is only echoed: schedules have no gamma multiplier,
+    since one above 1 breaks the growth condition at large t. Any value
+    but 1 is a ConfigError naming ``key``."""
+    if _number(value, key) != 1:
+        raise ConfigError(f"{key} must be 1 (schedules have no gamma multiplier), got {value!r}")
+
+
+def _check_algorithm(alg: dict, key: str):
+    """Refuse an unknown key or a bad value in the algorithm entry ``key``
+    (its ``name`` is checked with the plain names)."""
+    unknown = set(alg) - {"name", "m", "offset", "label", "safety_scale"}
+    if unknown:
+        raise ConfigError(f"unknown config keys under {key}: {sorted(unknown)}")
+    if "m" in alg and _number(alg["m"], f"{key}.m") <= -1:
+        raise ConfigError(f"{key}.m must be > -1, got {alg['m']!r}")
+    offset = alg.get("offset", 0)
+    if offset != "condition_root" and _number(offset, f"{key}.offset") < 0:
+        raise ConfigError(f"{key}.offset must be 'condition_root' or >= 0, got {offset!r}")
+    label = alg.get("label", "-")
+    if not isinstance(label, str) or not label:
+        raise ConfigError(f"{key}.label must be a non-empty string, got {label!r}")
+    if "safety_scale" in alg:
+        _unit_scale(alg["safety_scale"], f"{key}.safety_scale")
 
 
 def _check_keys(cfg: dict, reals: tuple, counts: tuple):
@@ -215,7 +234,7 @@ def resolve_config(raw: dict) -> dict:
         _number(inst[key], f"instance.{key}")
     if inst["R"] is not None:
         _number(inst["R"], "instance.R")
-    _safety_scale(cfg["solver"]["safety_scale"], "solver.safety_scale")
+    _unit_scale(cfg["solver"]["safety_scale"], "solver.safety_scale")
     _integer(cfg["solver"]["acsa_stage0"], "solver.acsa_stage0", 1)
     xs = inst["x_star"]
     if xs.get("kind") not in ("uniform", "fixed"):
@@ -231,31 +250,28 @@ def resolve_config(raw: dict) -> dict:
     algs = cfg["solver"]["algorithms"]
     if not algs:
         raise ConfigError("solver.algorithms must not be empty")
-    for alg in algs:
-        name = alg["name"] if isinstance(alg, dict) else alg
+    for i, alg in enumerate(algs):
+        name = alg.get("name") if isinstance(alg, dict) else alg
         if name not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}; expected one of {_ALGORITHMS}")
-        if isinstance(alg, dict) and "safety_scale" in alg:
-            _safety_scale(alg["safety_scale"], f"solver.algorithms[{name}].safety_scale")
+        if isinstance(alg, dict):
+            _check_algorithm(alg, f"solver.algorithms[{i}]")
         if name == "acsa" and inst["kind"] == "bernoulli":
             raise ConfigError("the accelerated baseline needs a regression instance")
 
     run = cfg["run"]
     seeds = run["seeds"]
     if isinstance(seeds, dict):
-        count = int(_number(seeds.get("count", 0), "run.seeds.count"))
-        base = int(_number(seeds.get("base", 0), "run.seeds.base"))
-        if count < 1:
-            raise ConfigError("run.seeds.count must be >= 1")
+        count = _integer(seeds.get("count", 0), "run.seeds.count", 1)
+        base = _integer(seeds.get("base", 0), "run.seeds.base", 0)
         run["seeds"] = list(range(base, base + count))
     elif isinstance(seeds, list):
         if not seeds:
             raise ConfigError("run.seeds must not be empty")
-        run["seeds"] = [int(_number(s, "run.seeds")) for s in seeds]
+        run["seeds"] = [_integer(s, "run.seeds", 0) for s in seeds]
     else:
         raise ConfigError("run.seeds must be a list or {count, base}")
-    if _number(run["T_max"], "run.T_max") < 1:
-        raise ConfigError("run.T_max must be >= 1")
+    _integer(run["T_max"], "run.T_max", 1)
     if not 0.0 < _number(run["epsilon"], "run.epsilon") < 1.0:
         raise ConfigError("run.epsilon must lie in (0, 1)")
     if _number(run["thin"], "run.thin") < 1:
@@ -333,19 +349,17 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
     the offset against the calibrated convexity modulus.
     """
     m, offset = spec.get("m"), spec.get("offset")
-    safety = spec.get("safety_scale", solver_cfg["safety_scale"])
     validated = solver_cfg["schedule_mode"] == "validated"
     if offset == "condition_root" or (offset is None and target == "acsmd" and not validated):
         offset = (params.L / nominal_mu) ** (1.0 / params.q)
     if validated:
-        return default_schedule(params, target, m=m, offset=offset, safety_scale=safety)
+        return default_schedule(params, target, m=m, offset=offset)
     if m is None:
         # the reference experiments run constant alpha_t for nacsmd
         m = 0.0 if target == "nacsmd" else default_degree(params, target)
     if offset is None:
         offset = 2.0 * (m + 1.0) * params.M / nominal_mu
-    return PolynomialSchedule(m=float(m), offset=float(offset), target=target,
-                              safety_scale=safety)
+    return PolynomialSchedule(m=float(m), offset=float(offset), target=target)
 
 
 def _cell_schedule(cfg: dict, cell: dict, params):

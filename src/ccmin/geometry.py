@@ -12,17 +12,15 @@ run certificates — is driven by three derived constants:
 
 with the convention 0**0 = 1 so that kappa == q gives M = L.
 
-This module holds that calculus, the norm/divergence primitives, the
+This module holds that calculus, the norm/divergence primitives, and the
 numeric primitives that several modules share (a row-wise dot product and a
-vectorised bisection), and empirical checkers for the two curvature
-inequalities the analysis relies on. Vectors are plain 1-D numpy arrays;
-the Bregman maps also take an ``(S, d)`` batch of C-contiguous rows and give
-one value per row.
+vectorised bisection). Vectors are plain 1-D numpy arrays; the Bregman map
+also takes an ``(S, d)`` batch of C-contiguous rows and gives one value per
+row.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,16 +33,9 @@ __all__ = [
     "derive_params",
     "lq_norm",
     "dual_exponent",
-    "dual_norm",
-    "bregman",
     "bregman_to",
     "power_uc_constant",
     "power_inv_r",
-    "young_gap_bound",
-    "check_uniform_convexity",
-    "check_weak_smoothness",
-    "UniformConvexityReport",
-    "WeakSmoothnessReport",
 ]
 
 
@@ -125,11 +116,6 @@ def dual_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-def dual_norm(g: np.ndarray, q: float) -> float:
-    """Dual norm of the l_q norm, i.e. the l_{q/(q-1)} norm of g."""
-    return lq_norm(g, dual_exponent(q))
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray):
     """``a @ b`` for 1-D vectors; for ``(S, d)`` arrays, the dot product of
     each row of ``a`` with the same row of ``b``.
@@ -165,18 +151,12 @@ def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray
     return 0.5 * (lo + hi)
 
 
-def bregman(omega, x: np.ndarray, y: np.ndarray) -> float:
-    """Bregman divergence omega(x) - omega(y) - <grad omega(y), x - y>.
-
-    ``omega`` is any object exposing ``value(x) -> float`` and
-    ``grad(x) -> array`` (the regularizers in this package do).
-    """
-    return bregman_to(omega, x)(y)
-
-
 def bregman_to(omega, x: np.ndarray):
-    """The map y -> bregman(omega, x, y) for a fixed x, with omega(x)
-    evaluated once; the subtraction order, and so the bits, are bregman's.
+    """The map y -> omega(x) - omega(y) - <grad omega(y), x - y>, the
+    Bregman divergence of ``omega`` between x and y, for a fixed x, with
+    omega(x) evaluated once. ``omega`` is any object exposing
+    ``value(x) -> float`` and ``grad(x) -> array`` (the regularizers in this
+    package do).
 
     ``x`` and ``y`` may be ``(S, d)`` batches (omega's ``value`` then gives
     one value per row): row i of the result has the bits of the divergence
@@ -271,103 +251,3 @@ def power_inv_r(base, r: float):
         return float(out) if out.ndim == 0 else out
     out = base ** (1.0 / r)
     return float(out) if out.ndim == 0 else out
-
-
-def young_gap_bound(params: GeometryParams, x: np.ndarray, y: np.ndarray, delta: float) -> float:
-    """Right-hand side of the smoothness/uniform-convexity bridge inequality:
-
-        (M / (q delta^r)) ||x - y||_q^q + L delta
-
-    which dominates (L/kappa) ||x - y||_q^kappa for every delta > 0. When
-    r = 0 the delta^r factor is 1 and the bound is (M/q)||x-y||^q + L delta.
-    """
-    if not delta > 0.0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    dist = lq_norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), params.q)
-    return params.M / (params.q * delta ** params.r) * dist ** params.q + params.L * delta
-
-
-@dataclass(frozen=True)
-class UniformConvexityReport:
-    min_ratio: float
-    witness_x: np.ndarray
-    witness_y: np.ndarray
-    mu: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class WeakSmoothnessReport:
-    max_ratio: float
-    witness_x: np.ndarray
-    witness_y: np.ndarray
-    L: float
-    passed: bool
-
-
-_DEGENERATE_PAIR = 1e-12  # reject pairs this close to avoid 0/0 ratios
-
-
-def _extreme_curvature_ratio(f, grad, dim, norm_q, power, better, samples, rng_seed, scale):
-    """Extremum over random pairs of [f(x) - f(y) - <grad(y), x-y>] / ((1/power)
-    ||x-y||_{norm_q}^power), with the first pair that attains it. ``better`` is
-    ``operator.lt`` for the minimum and ``operator.gt`` for the maximum."""
-    rng = np.random.default_rng(rng_seed)
-    best = np.inf if better is operator.lt else -np.inf
-    wx = wy = np.zeros(dim)
-    for _ in range(samples):
-        x = rng.normal(0.0, scale, dim)
-        y = rng.normal(0.0, scale, dim)
-        dist = lq_norm(x - y, norm_q)
-        if dist < _DEGENERATE_PAIR:
-            continue
-        ratio = (f(x) - f(y) - np.dot(grad(y), x - y)) / (dist ** power / power)
-        if better(ratio, best):
-            best, wx, wy = float(ratio), x, y
-    return float(best), wx, wy
-
-
-def check_uniform_convexity(
-    f,
-    grad,
-    dim: int,
-    q: float,
-    mu: float,
-    samples: int = 400,
-    rng_seed: int = 0,
-    scale: float = 2.0,
-    tol: float = 1e-9,
-) -> UniformConvexityReport:
-    """Empirically probe f(x) - f(y) - <g, x-y> >= (mu/q) ||x-y||_q^q.
-
-    Samples random pairs and reports the minimum observed curvature ratio
-    [f(x) - f(y) - <grad(y), x-y>] / ((1/q) ||x-y||_q^q); the modulus holds
-    on the sample iff min_ratio >= mu (up to tol).
-    """
-    min_ratio, wx, wy = _extreme_curvature_ratio(
-        f, grad, dim, q, q, operator.lt, samples, rng_seed, scale)
-    return UniformConvexityReport(
-        min_ratio=min_ratio, witness_x=wx, witness_y=wy,
-        mu=float(mu), passed=bool(min_ratio >= mu - tol * (1.0 + abs(mu))),
-    )
-
-
-def check_weak_smoothness(
-    f,
-    grad,
-    dim: int,
-    kappa: float,
-    L: float,
-    samples: int = 400,
-    rng_seed: int = 0,
-    norm_q: float = 2.0,
-    scale: float = 2.0,
-    tol: float = 1e-9,
-) -> WeakSmoothnessReport:
-    """Empirically probe f(x) - f(y) - <grad(y), x-y> <= (L/kappa) ||x-y||_q^kappa."""
-    max_ratio, wx, wy = _extreme_curvature_ratio(
-        f, grad, dim, norm_q, kappa, operator.gt, samples, rng_seed, scale)
-    return WeakSmoothnessReport(
-        max_ratio=max_ratio, witness_x=wx, witness_y=wy,
-        L=float(L), passed=bool(max_ratio <= L + tol * (1.0 + abs(L))),
-    )

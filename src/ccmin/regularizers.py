@@ -66,17 +66,13 @@ def composite_prox(
     y: np.ndarray,
     alpha: float,
     gamma: float,
-    box=None,
 ) -> np.ndarray:
     """Closed-form minimizer of alpha*[<g,x> + H(x)] + gamma*D^H(x,y).
 
     ``alpha`` and ``gamma`` may be scalars or arrays that broadcast against
     ``g`` (an ``(S, 1)`` column gives each row of an ``(S, d)`` batch its
     own); they meet the data only through elementwise ``+ - * /``, so a row
-    gets the bits of the scalar call. ``box`` is an optional (lower, upper)
-    pair of arrays/scalars; because the objective is coordinate separable
-    and scalar convex, clipping the unconstrained solution is the exact
-    box-constrained minimizer.
+    gets the bits of the scalar call.
     """
     if not _positive(alpha):
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -88,11 +84,7 @@ def composite_prox(
     scale = (alpha + gamma) * H.mu
     av = np.abs(v)
     mag = np.where(av < _UNDERFLOW, 0.0, (av / scale) ** (1.0 / (H.q - 1.0)))
-    x = np.sign(v) * mag
-    if box is not None:
-        lower, upper = box
-        x = np.clip(x, lower, upper)
-    return x
+    return np.sign(v) * mag
 
 
 def prox_bisection_oracle(

@@ -67,7 +67,6 @@ from .regularizers import PowerNormRegularizer, composite_prox
 
 __all__ = [
     "PolynomialSchedule",
-    "CustomSchedule",
     "default_degree",
     "default_schedule",
     "validate_schedule",
@@ -102,17 +101,15 @@ def _scalar_pow(base: float, exponent: float) -> float:
 
 @dataclass(frozen=True)
 class PolynomialSchedule:
-    """alpha_t = (t + offset [+1 if m >= 0])^m, gamma_t = s/(m+1) (t + offset)^{m+1}.
+    """alpha_t = (t + offset [+1 if m >= 0])^m, gamma_t = 1/(m+1) (t + offset)^{m+1}.
 
     The +1 shift on alpha makes alpha_t dominate the gamma increments for
     m >= 0; for m < 0 the increments are decreasing so the shift is dropped.
-    ``safety_scale`` multiplies gamma only.
     """
 
     m: float
     offset: float
     target: str
-    safety_scale: float = 1.0
     base_offset: float | None = None  # offset before auto-tuning, for provenance
 
     def __post_init__(self):
@@ -122,8 +119,6 @@ class PolynomialSchedule:
             raise ParameterError(f"polynomial degree must exceed -1, got {self.m}")
         if self.offset < 0.0:
             raise ParameterError(f"offset must be nonnegative, got {self.offset}")
-        if self.safety_scale < 1.0:
-            raise ParameterError(f"safety_scale must be >= 1, got {self.safety_scale}")
 
     # A scalar t (one solver step) is evaluated in Python floats, whose ``**``
     # gives the bits of numpy's 0-d power and costs a fraction of its
@@ -141,10 +136,10 @@ class PolynomialSchedule:
 
     def gamma(self, t):
         if isinstance(t, (int, float)):
-            return self.safety_scale / (self.m + 1.0) * _scalar_pow(
+            return 1.0 / (self.m + 1.0) * _scalar_pow(
                 float(t) + self.offset, self.m + 1.0)
         t = np.asarray(t, dtype=float)
-        out = self.safety_scale / (self.m + 1.0) * (t + self.offset) ** (self.m + 1.0)
+        out = 1.0 / (self.m + 1.0) * (t + self.offset) ** (self.m + 1.0)
         return float(out) if out.ndim == 0 else out
 
     def describe(self) -> dict:
@@ -154,44 +149,9 @@ class PolynomialSchedule:
             "m": self.m,
             "offset": self.offset,
             "base_offset": self.base_offset if self.base_offset is not None else self.offset,
-            "safety_scale": self.safety_scale,
+            # gamma has no multiplier; the key keeps summary.json's bytes
+            "safety_scale": 1.0,
         }
-
-
-@dataclass(frozen=True)
-class CustomSchedule:
-    """Explicit sequences; alphas[t-1] and gammas[t-1] are the step-t values."""
-
-    alphas: np.ndarray
-    gammas: np.ndarray
-    target: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-        object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=float))
-        if self.target not in TARGETS:
-            raise ParameterError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if np.any(self.alphas <= 0.0) or np.any(self.gammas <= 0.0):
-            raise ParameterError("custom schedules must be strictly positive")
-
-    def _pick(self, seq, t):
-        t = np.asarray(t)
-        idx = t.astype(int) - 1
-        if np.any(idx < 0) or np.any(idx >= seq.size):
-            raise ParameterError(
-                f"custom schedule of length {seq.size} queried at t={t}"
-            )
-        out = seq[idx]
-        return float(out) if out.ndim == 0 else out
-
-    def alpha(self, t):
-        return self._pick(self.alphas, t)
-
-    def gamma(self, t):
-        return self._pick(self.gammas, t)
-
-    def describe(self) -> dict:
-        return {"kind": "custom", "target": self.target, "length": int(self.alphas.size)}
 
 
 @dataclass(frozen=True)
@@ -255,6 +215,7 @@ def default_degree(params: GeometryParams, target: str) -> float:
 
 
 _PREFIX_HORIZON = 1024
+_MAX_DOUBLINGS = 60
 
 
 def _tail_certified(sched: PolynomialSchedule, params: GeometryParams, prefix: int,
@@ -264,10 +225,11 @@ def _tail_certified(sched: PolynomialSchedule, params: GeometryParams, prefix: i
     they passed on steps 1 .. ``prefix``. False means "not proven", never
     "invalid". With u = t + offset and beta = 2M/mu:
 
-    * growth, for ``safety_scale`` 1 only: gamma_{t+1} - gamma_t is the
-      integral of v^m over [u, u+1], at most (u+1)^m = alpha_t for m >= 0
-      and at most u^m = alpha_t for m < 0. A larger scale declines, since
-      s * u^m outgrows alpha_t once u is large;
+    * growth: gamma_{t+1} - gamma_t is the integral of v^m over
+      [u, u+1], at most (u+1)^m = alpha_t for m >= 0 and at most
+      u^m = alpha_t for m < 0. (A gamma multiplier s > 1 would break this
+      at large t for every offset, since s * u^m outgrows alpha_t once u
+      is large; so the schedule has none.)
     * lower slack: gamma_t / (beta alpha_t) is nondecreasing (its log
       derivative in u is (u+m+1)/(u(u+1)) > 0 for m >= 0, and it is linear
       in u for m < 0). For acsmd so is X_t = A_t / alpha_t, for every m:
@@ -284,8 +246,6 @@ def _tail_certified(sched: PolynomialSchedule, params: GeometryParams, prefix: i
       gamma_{horizon+1} and bounds on beta alpha_t and A_t up to the
       horizon must be finite, so that every value the scan forms is.
     """
-    if sched.safety_scale != 1.0:
-        return False
     q, beta = params.q, 2.0 * params.M / params.mu
     if sched.target == "acsmd" and (q - 1.0) * horizon * 2.0 ** -53 > 2.5e-10:
         return False
@@ -306,9 +266,7 @@ def default_schedule(
     target: str,
     m: float | None = None,
     offset: float | None = None,
-    safety_scale: float = 1.0,
     validate_horizon: int = 1_000_000,
-    max_doublings: int = 60,
 ) -> PolynomialSchedule:
     """Standard polynomial schedule for a solver, offset-tuned until valid.
 
@@ -324,14 +282,13 @@ def default_schedule(
     only (the alpha sum accumulates in order, and the elementwise powers
     give the same bits at every array length), so a prefix violation is a
     full-horizon violation. A candidate that passes is accepted when
-    ``_tail_certified`` proves both inequalities for every later t: with
-    ``safety_scale`` 1, a finite gamma at the horizon, a lower slack of at
-    least 1e-9 gamma_t at the end of the prefix and, for acsmd,
-    (q-1) * validate_horizon * 2^-53 <= 2.5e-10. Otherwise it gets the full
-    ``validate_horizon`` scan, as before. A certified schedule passes that
-    scan too, so the accepted schedule is the same; it is also valid for
-    every t, not only up to ``validate_horizon``, which restart stages
-    running past ``T_max`` rely on.
+    ``_tail_certified`` proves both inequalities for every later t: with a
+    finite gamma at the horizon, a lower slack of at least 1e-9 gamma_t at
+    the end of the prefix and, for acsmd, (q-1) * validate_horizon * 2^-53
+    <= 2.5e-10. Otherwise it gets the full ``validate_horizon`` scan. A
+    certified schedule passes that scan too, so the accepted schedule is the
+    same; it is also valid for every t, not only up to ``validate_horizon``,
+    which restart stages running past ``T_max`` rely on.
     """
     if target not in TARGETS:
         raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
@@ -340,12 +297,10 @@ def default_schedule(
     if offset is None:
         base = 2.0 * (m + 1.0) * params.M / params.mu
         offset = base if target == "nacsmd" else base ** (1.0 / params.q)
-    sched = PolynomialSchedule(
-        m=float(m), offset=float(offset), target=target,
-        safety_scale=float(safety_scale), base_offset=float(offset),
-    )
+    sched = PolynomialSchedule(m=float(m), offset=float(offset), target=target,
+                               base_offset=float(offset))
     prefix = min(validate_horizon, _PREFIX_HORIZON)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if validate_schedule(sched, params, prefix).ok and (
                 prefix == validate_horizon
                 or _tail_certified(sched, params, prefix, validate_horizon)
@@ -354,7 +309,7 @@ def default_schedule(
         sched = replace(sched, offset=2.0 * sched.offset + 1.0)
     raise NumericalError(
         f"default_schedule: could not satisfy the {target} step conditions "
-        f"within {max_doublings} offset doublings (m={m}, safety_scale={safety_scale})"
+        f"within {_MAX_DOUBLINGS} offset doublings (m={m})"
     )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ccmin
 import ccmin.bench as bench
 from ccmin import exact_optimum
 from ccmin.bench import (
@@ -72,6 +73,18 @@ class TestConfig:
         # once truncated to 3 (3.7) or refused as "must be positive" (0.5)
         with pytest.raises(ConfigError, match=r"instance\.d must be an integer >= 1, got "):
             resolve_config({"instance": {"d": [20, d]}})
+
+    def test_safety_scale_is_only_echoed(self):
+        entry = {"name": "nacsmd", "m": 0, "offset": "condition_root", "label": "n0",
+                 "safety_scale": 1}
+        cfg = resolve_config({"solver": {"algorithms": [entry], "safety_scale": 1.0}})
+        assert cfg["solver"]["algorithms"] == [entry]
+        for scale in (1.0005, 1.5):
+            with pytest.raises(ConfigError, match=r"^solver\.safety_scale must be 1 "):
+                resolve_config({"solver": {"safety_scale": scale}})
+            bad = [dict(entry, safety_scale=scale)]
+            with pytest.raises(ConfigError, match=r"^solver\.algorithms\[0\]\.safety_scale "):
+                resolve_config({"solver": {"algorithms": bad}})
 
     def test_grid_expansion(self):
         cfg = resolve_config({"instance": {"d": [2, 3], "L_multiplier": [1, 5]}})
@@ -420,6 +433,23 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("run,key", [
+        ({"seeds": {"count": 2.7, "base": 0}}, "run.seeds.count must be an integer >= 1, got 2.7"),
+        ({"seeds": {"count": 2, "base": 0.5}}, "run.seeds.base must be an integer >= 0, got 0.5"),
+        ({"seeds": [0, 1.5]}, "run.seeds must be an integer >= 0, got 1.5"),
+        ({"T_max": 5.5}, "run.T_max must be an integer >= 1, got 5.5"),
+    ])
+    def test_non_integer_run_keys_exit_2(self, tmp_path, capsys, command, run, key):
+        # once truncated: seeds [0, 1] for count 2.7 and base 0.5, seed 1 for
+        # 1.5, and 5 steps for a T_max echoed as 5.5
+        cfg = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
+               "run": dict({"T_max": 20, "seeds": [0]}, **run)}
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        assert capsys.readouterr().err == f"error: {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_baseline_on_the_bernoulli_instance_exit_2(self, tmp_path, capsys, command):
         # the config is refused before any run starts, so nothing is written
         cfg = {"instance": {"kind": "bernoulli"}, "solver": {"algorithms": ["nacsmd", "acsa"]}}
@@ -435,6 +465,16 @@ class TestCli:
         ({"algorithms": ["acsa"], "acsa_stage0": 0}, "solver.acsa_stage0"),
         ({"safety_scale": 0.5}, "solver.safety_scale"),
         ({"algorithms": [{"name": "nacsmd", "safety_scale": 0.5}]}, "].safety_scale"),
+        ({"safety_scale": 1.5}, "solver.safety_scale must be 1"),
+        ({"algorithms": [{"name": "nacsmd", "safety_scale": 1.5}]},
+         "solver.algorithms[0].safety_scale must be 1"),
+        ({"algorithms": ["acsmd1", {"name": "nacsmd", "m": "x"}]}, "solver.algorithms[1].m"),
+        ({"algorithms": [{"name": "nacsmd", "m": -1.5}]}, "solver.algorithms[0].m must be > -1"),
+        ({"algorithms": [{"name": "nacsmd", "offset": "bogus"}]}, "solver.algorithms[0].offset"),
+        ({"algorithms": [{"name": "nacsmd", "offset": -2.0}]}, "solver.algorithms[0].offset"),
+        ({"algorithms": [{"name": "nacsmd", "ofset": 3}]}, "solver.algorithms[0]: ['ofset']"),
+        ({"algorithms": [{"name": "nacsmd", "label": ""}]}, "solver.algorithms[0].label"),
+        ({"algorithms": [{"name": "nacsmd", "label": 7}]}, "solver.algorithms[0].label"),
     ])
     def test_bad_stage0_or_safety_scale_exit_2(self, tmp_path, capsys, command, solver, key):
         # refused before any run starts, so nothing is written
@@ -571,3 +611,21 @@ class TestCli:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "run" in proc.stdout
+
+
+def test_public_names():
+    # a new public name needs a caller and an edit here
+    assert sorted(ccmin.__all__) == [
+        "AdditiveNoiseOracle", "BernoulliLowerBoundInstance", "BernoulliOracle",
+        "CertificateReport", "ConfigError", "DiagnosticUnavailableError", "GeometryParams",
+        "NoiseTerms", "NumericalError", "OracleRows", "ParameterError", "PolynomialSchedule",
+        "PowerNormRegularizer", "RestartPlan", "RidgeInstance", "RidgeOracle", "RunTrace",
+        "StochasticGradientOracle", "TraceOptions", "acsa_baseline", "acsmd",
+        "additive_noise_oracle", "bernoulli_oracle", "bregman_to", "certificate_check",
+        "certificate_options", "composite_prox", "concentration_check", "default_schedule",
+        "derive_params", "diagnostics", "dual_exponent", "errors", "exact_optimum",
+        "expectation_bound", "geometry", "lower_bound_experiment", "lq_norm",
+        "martingale_tail_bound", "nacsmd", "oracles", "plan_from_params", "power_inv_r",
+        "power_uc_constant", "prox_bisection_oracle", "regularizers", "restart", "ridge_oracle",
+        "ridge_psi", "solvers", "validate_schedule",
+    ]

@@ -158,18 +158,6 @@ def test_prox_monotone_in_gradient_scale():
         assert np.all(move * np.sign(g) <= 1e-12)
 
 
-def test_prox_box_constraint_is_exact_clip():
-    H = PowerNormRegularizer(mu=1.0, q=2.0, dim=2)
-    g = np.array([-10.0, 10.0])
-    y = np.zeros(2)
-    x = composite_prox(H, g, y, 1.0, 1.0, box=(-1.0, 1.0))
-    assert np.allclose(x, [1.0, -1.0])
-    # scalar convexity: clipped point beats any interior alternative
-    def obj(v):
-        return float(g @ v) + H.value(v) + (H.value(v) - H.value(y) - H.grad(y) @ (v - y))
-    assert obj(x) <= obj(np.array([0.9, -0.9])) + 1e-12
-
-
 def test_prox_parameter_errors():
     H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
     with pytest.raises(ParameterError):

@@ -7,12 +7,13 @@ of the loops they replaced, which are copied here as the reference:
 * ``default_schedule`` checks a prefix before the full horizon, and skips
   the full-horizon scan where ``solvers._tail_certified`` proves the tail;
   a certified schedule must pass the scan, on a seeded grid that also
-  reaches every branch where the proof declines;
+  reaches the branch where a long acsmd sum declines the proof;
 * ``certificate_check`` reuses the gaps a run recorded, and refuses a gap
   series of another function.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ import pytest
 import ccmin.bench as bench
 import ccmin.solvers as solvers
 from ccmin import (
-    CustomSchedule,
     DiagnosticUnavailableError,
     NumericalError,
     PolynomialSchedule,
@@ -49,7 +49,7 @@ def reference_alpha(sched, t):
 
 def reference_gamma(sched, t):
     t = np.asarray(t, dtype=float)
-    out = sched.safety_scale / (sched.m + 1.0) * (t + sched.offset) ** (sched.m + 1.0)
+    out = 1.0 / (sched.m + 1.0) * (t + sched.offset) ** (sched.m + 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -77,20 +77,26 @@ def reference_validate(sched, params, horizon):
     )
 
 
-def reference_default_schedule(params, target, m=None, offset=None, safety_scale=1.0,
-                               validate_horizon=1_000_000, max_doublings=60):
+def reference_default_schedule(params, target, m=None, offset=None, validate_horizon=1_000_000):
     if m is None:
         m = solvers.default_degree(params, target)
     if offset is None:
         base = 2.0 * (m + 1.0) * params.M / params.mu
         offset = base if target == "nacsmd" else base ** (1.0 / params.q)
     sched = PolynomialSchedule(m=float(m), offset=float(offset), target=target,
-                               safety_scale=float(safety_scale), base_offset=float(offset))
-    for _ in range(max_doublings):
+                               base_offset=float(offset))
+    for _ in range(60):
         if reference_validate(sched, params, validate_horizon).ok:
             return sched
         sched = dataclasses.replace(sched, offset=2.0 * sched.offset + 1.0)
     return None
+
+
+def explicit_schedule(alphas, gammas, target):
+    """A schedule given by its sequences: step t reads alphas[t-1] and gammas[t-1]."""
+    alphas, gammas = np.asarray(alphas, dtype=float), np.asarray(gammas, dtype=float)
+    return SimpleNamespace(alpha=lambda t: alphas[np.asarray(t, dtype=int) - 1],
+                           gamma=lambda t: gammas[np.asarray(t, dtype=int) - 1], target=target)
 
 
 def bits(x):
@@ -106,25 +112,23 @@ def same_report(a, b):
 class TestScalarSteps:
     MS = (-0.9, -0.5, -0.25, 0.0, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 7.3)
     OFFSETS = (0.0, 0.3, 1.0, 17.5, 1234.567)
-    SCALES = (1.0, 1.7, 3.0)
     TS = (1, 2, 3, 7, 10, 99, 100, 999, 1000, 65_537, 10**6, 123_456_789)
 
     def test_python_floats_give_the_0d_numpy_bits(self):
         for m in self.MS:
             for offset in self.OFFSETS:
-                for s in self.SCALES:
-                    sched = PolynomialSchedule(m=m, offset=offset, target="acsmd", safety_scale=s)
-                    for t in self.TS:
-                        for arg in (t, float(t)):
-                            a, g = sched.alpha(arg), sched.gamma(arg)
-                            assert type(a) is float and type(g) is float
-                            assert bits(a) == bits(reference_alpha(sched, t)), (m, offset, s, t)
-                            assert bits(g) == bits(reference_gamma(sched, t)), (m, offset, s, t)
+                sched = PolynomialSchedule(m=m, offset=offset, target="acsmd")
+                for t in self.TS:
+                    for arg in (t, float(t)):
+                        a, g = sched.alpha(arg), sched.gamma(arg)
+                        assert type(a) is float and type(g) is float
+                        assert bits(a) == bits(reference_alpha(sched, t)), (m, offset, t)
+                        assert bits(g) == bits(reference_gamma(sched, t)), (m, offset, t)
 
     def test_arrays_keep_the_numpy_path(self):
         t = np.arange(1, 2000, dtype=float)
         for m in self.MS:
-            sched = PolynomialSchedule(m=m, offset=2.5, target="nacsmd", safety_scale=1.3)
+            sched = PolynomialSchedule(m=m, offset=2.5, target="nacsmd")
             assert sched.alpha(t).tobytes() == reference_alpha(sched, t).tobytes()
             assert sched.gamma(t).tobytes() == reference_gamma(sched, t).tobytes()
 
@@ -151,8 +155,7 @@ class TestValidateSchedule:
             for target in ("nacsmd", "acsmd"):
                 for m in (0.0, 0.5, 1.0, 2.0, 3.0):
                     for offset in (0.0, 1.0, 40.0, 1e4):
-                        yield params, PolynomialSchedule(m=m, offset=offset, target=target,
-                                                         safety_scale=1.5)
+                        yield params, PolynomialSchedule(m=m, offset=offset, target=target)
 
     @pytest.mark.parametrize("horizon", [1, 7, 1024, 5000])
     def test_report_matches_two_gamma_passes(self, horizon):
@@ -164,14 +167,16 @@ class TestValidateSchedule:
         assert n_bad > 0  # violations are covered too
 
     def test_custom_schedule(self):
+        # gamma grows by 1 .. 60 a step and alpha is at most 2: growth fails
         params = derive_params(3.0, 2.0, 3.0, 1.2 * power_uc_constant(3.0))
         rng = np.random.default_rng(4)
         for target in ("nacsmd", "acsmd"):
-            sched = CustomSchedule(alphas=rng.uniform(0.5, 2.0, 301),
-                                   gammas=np.cumsum(rng.uniform(1.0, 60.0, 301)), target=target)
+            sched = explicit_schedule(rng.uniform(0.5, 2.0, 301),
+                                      np.cumsum(rng.uniform(1.0, 60.0, 301)), target)
             for horizon in (1, 150, 300):
-                assert same_report(validate_schedule(sched, params, horizon),
-                                   reference_validate(sched, params, horizon))
+                got = validate_schedule(sched, params, horizon)
+                assert same_report(got, reference_validate(sched, params, horizon))
+                assert got.growth_slack_min < 0.0 and not got.ok
 
 
 class TestDefaultSchedule:
@@ -215,8 +220,7 @@ class TestDefaultSchedule:
         assert set(horizons) == {1024}
         for sched, params in found.items():
             want = reference_default_schedule(params, sched.target, m=sched.m,
-                                              offset=sched.base_offset,
-                                              safety_scale=sched.safety_scale)
+                                              offset=sched.base_offset)
             assert sched == want
 
 
@@ -236,9 +240,7 @@ def schedule_grid(seed, n):
                               rng.uniform(-0.99, 8.0)]))
         offset = float(rng.choice([0.0, 1.0, 10 ** rng.uniform(0, 4)]))
         sched = PolynomialSchedule(
-            m=m, offset=offset, target=str(rng.choice(["nacsmd", "acsmd"])),
-            safety_scale=float(rng.choice([1.0, 1.0, 1.0, 1.0, 1.0005, 1.5])),
-            base_offset=offset)
+            m=m, offset=offset, target=str(rng.choice(["nacsmd", "acsmd"])), base_offset=offset)
         yield params, sched, int(rng.choice([PREFIX + 1, 100_000, 1_000_000]))
 
 
@@ -257,32 +259,19 @@ def certified(params, sched, horizon):
 
 class TestTailCertificate:
     def test_certified_schedules_pass_the_full_scan(self):
-        n_cert = 0
-        declined = {"scale": [], "float": []}  # whether the scan passed, per decline
+        n_cert, n_declined = 0, 0
         for params, start, horizon in schedule_grid(seed=12, n=120):
             sched = first_passing(params, start)
             if sched is None:
                 continue
-            ok = reference_validate(sched, params, horizon).ok
             if certified(params, sched, horizon):
                 n_cert += 1
-                assert ok, (params, sched, horizon)
-            elif sched.safety_scale > 1.0:
-                declined["scale"].append(ok)
+                assert reference_validate(sched, params, horizon).ok, (params, sched, horizon)
             else:
                 assert sched.target == "acsmd" and (params.q - 1.0) * horizon > 2.5e-10 * 2.0 ** 53
-                declined["float"].append(ok)
+                n_declined += 1
         assert n_cert >= 60
-        # both declining branches are reached, and a declined scale fails the scan
-        assert declined["float"] and not all(declined["scale"]), declined
-
-    def test_a_safety_scale_above_one_is_left_to_the_scan(self):
-        # growth holds on the prefix but fails near u = m / ln(s)
-        params = derive_params(2.0, 2.0, 1.0, 1.0)
-        sched = PolynomialSchedule(m=3.0, offset=10.0, target="nacsmd", safety_scale=1.0005)
-        assert validate_schedule(sched, params, PREFIX).ok
-        assert not certified(params, sched, 100_000)
-        assert not reference_validate(sched, params, 100_000).ok
+        assert n_declined  # the declining branch of a long acsmd sum is reached
 
     def test_an_overflowing_gamma_is_left_to_the_scan(self):
         # gamma_t is finite on the prefix and overflows before t = 200000
@@ -335,24 +324,21 @@ class TestTailCertificate:
 
         def recording(sched, params, prefix, horizon):
             got = tail_certified(sched, params, prefix, horizon)
-            outcomes.append((got, sched.safety_scale > 1.0, sched.target))
+            outcomes.append((got, sched.target))
             return got
 
         monkeypatch.setattr(solvers, "_tail_certified", recording)
         for params, sched, horizon in schedule_grid(seed=4, n=24):
-            if sched.safety_scale > 1.0:
-                horizon = min(horizon, 100_000)  # the reference scans 60 offsets
-            args = dict(m=sched.m, offset=sched.offset, safety_scale=sched.safety_scale,
-                        validate_horizon=horizon)
+            args = dict(m=sched.m, offset=sched.offset, validate_horizon=horizon)
             want = reference_default_schedule(params, sched.target, **args)
             if want is None:
                 with pytest.raises(NumericalError):
                     default_schedule(params, sched.target, **args)
             else:
                 assert default_schedule(params, sched.target, **args) == want
-        # certified tails, declined scales and declined long acsmd sums all occur
-        assert {(True, False), (False, True)} <= {o[:2] for o in outcomes}
-        assert (False, False, "acsmd") in outcomes
+        # certified tails and declined long acsmd sums both occur
+        assert {True, False} == {o[0] for o in outcomes}
+        assert (False, "acsmd") in outcomes
 
 
 def ridge_run(solver, d, q, seed, gap_fn=None):

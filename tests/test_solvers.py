@@ -1,8 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ccmin import (
-    CustomSchedule,
     NoiseTerms,
     NumericalError,
     ParameterError,
@@ -29,6 +30,13 @@ from ccmin import (
 
 def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def explicit_schedule(alphas, gammas, target):
+    """A schedule given by its sequences: step t reads alphas[t-1] and gammas[t-1]."""
+    alphas, gammas = np.asarray(alphas, dtype=float), np.asarray(gammas, dtype=float)
+    return SimpleNamespace(alpha=lambda t: alphas[np.asarray(t, dtype=int) - 1],
+                           gamma=lambda t: gammas[np.asarray(t, dtype=int) - 1], target=target)
 
 
 def deterministic_ridge(d=4, q=2.0, mu=2.0, seed=0, scale=1.0):
@@ -84,7 +92,7 @@ class TestSchedules:
     def test_validate_flags_bad_custom_schedule(self):
         params = derive_params(2.0, 2.0, 1.0, 1.0)  # M/mu = 1
         t = np.arange(1, 101, dtype=float)
-        sched = CustomSchedule(alphas=t ** 2, gammas=t, target="nacsmd")
+        sched = explicit_schedule(t ** 2, t, "nacsmd")
         report = validate_schedule(sched, params, 99)
         assert not report.ok
         assert report.first_violation == 1  # gamma_1 = 1 < 2 * alpha_1
@@ -92,8 +100,8 @@ class TestSchedules:
     def test_gamma_scaling_raises_curvature_slack(self):
         params = derive_params(2.0, 2.0, 1.0, 1.0)
         t = np.arange(1, 101, dtype=float)
-        base = CustomSchedule(alphas=t ** 2, gammas=t, target="nacsmd")
-        scaled = CustomSchedule(alphas=t ** 2, gammas=10.0 * t, target="nacsmd")
+        base = explicit_schedule(t ** 2, t, "nacsmd")
+        scaled = explicit_schedule(t ** 2, 10.0 * t, "nacsmd")
         r0 = validate_schedule(base, params, 99)
         r1 = validate_schedule(scaled, params, 99)
         assert r1.lower_slack_min > r0.lower_slack_min
@@ -101,8 +109,6 @@ class TestSchedules:
     def test_polynomial_validation_errors(self):
         with pytest.raises(ParameterError):
             default_schedule(derive_params(2, 2, 1, 1), "sgd")
-        with pytest.raises(ParameterError):
-            CustomSchedule(alphas=[1.0, -1.0], gammas=[1.0, 1.0], target="nacsmd")
 
 
 class TestSolvers:
@@ -200,7 +206,7 @@ class TestSolvers:
     def test_invalid_schedule_rejected_when_params_given(self):
         inst, oracle, params, H = deterministic_ridge(d=2, q=2.0)
         t = np.arange(1, 20, dtype=float)
-        sched = CustomSchedule(alphas=t ** 2, gammas=0.01 * t, target="nacsmd")
+        sched = explicit_schedule(t ** 2, 0.01 * t, "nacsmd")
         with pytest.raises(ParameterError, match="step conditions"):
             nacsmd(oracle, H, sched, np.zeros(2), 10, params=params)
 

@@ -131,7 +131,8 @@ DEFAULT_CONFIG = {
     },
 }
 
-_ALGORITHMS = ("acsa", "nacsmd", "acsmd", "acsmd1", "acsmd2", "acsmd3")
+_PRESETS = ("acsmd1", "acsmd2", "acsmd3")  # plain-string names for acsmd of degree 1, 2, 3
+_ALGORITHMS = ("acsa", "nacsmd", "acsmd") + _PRESETS
 _KINDS = ("ridge", "custom-deterministic", "bernoulli")
 CENSOR_MARGIN = 1  # censored runs count as T_max + 1 in medians
 
@@ -182,10 +183,19 @@ def _unit_scale(value, key: str):
 
 def _check_algorithm(alg: dict, key: str):
     """Refuse an unknown key or a bad value in the algorithm entry ``key``
-    (its ``name`` is checked with the plain names)."""
+    (its ``name`` is checked with the plain names). A preset name is only a
+    plain string, and the ``acsa`` baseline, which has no polynomial
+    schedule, takes no ``m`` or ``offset``."""
+    if alg["name"] in _PRESETS:
+        raise ConfigError(f"{key}.name {alg['name']!r} is only a plain string; an object "
+                          "names 'acsmd' and sets its own 'm' and 'offset'")
     unknown = set(alg) - {"name", "m", "offset", "label", "safety_scale"}
     if unknown:
         raise ConfigError(f"unknown config keys under {key}: {sorted(unknown)}")
+    schedule_keys = sorted({"m", "offset"} & set(alg))
+    if alg["name"] == "acsa" and schedule_keys:
+        raise ConfigError(f"{key}: the acsa baseline has no polynomial schedule, "
+                          f"so takes no {schedule_keys}")
     if "m" in alg and _number(alg["m"], f"{key}.m") <= -1:
         raise ConfigError(f"{key}.m must be > -1, got {alg['m']!r}")
     offset = alg.get("offset", 0)
@@ -196,6 +206,21 @@ def _check_algorithm(alg: dict, key: str):
         raise ConfigError(f"{key}.label must be a non-empty string, got {label!r}")
     if "safety_scale" in alg:
         _unit_scale(alg["safety_scale"], f"{key}.safety_scale")
+
+
+def _check_restart(plan, T_max: int):
+    """Refuse a ``run.restart`` that is not null, ``"auto"`` or an explicit
+    plan ``{n, K, T}`` with integers n >= 0, K >= 1, T >= K whose n K + T
+    steps fit in ``T_max``."""
+    if plan is None or plan == "auto":
+        return
+    if not isinstance(plan, dict) or set(plan) != {"n", "K", "T"}:
+        raise ConfigError(f"run.restart must be null, 'auto' or {{n, K, T}}, got {plan!r}")
+    n = _integer(plan["n"], "run.restart.n", 0)
+    K = _integer(plan["K"], "run.restart.K", 1)
+    steps = n * K + _integer(plan["T"], "run.restart.T", K)
+    if steps > T_max:
+        raise ConfigError(f"run.restart runs {steps} steps, more than run.T_max = {T_max}")
 
 
 def _check_keys(cfg: dict, reals: tuple, counts: tuple):
@@ -272,6 +297,7 @@ def resolve_config(raw: dict) -> dict:
     else:
         raise ConfigError("run.seeds must be a list or {count, base}")
     _integer(run["T_max"], "run.T_max", 1)
+    _check_restart(run["restart"], run["T_max"])
     if not 0.0 < _number(run["epsilon"], "run.epsilon") < 1.0:
         raise ConfigError("run.epsilon must lie in (0, 1)")
     if _number(run["thin"], "run.thin") < 1:
@@ -289,7 +315,7 @@ def resolve_config(raw: dict) -> dict:
 def _algorithm_spec(alg) -> dict:
     if isinstance(alg, dict):
         spec = dict(alg)
-    elif alg in ("acsmd1", "acsmd2", "acsmd3"):
+    elif alg in _PRESETS:
         spec = {"name": "acsmd", "m": float(alg[-1]), "offset": "condition_root", "label": alg}
     else:
         spec = {"name": alg}
@@ -393,7 +419,6 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     """Build the problem bundle for one (cell, seed) pair."""
     inst = cfg["instance"]
     kind = inst["kind"]
-    spec = cell["algorithm"]
     if kind == "bernoulli":
         rng_nu = _philox((seed, 11))
         nu = 1 if rng_nu.random() < 0.5 else -1
@@ -408,7 +433,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
         return {
             "oracle": oracle, "params": params, "H": H, "x1": x1, "ridge": None,
             "psi": psi, "psi_star": b_inst.psi_star, "x_opt": np.array([b_inst.x_opt]),
-            "gap0": b_inst.gap_at_origin, "mu_f": None, "spec": spec,
+            "gap0": b_inst.gap_at_origin, "mu_f": None,
         }
 
     d = cell["d"]
@@ -432,7 +457,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     return {
         "oracle": oracle, "params": params, "H": H, "x1": x1, "ridge": ridge,
         "psi": psi, "psi_star": psi_star, "x_opt": x_opt,
-        "gap0": psi(x1) - psi_star, "mu_f": ridge.mu_F, "spec": spec,
+        "gap0": psi(x1) - psi_star, "mu_f": ridge.mu_F,
     }
 
 
@@ -568,8 +593,7 @@ def _run_group(cfg: dict, prepared: list) -> dict:
         for seed, bundle in bundles.items():
             if restart_cfg is not None and name != "acsa":
                 runs.append((cell, seed, bundle, desc, False, functools.partial(
-                    _restart_run, name, bundle, sched, sched_report.ok, restart_cfg,
-                    run_cfg["epsilon"])))
+                    _restart_run, name, bundle, sched, restart_cfg, run_cfg["epsilon"], T_max)))
                 continue
             runs.append((cell, seed, bundle, desc, want_cert,
                          functools.partial(batch_row, len(rows_data))))
@@ -617,21 +641,26 @@ def _run_group(cfg: dict, prepared: list) -> dict:
     return out
 
 
-def _restart_run(name, bundle, sched, valid, restart_cfg, epsilon):
+def _restart_run(name, bundle, sched, restart_cfg, epsilon, T_max):
     """One seed's restart run, a ``(d,)`` run (a batch of one row of the
-    solver's loop) per stage, flattened to one trace."""
+    solver's loop) per stage, flattened to one trace. Its n K + T steps fit
+    in ``T_max`` (an auto plan that does not is a ParameterError), so every
+    stage runs within the horizon ``_cell_schedule`` validated."""
     H, psi, psi_star = bundle["H"], bundle["psi"], bundle["psi_star"]
     bregman_fn = bregman_to(H, bundle["x_opt"])
     if restart_cfg == "auto":
         V0 = bregman_fn(bundle["x1"])
         plan = plan_from_params(bundle["params"], name, max(V0, 1e-12),
                                 epsilon * bundle["gap0"], sched=sched)
+        steps = plan.n * plan.K + plan.T
+        if steps > T_max:
+            raise ParameterError(
+                f"the auto restart plan (n={plan.n}, K={plan.K}, T={plan.T}) runs {steps} "
+                f"steps, more than run.T_max = {T_max}")
     else:
         plan = RestartPlan(**restart_cfg)
-    # a plan's stages can run past T_max, so the solver checks its own
     _, rtrace = restart(
         name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
-        params=bundle["params"] if valid else None,
         trace_opts=TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
                                 bregman_fn=bregman_fn),
     )

@@ -20,10 +20,11 @@ Three families are provided:
 oracle of ``(S, d)`` batches whose row i gets the draws and the bits of
 oracle i queried alone.
 
-Oracles are immutable descriptions. ``sample_gradient`` takes an explicit
-``numpy.random.Generator`` so concurrent users can hand each replica its own
-substream; when omitted, a private Philox stream seeded at construction is
-used instead.
+Oracles are immutable descriptions and keep no random stream of their own:
+an oracle that draws noise takes its ``numpy.random.Generator`` from the
+caller on every ``sample_gradient`` call (the solver's ``rng``, or the
+per-row generators of ``OracleRows``) and raises ``ParameterError`` when
+handed ``None``.
 """
 
 from __future__ import annotations
@@ -64,29 +65,28 @@ def _ridge_mean_gradient(x, x_star):
 
 
 class StochasticGradientOracle:
-    """Base interface: unbiased gradient samples with declared noise scale.
+    """Base interface: unbiased gradient samples.
 
     Attributes
     ----------
     dimension : int
-    noise_level : float
-        Declared sigma with E ||sample - mean||_*^p <= sigma^p.
-    noise_moment_exponent : float
-        The exponent p in (1, 2] of that moment bound.
     mean_gradient : callable or None
         Exact expected gradient, when the instance can reveal it.
     """
 
     dimension: int = 0
-    noise_level: float = 0.0
-    noise_moment_exponent: float = 2.0
     mean_gradient = None
 
     def sample_gradient(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def _rng_or_default(self, rng):
-        return self._rng if rng is None else rng
+
+def _need_rng(oracle, rng) -> np.random.Generator:
+    """``rng``, or a ``ParameterError`` naming the oracle's class if it is None."""
+    if rng is None:
+        raise ParameterError(
+            f"{type(oracle).__name__} draws noise and needs a Generator, got rng=None")
+    return rng
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,12 @@ class RidgeInstance:
 class RidgeOracle(StochasticGradientOracle):
     """One fresh (a, b) draw per gradient call."""
 
-    def __init__(self, instance: RidgeInstance, seed: int = 0):
+    def __init__(self, instance: RidgeInstance):
         self.instance = instance
         self.dimension = instance.dimension
-        self.noise_level = instance.declared_sigma
-        self.noise_moment_exponent = dual_exponent(instance.q)
-        self._rng = _philox(seed)
 
     def sample_gradient(self, x, rng=None):
-        a, xi = self._draw(self._rng_or_default(rng))
+        a, xi = self._draw(_need_rng(self, rng))
         return _ridge_gradients(a, np.asarray(x, dtype=float), self.instance, xi)
 
     def _draw(self, rng):
@@ -172,8 +169,8 @@ class RidgeOracle(StochasticGradientOracle):
         return _ridge_mean_gradient(np.asarray(x, dtype=float), self.instance.x_star)
 
 
-def ridge_oracle(instance: RidgeInstance, seed: int = 0) -> RidgeOracle:
-    return RidgeOracle(instance, seed=seed)
+def ridge_oracle(instance: RidgeInstance) -> RidgeOracle:
+    return RidgeOracle(instance)
 
 
 def _ridge_gradients(a, x, instance, xi, x_star=None):
@@ -200,7 +197,7 @@ class OracleRows(StochasticGradientOracle):
     def __init__(self, oracles, rngs):
         self.oracles = list(oracles)
         self.rngs = list(rngs)
-        if not self.oracles or len(self.rngs) != len(self.oracles):
+        if not self.oracles or len(self.rngs) != len(self.oracles) or None in self.rngs:
             raise ParameterError("OracleRows needs one generator per oracle, and at least one")
         self.dimension = self.oracles[0].dimension
         ridge = all(type(o) is RidgeOracle for o in self.oracles) and len(
@@ -288,15 +285,12 @@ class BernoulliLowerBoundInstance:
 
 
 class BernoulliOracle(StochasticGradientOracle):
-    def __init__(self, instance: BernoulliLowerBoundInstance, seed: int = 0):
+    def __init__(self, instance: BernoulliLowerBoundInstance):
         self.instance = instance
         self.dimension = 1
-        self.noise_level = instance.sigma
-        self.noise_moment_exponent = dual_exponent(instance.q)
-        self._rng = _philox(seed)
 
     def sample_gradient(self, x, rng=None):
-        return self.gradients(self._rng_or_default(rng).random(1))
+        return self.gradients(_need_rng(self, rng).random(1))
 
     def gradients(self, u) -> np.ndarray:
         """The gradients drawn by uniforms ``u`` (any shape): nu C / s where
@@ -315,7 +309,6 @@ def bernoulli_oracle(
     sigma: float,
     epsilon: float,
     nu: int,
-    seed: int = 0,
 ) -> tuple[BernoulliOracle, BernoulliLowerBoundInstance]:
     """Construct the adversarial oracle together with its hidden-sign handle.
 
@@ -341,7 +334,7 @@ def bernoulli_oracle(
         nu=int(nu), s=s, C=C, mu=float(mu), q=float(q),
         sigma=float(sigma), epsilon=float(epsilon),
     )
-    return BernoulliOracle(instance, seed=seed), instance
+    return BernoulliOracle(instance), instance
 
 
 def absolute_gaussian_moment(p: float) -> float:
@@ -371,7 +364,7 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
     """
 
     def __init__(self, grad_fn, dimension: int, kind: str, sigma: float,
-                 q: float = 2.0, seed: int = 0, tail: float = 4.0):
+                 q: float = 2.0, tail: float = 4.0):
         if kind not in _NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {kind!r}; expected one of {_NOISE_KINDS}")
         if sigma < 0.0:
@@ -386,7 +379,6 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
         self.noise_level = float(sigma)
         self.noise_moment_exponent = p
         self.tail = float(tail)
-        self._rng = _philox(seed)
         # gaussian: the coordinate scale; bounded sphere: the l_p norm; pareto:
         # x_m of the magnitude x_m U^(-1/tail), whose E mag^p = x_m^p tail/(tail-p)
         if kind == "gaussian":
@@ -408,8 +400,7 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
         g = np.asarray(self._grad_fn(x), dtype=float)
         if self.noise_level == 0.0:
             return g
-        rng = self._rng_or_default(rng)
-        return g + self.draw_noise(rng)
+        return g + self.draw_noise(_need_rng(self, rng))
 
     def draw_noise(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Noise vectors of shape ``shape + (dimension,)``, drawn from ``rng``.
@@ -438,7 +429,6 @@ def additive_noise_oracle(
     kind: str = "gaussian",
     sigma: float = 0.0,
     q: float = 2.0,
-    seed: int = 0,
     tail: float = 4.0,
 ) -> AdditiveNoiseOracle:
-    return AdditiveNoiseOracle(grad_fn, dimension, kind, sigma, q=q, seed=seed, tail=tail)
+    return AdditiveNoiseOracle(grad_fn, dimension, kind, sigma, q=q, tail=tail)

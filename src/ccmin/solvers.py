@@ -181,8 +181,9 @@ def validate_schedule(sched, params: GeometryParams, horizon: int) -> ScheduleRe
         # alpha^q / A^{q-1} written as alpha * (alpha/A)^{q-1}: the ratio is
         # <= 1 so high exponents cannot overflow
         lower_slack = gammas - beta * alphas * (alphas / A) ** (params.q - 1.0)
-    tol = 1e-9 * (1.0 + np.abs(gammas))
-    bad = (growth_slack < -tol) | (lower_slack < -tol)
+    # each slack is measured against the size of the term it bounds
+    bad = ((growth_slack < -1e-9 * (1.0 + np.abs(alphas)))
+           | (lower_slack < -1e-9 * (1.0 + np.abs(gammas))))
     first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
     return ScheduleReport(
         ok=first is None,
@@ -243,16 +244,28 @@ def _tail_certified(sched: PolynomialSchedule, params: GeometryParams, prefix: i
     * float error: a sequential ``cumsum`` to the horizon is off by at most
       about (q-1) * horizon * 2^-53 relative in acsmd's curvature term; the
       check declines above 2.5e-10, well inside the scan's 1e-9 tolerance.
-      gamma_{horizon+1} and bounds on beta alpha_t and A_t up to the
-      horizon must be finite, so that every value the scan forms is.
+      The scan's gamma_{t+1} - gamma_t is off by at most about (|m| + 4)
+      ulps of gamma_{t+1} (the rounding of t + offset, carried through the
+      power, plus the power and the 1/(m+1) product in both terms; none of
+      these rounds for m = 0 with an integer offset), and
+      gamma_{t+1} / (1 + alpha_t) grows with t, so the check declines when
+      that error at the horizon exceeds the growth tolerance
+      1e-9 (1 + alpha_horizon). gamma_{horizon+1} and bounds on beta alpha_t
+      and A_t up to the horizon must be finite, so that every value the scan
+      forms is.
     """
     q, beta = params.q, 2.0 * params.M / params.mu
     if sched.target == "acsmd" and (q - 1.0) * horizon * 2.0 ** -53 > 2.5e-10:
         return False
     with np.errstate(over="ignore"):
         top = max(sched.alpha(horizon), 1.0)  # alpha_t <= top for every t <= horizon
-        if not math.isfinite(sched.gamma(horizon + 1) + max(beta, horizon) * top):
+        gamma_end = sched.gamma(horizon + 1)
+        if not math.isfinite(gamma_end + max(beta, horizon) * top):
             return False
+    exact = sched.m == 0.0 and float(sched.offset).is_integer() and gamma_end < 2.0 ** 53
+    if not exact and (abs(sched.m) + 4.0) * gamma_end * 2.0 ** -52 > 1e-9 * (
+            1.0 + sched.alpha(horizon)):
+        return False
     alpha, gamma = sched.alpha(prefix), sched.gamma(prefix)
     need = beta * alpha
     if sched.target == "acsmd":
@@ -283,12 +296,13 @@ def default_schedule(
     give the same bits at every array length), so a prefix violation is a
     full-horizon violation. A candidate that passes is accepted when
     ``_tail_certified`` proves both inequalities for every later t: with a
-    finite gamma at the horizon, a lower slack of at least 1e-9 gamma_t at
-    the end of the prefix and, for acsmd, (q-1) * validate_horizon * 2^-53
-    <= 2.5e-10. Otherwise it gets the full ``validate_horizon`` scan. A
-    certified schedule passes that scan too, so the accepted schedule is the
-    same; it is also valid for every t, not only up to ``validate_horizon``,
-    which restart stages running past ``T_max`` rely on.
+    finite gamma at the horizon, the float error of gamma's increment there
+    inside the growth tolerance 1e-9 (1 + alpha_t), a lower slack of at
+    least 1e-9 gamma_t at the end of the prefix and, for acsmd,
+    (q-1) * validate_horizon * 2^-53 <= 2.5e-10. Otherwise it gets the full
+    ``validate_horizon`` scan. A certified schedule passes that scan too, so
+    the accepted schedule is the same; it is also valid for every t, not
+    only up to ``validate_horizon``.
     """
     if target not in TARGETS:
         raise ParameterError(f"target must be one of {TARGETS}, got {target!r}")
@@ -918,14 +932,12 @@ def plan_from_params(
 
 
 def _solve_power_linear(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray:
-    """Vector root of a|x|^{q-1}sign(x) + b x = c_j (a >= 0, b > 0, monotone).
+    """Vector root of a|x|^{q-1}sign(x) + b x = c_j (a > 0, b > 0, monotone).
 
     Bisects the bracket between 0 and c/b until it stops changing, within
-    90 steps.
+    90 steps. ``acsa_baseline`` solves q = 2 in closed form instead.
     """
     c = np.asarray(c, dtype=float)
-    if a == 0.0 or q == 2.0:
-        return c / (a + b) if q == 2.0 else c / b
 
     def go_up(mid):
         return a * np.abs(mid) ** (q - 1.0) * np.sign(mid) + b * mid < c

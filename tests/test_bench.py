@@ -209,12 +209,26 @@ class TestRunExperiment:
         cfg = {
             "instance": {"kind": "custom-deterministic", "d": [4], "q": 2.0},
             "solver": {"algorithms": ["nacsmd"], "schedule_mode": "validated"},
-            "run": {"epsilon": 0.001, "T_max": 500, "seeds": [0], "restart": "auto",
+            "run": {"epsilon": 0.001, "T_max": 40_000, "seeds": [0], "restart": "auto",
                     "stop_at_target": False},
             "output": {"traces": False, "plotdata": False},
         }
         s = run_experiment(cfg, out_dir=tmp_path)
         assert s["cells"][0]["hit_rate"] == 1.0
+
+    def test_restart_auto_plan_longer_than_T_max_is_recorded(self, tmp_path):
+        # the plan of test_restart_auto_mode needs 38574 steps
+        cfg = {
+            "instance": {"kind": "custom-deterministic", "d": [4], "q": 2.0},
+            "solver": {"algorithms": ["nacsmd"], "schedule_mode": "validated"},
+            "run": {"epsilon": 0.001, "T_max": 500, "seeds": [0], "restart": "auto",
+                    "stop_at_target": False},
+            "output": {"traces": False, "plotdata": False},
+        }
+        cell = run_experiment(cfg, out_dir=tmp_path)["cells"][0]
+        assert cell["hit_rate"] is None
+        assert cell["failed_runs"] == {"0": "the auto restart plan (n=10, K=3, T=38544) runs "
+                                            "38574 steps, more than run.T_max = 500"}
 
     def test_parallel_workers_match_serial(self, tmp_path):
         s1 = run_experiment(TINY, out_dir=tmp_path / "w1", workers=1)
@@ -277,7 +291,7 @@ class TestRunExperiment:
         # restart planner rejects it; the nacsmd cell must still complete
         cfg = {"instance": {"d": [3], "q": 2.0},
                "solver": {"algorithms": ["nacsmd", "acsmd1"]},
-               "run": {"restart": "auto", "T_max": 60, "seeds": [0, 1]}}
+               "run": {"restart": "auto", "T_max": 400, "seeds": [0, 1]}}
         s = run_experiment(cfg, out_dir=tmp_path)
         nac, ac1 = s["cells"]
         assert nac["failed_runs"] == {}
@@ -354,10 +368,10 @@ class TestEmitters:
 
     def test_all_failed_cell_is_marked_err(self, tmp_path):
         # printed smooth-case acsmd1 fails the auto restart planner on every
-        # seed, while nacsmd runs; a censored cell would read >60 instead
+        # seed, while nacsmd runs; a censored cell would read >400 instead
         cfg = {"instance": {"d": [3], "q": 2.0},
                "solver": {"algorithms": ["nacsmd", "acsmd1"]},
-               "run": {"restart": "auto", "T_max": 60, "seeds": [0, 1]}}
+               "run": {"restart": "auto", "T_max": 400, "seeds": [0, 1]}}
         s = run_experiment(cfg, out_dir=tmp_path)
         _, csv_text = emit_table(s)
         row = csv_text.splitlines()[1].split(",")
@@ -438,10 +452,20 @@ class TestCli:
         ({"seeds": {"count": 2, "base": 0.5}}, "run.seeds.base must be an integer >= 0, got 0.5"),
         ({"seeds": [0, 1.5]}, "run.seeds must be an integer >= 0, got 1.5"),
         ({"T_max": 5.5}, "run.T_max must be an integer >= 1, got 5.5"),
+        ({"restart": "bogus"}, "run.restart must be null, 'auto' or {n, K, T}, got 'bogus'"),
+        ({"restart": {"n": 1}},
+         "run.restart must be null, 'auto' or {n, K, T}, got {'n': 1}"),
+        ({"restart": {"n": 1.5, "K": 5, "T": 10}},
+         "run.restart.n must be an integer >= 0, got 1.5"),
+        ({"restart": {"n": 1, "K": 0, "T": 10}}, "run.restart.K must be an integer >= 1, got 0"),
+        ({"restart": {"n": 1, "K": 5, "T": 3}}, "run.restart.T must be an integer >= 5, got 3"),
+        ({"restart": {"n": 2, "K": 5, "T": 11}},
+         "run.restart runs 21 steps, more than run.T_max = 20"),
     ])
     def test_non_integer_run_keys_exit_2(self, tmp_path, capsys, command, run, key):
         # once truncated: seeds [0, 1] for count 2.7 and base 0.5, seed 1 for
-        # 1.5, and 5 steps for a T_max echoed as 5.5
+        # 1.5, and 5 steps for a T_max echoed as 5.5. A bad restart plan
+        # crashed the run, recorded one error per run, or ran past T_max
         cfg = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
                "run": dict({"T_max": 20, "seeds": [0]}, **run)}
         extra = ["--out", str(tmp_path / "out")] if command == "run" else []
@@ -475,6 +499,12 @@ class TestCli:
         ({"algorithms": [{"name": "nacsmd", "ofset": 3}]}, "solver.algorithms[0]: ['ofset']"),
         ({"algorithms": [{"name": "nacsmd", "label": ""}]}, "solver.algorithms[0].label"),
         ({"algorithms": [{"name": "nacsmd", "label": 7}]}, "solver.algorithms[0].label"),
+        ({"algorithms": [{"name": "acsmd1", "label": "x"}]}, "solver.algorithms[0].name"),
+        ({"algorithms": ["nacsmd", {"name": "acsmd3"}]}, "solver.algorithms[1].name"),
+        ({"algorithms": [{"name": "acsa", "m": 2.0}]}, "solver.algorithms[0]: the acsa"),
+        ({"algorithms": ["nacsmd", {"name": "acsa", "m": 2.0, "offset": 50, "label": "A2"}]},
+         "solver.algorithms[1]: the acsa baseline has no polynomial schedule, "
+         "so takes no ['m', 'offset']"),
     ])
     def test_bad_stage0_or_safety_scale_exit_2(self, tmp_path, capsys, command, solver, key):
         # refused before any run starts, so nothing is written

@@ -189,7 +189,7 @@ def test_grid_equality_with_thinning_and_auto_restart(tmp_path):
     cfg = {
         "instance": {"kind": "custom-deterministic", "d": [4], "q": 2.0},
         "solver": {"algorithms": ["nacsmd", "acsmd1"], "schedule_mode": "validated"},
-        "run": {"epsilon": 0.01, "T_max": 200, "restart": "auto", "thin": 3,
+        "run": {"epsilon": 0.01, "T_max": 3000, "restart": "auto", "thin": 3,
                 "stop_at_target": False},
     }
     assert_batch_equals_one_seed_grids(cfg, tmp_path)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from ccmin import (
+    OracleRows,
     ParameterError,
+    PowerNormRegularizer,
     RidgeInstance,
     additive_noise_oracle,
     bernoulli_oracle,
+    default_schedule,
+    derive_params,
+    nacsmd,
+    power_uc_constant,
     ridge_oracle,
 )
 from ccmin.oracles import solve_bernoulli_activation
@@ -224,3 +230,38 @@ class TestAdditiveNoise:
             draws = np.array([orc.sample_gradient(x, rng) for _ in range(20_000)])
             se = draws.std(axis=0) / math.sqrt(len(draws))
             assert np.all(np.abs(draws.mean(axis=0) - grad(x)) <= 6 * se + 1e-12)
+
+
+class TestCallerGenerator:
+    """An oracle keeps no random stream: every draw comes from the caller."""
+
+    def test_noisy_oracles_refuse_a_missing_generator(self):
+        ridge = ridge_oracle(make_ridge())
+        bern, _ = bernoulli_oracle(1.0, 2.0, 1.0, 0.05, nu=1)
+        noisy = additive_noise_oracle(lambda x: np.zeros(3), 3, kind="gaussian", sigma=0.5)
+        for orc, x, name in ((ridge, np.zeros(6), "RidgeOracle"),
+                             (bern, np.zeros(1), "BernoulliOracle"),
+                             (noisy, np.zeros(3), "AdditiveNoiseOracle")):
+            with pytest.raises(ParameterError, match=name):
+                orc.sample_gradient(x)
+            with pytest.raises(ParameterError, match=name):
+                orc.sample_gradient(x, None)
+
+    def test_zero_noise_oracle_needs_no_generator(self):
+        orc = additive_noise_oracle(lambda x: 3.0 * np.asarray(x), 2, sigma=0.0)
+        assert np.array_equal(orc.sample_gradient(np.array([1.0, -1.0])), [3.0, -3.0])
+
+    def test_solver_without_rng_is_refused(self):
+        inst = make_ridge(d=4, q=2.0)
+        params = derive_params(2.0, 2.0, inst.L, inst.mu * power_uc_constant(2.0))
+        H = PowerNormRegularizer(mu=inst.mu, q=2.0, dim=4)
+        sched = default_schedule(params, "nacsmd", validate_horizon=10)
+        with pytest.raises(ParameterError, match="RidgeOracle"):
+            nacsmd(ridge_oracle(inst), H, sched, np.zeros(4), 10)
+
+    def test_rows_refuse_a_missing_generator(self):
+        oracles = [ridge_oracle(make_ridge(seed=k)) for k in range(2)]
+        with pytest.raises(ParameterError, match="generator"):
+            OracleRows(oracles, [None, None])
+        with pytest.raises(ParameterError, match="generator"):
+            OracleRows(oracles, [philox(1), None])

@@ -65,8 +65,8 @@ def reference_validate(sched, params, horizon):
     else:
         A = np.cumsum(alphas)
         lower_slack = gammas - beta * alphas * (alphas / A) ** (params.q - 1.0)
-    tol = 1e-9 * (1.0 + np.abs(gammas))
-    bad = (growth_slack < -tol) | (lower_slack < -tol)
+    bad = ((growth_slack < -1e-9 * (1.0 + np.abs(alphas)))
+           | (lower_slack < -1e-9 * (1.0 + np.abs(gammas))))
     first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
     return solvers.ScheduleReport(
         ok=first is None,
@@ -307,6 +307,21 @@ class TestTailCertificate:
         assert not certified(params, sched, 1_000_000)
         # a slack of 2e6 at the prefix, above 1e-9 gamma_t, is one
         assert certified(derive_params(2.0, 2.0, 1e15 - 2e6, 2.0), sched, 1_000_000)
+
+    def test_a_rounded_gamma_increment_is_left_to_the_scan(self):
+        # at offset 1.2e8 and m = 2, an ulp of gamma_t (about 5e23) exceeds
+        # the growth tolerance 1e-9 (1 + alpha_t): the scan fails growth at
+        # t = 16286 although the inequality holds in exact arithmetic
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        sched = PolynomialSchedule(m=2.0, offset=1.2e8 + 0.5, target="nacsmd")
+        assert validate_schedule(sched, params, PREFIX).ok
+        assert validate_schedule(sched, params, 1_000_000).first_violation == 16_286
+        assert not certified(params, sched, 1_000_000)
+        # the increment of an m = 0 schedule with an integer offset is exact
+        assert certified(params, PolynomialSchedule(m=0.0, offset=1e8, target="nacsmd"),
+                         1_000_000)
+        assert not certified(params, PolynomialSchedule(m=0.0, offset=1e8 + 0.5,
+                                                        target="nacsmd"), 1_000_000)
 
     def test_alpha_sum_ratio_is_nondecreasing(self):
         # A_t / alpha_t never decreases for any m >= 0, small offsets included

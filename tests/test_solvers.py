@@ -97,6 +97,18 @@ class TestSchedules:
         assert not report.ok
         assert report.first_violation == 1  # gamma_1 = 1 < 2 * alpha_1
 
+    def test_growth_tolerance_scales_with_alpha(self):
+        # gamma grows by 1.5 a step against alpha_t = 1: growth fails by 0.5,
+        # which a tolerance relative to gamma_t (about 1e9) would hide
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        t = np.arange(1, 102, dtype=float)
+        report = validate_schedule(explicit_schedule(np.ones(101), 1e9 + 1.5 * t, "nacsmd"),
+                                   params, 100)
+        assert not report.ok
+        assert report.first_violation == 1
+        assert report.growth_slack_min == pytest.approx(-0.5)
+        assert report.lower_slack_min > 0.0
+
     def test_gamma_scaling_raises_curvature_slack(self):
         params = derive_params(2.0, 2.0, 1.0, 1.0)
         t = np.arange(1, 101, dtype=float)

@@ -364,7 +364,8 @@ def _make_x1(inst: dict, d: int) -> np.ndarray:
     return values
 
 
-def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal_mu: float):
+def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal_mu: float,
+                      horizon: int):
     """Build the run schedule, once per grid cell (it is seed-independent).
 
     In "printed" mode the literal polynomial constants are used: degree per
@@ -372,14 +373,15 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
     the plain solver and (L/mu)^(1/q) for the accelerated variants, with the
     nominal regularizer weight mu. These can violate the step conditions at
     small t; "validated" mode instead calls default_schedule, which repairs
-    the offset against the calibrated convexity modulus.
+    the offset against the calibrated convexity modulus over the ``horizon``
+    steps the run takes.
     """
     m, offset = spec.get("m"), spec.get("offset")
     validated = solver_cfg["schedule_mode"] == "validated"
     if offset == "condition_root" or (offset is None and target == "acsmd" and not validated):
         offset = (params.L / nominal_mu) ** (1.0 / params.q)
     if validated:
-        return default_schedule(params, target, m=m, offset=offset)
+        return default_schedule(params, target, m=m, offset=offset, validate_horizon=horizon)
     if m is None:
         # the reference experiments run constant alpha_t for nacsmd
         m = 0.0 if target == "nacsmd" else default_degree(params, target)
@@ -392,9 +394,10 @@ def _cell_schedule(cfg: dict, cell: dict, params):
     """The run schedule of a ``nacsmd``/``acsmd`` cell and its
     ``validate_schedule`` report at ``T_max``: what ``ccmin run`` runs and
     ``ccmin validate`` checks."""
-    spec = cell["algorithm"]
-    sched = _resolve_schedule(spec, params, spec["name"], cfg["solver"], cfg["instance"]["mu"])
-    return sched, validate_schedule(sched, params, int(cfg["run"]["T_max"]))
+    spec, T_max = cell["algorithm"], int(cfg["run"]["T_max"])
+    sched = _resolve_schedule(spec, params, spec["name"], cfg["solver"], cfg["instance"]["mu"],
+                              T_max)
+    return sched, validate_schedule(sched, params, T_max)
 
 
 @functools.lru_cache(maxsize=256)

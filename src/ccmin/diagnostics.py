@@ -300,8 +300,8 @@ def lower_bound_experiment(
         T = max(1, math.floor(bound))
     run = _solver(solver)
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
-    # validated on max(T, 16) >= T steps, so the runs need no check of their own
-    sched = default_schedule(params, solver, validate_horizon=max(T, 16))
+    # validated over the T steps each run takes, so the runs need no check of their own
+    sched = default_schedule(params, solver, validate_horizon=T)
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
     opts = TraceOptions(record_iterates=False)
     # the two signs share s and C

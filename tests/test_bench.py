@@ -13,7 +13,8 @@ import pytest
 
 import ccmin
 import ccmin.bench as bench
-from ccmin import exact_optimum
+import ccmin.solvers as solvers
+from ccmin import exact_optimum, lower_bound_experiment
 from ccmin.bench import (
     DEFAULT_CONFIG,
     build_cells,
@@ -31,6 +32,15 @@ TINY = {
     "solver": {"algorithms": ["nacsmd", "acsmd1"]},
     "run": {"epsilon": 0.05, "T_max": 60, "seeds": [0, 1]},
     "output": {"traces": True, "plotdata": True},
+}
+
+# a schedule whose growth inequality fails by rounding at t = 16286
+FAR = {
+    "instance": {"d": [3]},
+    "solver": {"schedule_mode": "validated",
+               "algorithms": [{"name": "nacsmd", "m": 2.0, "offset": 120000000.5,
+                               "label": "far"}]},
+    "run": {"T_max": 50, "seeds": [0]},
 }
 
 
@@ -229,6 +239,40 @@ class TestRunExperiment:
         assert cell["hit_rate"] is None
         assert cell["failed_runs"] == {"0": "the auto restart plan (n=10, K=3, T=38544) runs "
                                             "38574 steps, more than run.T_max = 500"}
+
+    def test_schedule_valid_over_its_run_keeps_its_offset(self, tmp_path):
+        # growth fails by rounding at t = 16286, far past the run's 50 steps
+        cell = run_experiment(FAR, out_dir=tmp_path / "out")["cells"][0]
+        assert cell["schedule"]["offset"] == 120000000.5
+        assert cell["schedule"]["valid"] is True
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FAR))
+        assert main(["validate", str(path)]) == 0
+
+    def test_no_schedule_is_scanned_past_its_run(self, tmp_path, monkeypatch):
+        horizons = []
+        real = solvers.validate_schedule
+
+        def recording(sched, params, horizon):
+            horizons.append(horizon)
+            return real(sched, params, horizon)
+
+        monkeypatch.setattr(solvers, "validate_schedule", recording)
+        monkeypatch.setattr(bench, "validate_schedule", recording)
+        for restart in (None, "auto"):
+            cfg = {"instance": {"d": [4], "q": 2.0},
+                   "solver": {"schedule_mode": "validated", "algorithms": ["nacsmd", "acsmd"]},
+                   "run": {"epsilon": 0.5, "T_max": 50, "seeds": [0, 1], "restart": restart,
+                           "stop_at_target": False},
+                   "output": {"traces": False, "plotdata": False}}
+            cells = run_experiment(cfg, out_dir=tmp_path / str(restart))["cells"]
+            assert not any(cell["failed_runs"] for cell in cells)
+            assert all(("restart_plan" in cell["schedule"]) == (restart == "auto")
+                       for cell in cells)
+        assert horizons and max(horizons) <= 50
+        del horizons[:]
+        report = lower_bound_experiment("acsmd", 1.0, 2.0, 1.0, 0.05, 0.5, trials=4)
+        assert horizons and max(horizons) <= report.T_bound
 
     def test_parallel_workers_match_serial(self, tmp_path):
         s1 = run_experiment(TINY, out_dir=tmp_path / "w1", workers=1)

@@ -4,10 +4,9 @@ of the loops they replaced, which are copied here as the reference:
 * a scalar ``alpha``/``gamma`` runs in Python floats, against numpy's 0-d
   power;
 * ``validate_schedule`` takes gamma_t and gamma_{t+1} from one pass;
-* ``default_schedule`` checks a prefix before the full horizon, and skips
-  the full-horizon scan where ``solvers._tail_certified`` proves the tail;
-  a certified schedule must pass the scan, on a seeded grid that also
-  reaches the branch where a long acsmd sum declines the proof;
+* ``default_schedule`` checks a prefix before the full horizon and accepts
+  the schedule a single full scan accepts; a run's schedule is scanned over
+  the steps the run takes and no further;
 * ``certificate_check`` reuses the gaps a run recorded, and refuses a gap
   series of another function.
 """
@@ -192,9 +191,9 @@ class TestDefaultSchedule:
                         assert got == want, (q, target, m, horizon)
 
     def test_grid_schedules_need_no_full_check(self, monkeypatch):
-        """The validated benchmark grid: 16 schedules, each accepted on its
-        1024-step prefix and its certified tail, with no 1M-step check (43
-        full checks without the prefix, 16 without the certificate)."""
+        """The validated benchmark grid: 16 schedules, each accepted by scans
+        of the 999 steps its runs take, and each the schedule a 1,000,000-step
+        scan accepts."""
         cfg = bench.resolve_config({
             "instance": {"d": [20, 50, 100, 200]},
             "solver": {"schedule_mode": "validated",
@@ -213,18 +212,25 @@ class TestDefaultSchedule:
             params = bench._prepare_cell(cfg, cell, 0)["params"]
             sched = bench._resolve_schedule(cell["algorithm"], params,
                                             cell["algorithm"]["name"], cfg["solver"],
-                                            cfg["instance"]["mu"])
+                                            cfg["instance"]["mu"], cfg["run"]["T_max"])
             found[sched] = params
         assert len(found) == 16
-        assert horizons.count(1_000_000) == 0
-        assert set(horizons) == {1024}
+        assert set(horizons) == {999}
         for sched, params in found.items():
             want = reference_default_schedule(params, sched.target, m=sched.m,
-                                              offset=sched.base_offset)
+                                              offset=sched.base_offset,
+                                              validate_horizon=1_000_000)
             assert sched == want
 
-
-PREFIX = solvers._PREFIX_HORIZON
+    def test_default_schedule_matches_the_full_scan(self):
+        for params, sched, horizon in schedule_grid(seed=4, n=24):
+            args = dict(m=sched.m, offset=sched.offset, validate_horizon=horizon)
+            want = reference_default_schedule(params, sched.target, **args)
+            if want is None:
+                with pytest.raises(NumericalError):
+                    default_schedule(params, sched.target, **args)
+            else:
+                assert default_schedule(params, sched.target, **args) == want
 
 
 def schedule_grid(seed, n):
@@ -241,119 +247,7 @@ def schedule_grid(seed, n):
         offset = float(rng.choice([0.0, 1.0, 10 ** rng.uniform(0, 4)]))
         sched = PolynomialSchedule(
             m=m, offset=offset, target=str(rng.choice(["nacsmd", "acsmd"])), base_offset=offset)
-        yield params, sched, int(rng.choice([PREFIX + 1, 100_000, 1_000_000]))
-
-
-def first_passing(params, sched):
-    """The first candidate of the offset chain that passes the prefix check."""
-    for _ in range(60):
-        if validate_schedule(sched, params, PREFIX).ok:
-            return sched
-        sched = dataclasses.replace(sched, offset=2.0 * sched.offset + 1.0)
-    return None
-
-
-def certified(params, sched, horizon):
-    return solvers._tail_certified(sched, params, PREFIX, horizon)
-
-
-class TestTailCertificate:
-    def test_certified_schedules_pass_the_full_scan(self):
-        n_cert, n_declined = 0, 0
-        for params, start, horizon in schedule_grid(seed=12, n=120):
-            sched = first_passing(params, start)
-            if sched is None:
-                continue
-            if certified(params, sched, horizon):
-                n_cert += 1
-                assert reference_validate(sched, params, horizon).ok, (params, sched, horizon)
-            else:
-                assert sched.target == "acsmd" and (params.q - 1.0) * horizon > 2.5e-10 * 2.0 ** 53
-                n_declined += 1
-        assert n_cert >= 60
-        assert n_declined  # the declining branch of a long acsmd sum is reached
-
-    def test_an_overflowing_gamma_is_left_to_the_scan(self):
-        # gamma_t is finite on the prefix and overflows before t = 200000
-        params = derive_params(2.0, 2.0, 1.0, 1.0)
-        for target in ("nacsmd", "acsmd"):
-            sched = PolynomialSchedule(m=60.0, offset=200.0, target=target)
-            assert validate_schedule(sched, params, PREFIX).ok
-            assert not certified(params, sched, 200_000)
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert not reference_validate(sched, params, 200_000).ok
-            assert certified(params, sched, 30_000)
-
-    def test_a_long_acsmd_sum_is_left_to_the_scan(self):
-        # (q - 1) * horizon * 2^-53 above 2.5e-10: the cumsum's rounding is
-        # no longer provably inside the scan's tolerance
-        params = derive_params(20.0, 2.0, 1.0, 1.0)
-        sched = PolynomialSchedule(m=1.0, offset=1e4, target="acsmd")
-        assert validate_schedule(sched, params, PREFIX).ok
-        assert certified(params, sched, 100_000)
-        assert not certified(params, sched, 1_000_000)
-        assert certified(params, dataclasses.replace(sched, target="nacsmd"), 1_000_000)
-
-    def test_a_prefix_slack_inside_the_tolerance_is_not_a_proof(self):
-        # nacsmd at m = 0: gamma_t - beta alpha_t = t - 1024 - 5e5 exactly.
-        # The scan tolerates it (1e-9 gamma_t is about 1e6), but the
-        # inequality fails in exact arithmetic until t = 501024.
-        beta = 1e15 + 1024 + 5e5
-        params = derive_params(2.0, 2.0, beta, 2.0)
-        assert 2.0 * params.M / params.mu == beta
-        sched = PolynomialSchedule(m=0.0, offset=1e15, target="nacsmd")
-        assert validate_schedule(sched, params, PREFIX).ok
-        assert sched.gamma(2000) - beta * sched.alpha(2000) < 0.0
-        assert not certified(params, sched, 1_000_000)
-        # a slack of 2e6 at the prefix, above 1e-9 gamma_t, is one
-        assert certified(derive_params(2.0, 2.0, 1e15 - 2e6, 2.0), sched, 1_000_000)
-
-    def test_a_rounded_gamma_increment_is_left_to_the_scan(self):
-        # at offset 1.2e8 and m = 2, an ulp of gamma_t (about 5e23) exceeds
-        # the growth tolerance 1e-9 (1 + alpha_t): the scan fails growth at
-        # t = 16286 although the inequality holds in exact arithmetic
-        params = derive_params(2.0, 2.0, 1.0, 1.0)
-        sched = PolynomialSchedule(m=2.0, offset=1.2e8 + 0.5, target="nacsmd")
-        assert validate_schedule(sched, params, PREFIX).ok
-        assert validate_schedule(sched, params, 1_000_000).first_violation == 16_286
-        assert not certified(params, sched, 1_000_000)
-        # the increment of an m = 0 schedule with an integer offset is exact
-        assert certified(params, PolynomialSchedule(m=0.0, offset=1e8, target="nacsmd"),
-                         1_000_000)
-        assert not certified(params, PolynomialSchedule(m=0.0, offset=1e8 + 0.5,
-                                                        target="nacsmd"), 1_000_000)
-
-    def test_alpha_sum_ratio_is_nondecreasing(self):
-        # A_t / alpha_t never decreases for any m >= 0, small offsets included
-        # (alpha_t / alpha_{t+1} is nondecreasing in t)
-        t = np.arange(1, 20_001, dtype=float)
-        for m in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 30.0):
-            for offset in (0.0, 0.5, 3.0, 1e3):
-                alphas = PolynomialSchedule(m=m, offset=offset, target="acsmd").alpha(t)
-                ratio = np.cumsum(alphas) / alphas
-                assert np.all(np.diff(ratio) >= -1e-12 * ratio[1:]), (m, offset)
-
-    def test_default_schedule_matches_the_full_scan(self, monkeypatch):
-        outcomes = []
-        tail_certified = solvers._tail_certified
-
-        def recording(sched, params, prefix, horizon):
-            got = tail_certified(sched, params, prefix, horizon)
-            outcomes.append((got, sched.target))
-            return got
-
-        monkeypatch.setattr(solvers, "_tail_certified", recording)
-        for params, sched, horizon in schedule_grid(seed=4, n=24):
-            args = dict(m=sched.m, offset=sched.offset, validate_horizon=horizon)
-            want = reference_default_schedule(params, sched.target, **args)
-            if want is None:
-                with pytest.raises(NumericalError):
-                    default_schedule(params, sched.target, **args)
-            else:
-                assert default_schedule(params, sched.target, **args) == want
-        # certified tails and declined long acsmd sums both occur
-        assert {True, False} == {o[0] for o in outcomes}
-        assert (False, "acsmd") in outcomes
+        yield params, sched, int(rng.choice([solvers._PREFIX_HORIZON + 1, 100_000, 1_000_000]))
 
 
 def ridge_run(solver, d, q, seed, gap_fn=None):

@@ -3,10 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ccmin.solvers as solvers
 from ccmin import (
     NoiseTerms,
     NumericalError,
     ParameterError,
+    PolynomialSchedule,
     PowerNormRegularizer,
     RestartPlan,
     RidgeInstance,
@@ -283,6 +285,37 @@ class TestRestart:
         Ds = [breg(s) for s in rtrace.stage_starts]
         for a, b in zip(Ds, Ds[1:]):
             assert b <= (0.5 + 1e-3) * a
+
+    def test_schedule_is_checked_once_before_any_stage(self, monkeypatch):
+        # growth fails by rounding at t = 16286: past the K-step stages,
+        # within the final stage. The chain refuses the schedule before its
+        # first oracle query, as a single run over T steps does.
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
+        queries = []
+        oracle = additive_noise_oracle(lambda x: queries.append(1) or np.zeros_like(x), 1,
+                                       kind="gaussian", sigma=0.0)
+        far = PolynomialSchedule(m=2.0, offset=1.2e8 + 0.5, target="nacsmd")
+        plan = RestartPlan(n=3, K=100, T=20_000)
+        with pytest.raises(ParameterError, match="t=16286") as single:
+            nacsmd(oracle, H, far, np.zeros(1), plan.T, params=params)
+        with pytest.raises(ParameterError) as chained:
+            restart("nacsmd", oracle, H, far, np.zeros(1), plan, params=params)
+        assert str(chained.value) == str(single.value)
+        assert queries == []
+        # a valid schedule is scanned once, over the final stage
+        horizons = []
+
+        def recording(sched, params, horizon):
+            horizons.append(horizon)
+            return validate_schedule(sched, params, horizon)
+
+        monkeypatch.setattr(solvers, "validate_schedule", recording)
+        sched = PolynomialSchedule(m=2.0, offset=1e4, target="nacsmd")
+        restart("nacsmd", oracle, H, sched, np.zeros(1), RestartPlan(n=3, K=5, T=40),
+                params=params)
+        assert horizons == [40]
+        assert len(queries) == 3 * 5 + 40
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):

@@ -250,6 +250,69 @@ def schedule_grid(seed, n):
         yield params, sched, int(rng.choice([solvers._PREFIX_HORIZON + 1, 100_000, 1_000_000]))
 
 
+class TestLongHorizons:
+    """Schedules that pass the 1024-step prefix and fail, or come close to
+    failing, far past it: only the full scan decides them."""
+
+    def test_accepted_schedules_pass_the_reference_scan(self):
+        n_accepted = 0
+        for params, start, horizon in schedule_grid(seed=12, n=60):
+            try:
+                sched = default_schedule(params, start.target, m=start.m, offset=start.offset,
+                                         validate_horizon=horizon)
+            except NumericalError:
+                continue
+            n_accepted += 1
+            assert reference_validate(sched, params, horizon).ok, (params, sched, horizon)
+        assert n_accepted >= 30
+
+    def test_an_overflowing_gamma_is_left_to_the_scan(self):
+        # gamma_t is finite on the prefix and overflows before t = 200000
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        for target in ("nacsmd", "acsmd"):
+            sched = PolynomialSchedule(m=60.0, offset=200.0, target=target, base_offset=200.0)
+            assert validate_schedule(sched, params, solvers._PREFIX_HORIZON).ok
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not validate_schedule(sched, params, 200_000).ok
+                assert not reference_validate(sched, params, 200_000).ok
+            assert default_schedule(params, target, m=60.0, offset=200.0,
+                                    validate_horizon=30_000) == sched
+
+    def test_a_long_acsmd_sum_is_left_to_the_scan(self):
+        # (q - 1) * horizon * 2^-53 above 2.5e-10: the cumsum's rounding
+        # reaches the size of the scan's tolerance
+        params = derive_params(20.0, 2.0, 1.0, 1.0)
+        for target in ("nacsmd", "acsmd"):
+            got = default_schedule(params, target, m=1.0, offset=1e4)
+            assert got == reference_default_schedule(params, target, m=1.0, offset=1e4)
+            assert got.offset == 1e4
+
+    def test_a_rounded_gamma_increment_is_left_to_the_scan(self):
+        # at offset 1.2e8 and m = 2, an ulp of gamma_t (about 5e23) exceeds
+        # the growth tolerance 1e-9 (1 + alpha_t): the scan fails growth at
+        # t = 16286 although the inequality holds in exact arithmetic
+        params = derive_params(2.0, 2.0, 1.0, 1.0)
+        args = dict(m=2.0, offset=1.2e8 + 0.5)
+        assert validate_schedule(PolynomialSchedule(target="nacsmd", **args), params,
+                                 1_000_000).first_violation == 16_286
+        assert default_schedule(params, "nacsmd", validate_horizon=16_285,
+                                **args).offset == 1.2e8 + 0.5
+        got = default_schedule(params, "nacsmd", validate_horizon=20_000, **args)
+        assert got.offset > 1.2e8 + 0.5
+        assert got == reference_default_schedule(params, "nacsmd", validate_horizon=20_000,
+                                                 **args)
+
+    def test_alpha_sum_ratio_is_nondecreasing(self):
+        # A_t / alpha_t never decreases for any m >= 0, small offsets included
+        # (alpha_t / alpha_{t+1} is nondecreasing in t)
+        t = np.arange(1, 20_001, dtype=float)
+        for m in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 30.0):
+            for offset in (0.0, 0.5, 3.0, 1e3):
+                alphas = PolynomialSchedule(m=m, offset=offset, target="acsmd").alpha(t)
+                ratio = np.cumsum(alphas) / alphas
+                assert np.all(np.diff(ratio) >= -1e-12 * ratio[1:]), (m, offset)
+
+
 def ridge_run(solver, d, q, seed, gap_fn=None):
     rng = np.random.default_rng(seed)
     inst = RidgeInstance(dimension=d, x_star=0.3 * rng.uniform(-1, 1, d),

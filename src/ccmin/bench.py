@@ -393,7 +393,9 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
 def _cell_schedule(cfg: dict, cell: dict, params):
     """The run schedule of a ``nacsmd``/``acsmd`` cell and its
     ``validate_schedule`` report at ``T_max``: what ``ccmin run`` runs and
-    ``ccmin validate`` checks."""
+    ``ccmin validate`` checks. ``params`` may be any seed's: a schedule's
+    validity does not read sigma, the one parameter that differs between
+    the seeds of a cell."""
     spec, T_max = cell["algorithm"], int(cfg["run"]["T_max"])
     sched = _resolve_schedule(spec, params, spec["name"], cfg["solver"], cfg["instance"]["mu"],
                               T_max)
@@ -515,7 +517,7 @@ def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
     bits of its run alone. A run whose set-up fails, a cell whose schedule
     fails, or a row that goes non-finite gets its own error and the other
     rows go on. Restart runs, whose plans differ per seed, run one seed at
-    a time.
+    a time: their group is one cell.
     """
     outcomes = {}
     prepared = []
@@ -523,14 +525,22 @@ def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
         bundles = {}
         for seed in seeds:
             try:
-                bundles[seed] = _prepare_cell(cfg, cell, seed)
+                bundles[seed] = dict(_prepare_cell(cfg, cell, seed), rng=_philox((seed, 7)))
             except (NumericalError, ParameterError) as exc:
                 outcomes[cell["label"], seed] = exc
         if bundles:
             prepared.append((cell, bundles))
+    restarts = cfg["run"]["restart"] is not None and cells[0]["algorithm"]["name"] != "acsa"
     if prepared:
         try:
-            outcomes.update(_run_group(cfg, prepared))
+            if restarts:
+                [(cell, bundles)] = prepared
+                sched, report = _cell_schedule(cfg, cell, next(iter(bundles.values()))["params"])
+                for seed, bundle in bundles.items():
+                    outcomes[cell["label"], seed] = _restart_run(cfg, cell, seed, bundle,
+                                                                 sched, report)
+            else:
+                outcomes.update(_run_group(cfg, prepared))
         except (NumericalError, ParameterError) as exc:
             outcomes.update({(cell["label"], seed): exc
                              for cell, bundles in prepared for seed in bundles})
@@ -558,118 +568,107 @@ def _batch(cfg: dict, rows_data: list):
 
 def _run_group(cfg: dict, prepared: list) -> dict:
     """The runs of the prepared cells ``prepared``, a list of (cell, {seed:
-    bundle}): {(label, seed): (record, rows) or the exception that ended
-    the run}."""
+    bundle}), as the rows of one batched solver call: {(label, seed):
+    (record, rows) or the exception that ended the run}."""
     run_cfg = cfg["run"]
     T_max = int(run_cfg["T_max"])
-    restart_cfg = run_cfg["restart"]
     name = prepared[0][0]["algorithm"]["name"]
     out = {}
-    runs = []  # (cell, seed, bundle, schedule description, certify?, run)
-    rows_data, scheds = [], []
-    certify_any = False
-
-    def batch_row(k):
-        return trace.row(k)  # the batch trace, once the batch has run
+    runs = []  # (cell, seed, bundle, schedule description, certify?), one per row
+    scheds = []
     for cell, bundles in prepared:
-        for seed, bundle in bundles.items():
-            bundle["rng"] = _philox((seed, 7))
         first = next(iter(bundles.values()))
         if name == "acsa":
+            sched = None
             desc = {"kind": "acsa-stage-doubling", "L": first["params"].L,
                     "mu_f": first["mu_f"], "stage0": cfg["solver"]["acsa_stage0"]}
             want_cert = False
         else:
             try:
-                # a schedule's validity does not read sigma, the one
-                # parameter that differs between the seeds of a cell
                 sched, sched_report = _cell_schedule(cfg, cell, first["params"])
             except (NumericalError, ParameterError) as exc:
                 out.update({(cell["label"], seed): exc for seed in bundles})
                 continue
             desc = dict(sched.describe(), valid=sched_report.ok,
                         mode=cfg["solver"]["schedule_mode"])
-            # the run inequality presumes validity, and certificates are
-            # per-stage statements
-            want_cert = (bool(run_cfg["certificates"]) and sched_report.ok
-                         and restart_cfg is None)
+            # the run inequality presumes validity
+            want_cert = bool(run_cfg["certificates"]) and sched_report.ok
         for seed, bundle in bundles.items():
-            if restart_cfg is not None and name != "acsa":
-                runs.append((cell, seed, bundle, desc, False, functools.partial(
-                    _restart_run, name, bundle, sched, restart_cfg, run_cfg["epsilon"], T_max)))
-                continue
-            runs.append((cell, seed, bundle, desc, want_cert,
-                         functools.partial(batch_row, len(rows_data))))
-            rows_data.append(bundle)
-            scheds.append(None if name == "acsa" else sched)
-            certify_any |= want_cert
+            runs.append((cell, seed, bundle, desc, want_cert))
+            scheds.append(sched)
+    if not runs:
+        return out
 
-    if rows_data:
-        oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, rows_data)
-        first = rows_data[0]
-        if name == "acsa":
-            _, trace = acsa_baseline(
-                oracle, first["H"], first["mu_f"], first["params"].L, x1, T_max,
-                gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
-            )
-        else:
-            # only the certified rows read the noise terms, but every row
-            # may compute them: they do not touch the run
-            noise_fn = None
-            if certify_any:
-                noise_fn = NoiseTerms(np.stack([b["x_opt"] for b in rows_data]),
-                                      first["params"].p)
-            # _cell_schedule already checked each schedule over these T_max steps
-            _, _, trace = _solver(name)(
-                oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
-                trace_opts=TraceOptions(record_iterates=False, gap_fn=gap_fn,
-                                        bregman_fn=bregman_fn, noise_fn=noise_fn),
-            )
+    rows_data = [bundle for _, _, bundle, _, _ in runs]
+    oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, rows_data)
+    first = rows_data[0]
+    if name == "acsa":
+        _, trace = acsa_baseline(
+            oracle, first["H"], first["mu_f"], first["params"].L, x1, T_max,
+            gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
+        )
+    else:
+        # only the certified rows read the noise terms, but every row
+        # may compute them: they do not touch the run
+        noise_fn = None
+        if any(want_cert for *_, want_cert in runs):
+            noise_fn = NoiseTerms(np.stack([b["x_opt"] for b in rows_data]),
+                                  first["params"].p)
+        # _cell_schedule already checked each schedule over these T_max steps
+        _, _, trace = _solver(name)(
+            oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
+            trace_opts=TraceOptions(record_iterates=False, gap_fn=gap_fn,
+                                    bregman_fn=bregman_fn, noise_fn=noise_fn),
+        )
 
-    for cell, seed, bundle, desc, want_cert, run in runs:
+    for k, (cell, seed, bundle, desc, want_cert) in enumerate(runs):
         try:
-            trace_i = run()
-            desc_i = dict(desc)
-            if "restart_plan" in trace_i.meta:
-                desc_i["restart_plan"] = trace_i.meta["restart_plan"]
+            trace_k = trace.row(k)
             cert_status = "n/a"
             if want_cert:
-                report = certificate_check(trace_i, bundle["params"], bundle["H"],
+                report = certificate_check(trace_k, bundle["params"], bundle["H"],
                                            bundle["x_opt"], bundle["psi"], bundle["psi_star"])
                 cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
-            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, trace_i,
-                                                    run_cfg["epsilon"], cert_status, desc_i)
+            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, trace_k,
+                                                    run_cfg["epsilon"], cert_status, desc)
         except (NumericalError, ParameterError) as exc:
             out[cell["label"], seed] = exc
     return out
 
 
-def _restart_run(name, bundle, sched, restart_cfg, epsilon, T_max):
-    """One seed's restart run, a ``(d,)`` run (a batch of one row of the
-    solver's loop) per stage, flattened to one trace. Its n K + T steps fit
-    in ``T_max`` (an auto plan that does not is a ParameterError), so every
-    stage runs within the horizon ``_cell_schedule`` validated."""
+def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, report):
+    """One seed's restart run under its cell's schedule ``sched`` (whose
+    ``validate_schedule`` report is ``report``): its (record, trace rows),
+    or the exception that ended it.
+
+    Each stage is a ``(d,)`` run (a batch of one row of the solver's loop),
+    and the stages are flattened to one trace. An auto plan is sized within
+    ``T_max`` steps by ``plan_from_params``, and an explicit one fits in
+    them by ``resolve_config``, so every stage runs within the horizon
+    ``_cell_schedule`` validated. The record's schedule names the plan."""
+    run_cfg, name = cfg["run"], cell["algorithm"]["name"]
     H, psi, psi_star = bundle["H"], bundle["psi"], bundle["psi_star"]
     bregman_fn = bregman_to(H, bundle["x_opt"])
-    if restart_cfg == "auto":
-        V0 = bregman_fn(bundle["x1"])
-        plan = plan_from_params(bundle["params"], name, max(V0, 1e-12),
-                                epsilon * bundle["gap0"], sched=sched)
-        steps = plan.n * plan.K + plan.T
-        if steps > T_max:
-            raise ParameterError(
-                f"the auto restart plan (n={plan.n}, K={plan.K}, T={plan.T}) runs {steps} "
-                f"steps, more than run.T_max = {T_max}")
-    else:
-        plan = RestartPlan(**restart_cfg)
-    _, rtrace = restart(
-        name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
-        trace_opts=TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
-                                bregman_fn=bregman_fn),
-    )
-    trace = _flatten_restart(rtrace)
-    trace.meta["restart_plan"] = {"n": plan.n, "K": plan.K, "T": plan.T}
-    return trace
+    try:
+        if run_cfg["restart"] == "auto":
+            V0 = bregman_fn(bundle["x1"])
+            plan = plan_from_params(bundle["params"], name, max(V0, 1e-12),
+                                    run_cfg["epsilon"] * bundle["gap0"], sched,
+                                    int(run_cfg["T_max"]))
+        else:
+            plan = RestartPlan(**run_cfg["restart"])
+        _, rtrace = restart(
+            name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
+            trace_opts=TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
+                                    bregman_fn=bregman_fn),
+        )
+        desc = dict(sched.describe(), valid=report.ok, mode=cfg["solver"]["schedule_mode"],
+                    restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
+        # certificates are per-stage statements: a chain gets none
+        return _run_outcome(cell, seed, bundle, _flatten_restart(rtrace), run_cfg["epsilon"],
+                            "n/a", desc)
+    except (NumericalError, ParameterError) as exc:
+        return exc
 
 
 def _run_outcome(cell, seed, bundle, trace, epsilon, cert_status, sched_desc):
@@ -692,6 +691,7 @@ def _run_outcome(cell, seed, bundle, trace, epsilon, cert_status, sched_desc):
     bregman_series = trace.bregman_to_opt
     rows = np.column_stack([
         np.arange(1, trace.T + 1, dtype=float), trace.psi_gap,
+        # the acsa baseline records no Bregman series
         bregman_series if bregman_series is not None else np.full(trace.T, np.nan),
         trace.alphas, trace.gammas,
     ])
@@ -708,10 +708,7 @@ def _flatten_restart(rtrace):
         gammas=np.concatenate([tr.gammas for tr in traces]),
         A=np.concatenate([tr.A for tr in traces]),
         psi_gap=np.concatenate([tr.psi_gap for tr in traces]),
-        bregman_to_opt=(
-            np.concatenate([tr.bregman_to_opt for tr in traces])
-            if traces[-1].bregman_to_opt is not None else None
-        ),
+        bregman_to_opt=np.concatenate([tr.bregman_to_opt for tr in traces]),
     )
 
 
@@ -1011,11 +1008,8 @@ def _cmd_validate(args) -> int:
     for cell in build_cells(cfg):
         if cell["algorithm"]["name"] in ("nacsmd", "acsmd"):
             bundle = _prepare_cell(cfg, cell, cfg["run"]["seeds"][0])
-            _, report = _cell_schedule(cfg, cell, bundle["params"])
-            if not report.ok and cfg["solver"]["schedule_mode"] == "validated":
-                raise ConfigError(
-                    f"cell {cell['label']}: schedule invalid at t={report.first_violation}"
-                )
+            # a validated schedule that cannot be made valid is a NumericalError
+            _cell_schedule(cfg, cell, bundle["params"])
     sys.stdout.write(_stable_json(cfg))
     return 0
 

@@ -48,8 +48,10 @@ is given, which its callers set to the steps they run.
 ``restart`` chains stages of a fixed length, each started from the previous
 stage's final non-averaged iterate, which turns the gamma_1/gamma_K decay of
 the initialization term into geometric convergence; ``plan_from_params``
-sizes the stages from the computable mean bound that ``expectation_bound``
-evaluates.
+sizes the stages of a given schedule from the computable mean bound that
+``expectation_bound`` evaluates, within a given horizon of steps: it reads
+the bound no further than the horizon, and refuses a plan that does not
+fit in it.
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ def validate_schedule(sched, params: GeometryParams, horizon: int) -> ScheduleRe
         # alpha^q / A^{q-1} written as alpha * (alpha/A)^{q-1}: the ratio is
         # <= 1 so high exponents cannot overflow
         lower_slack = gammas - beta * alphas * (alphas / A) ** (params.q - 1.0)
-    # each slack is measured against the size of the term it bounds
-    bad = ((growth_slack < -1e-9 * (1.0 + np.abs(alphas)))
-           | (lower_slack < -1e-9 * (1.0 + np.abs(gammas))))
+    # each slack is measured against the size of the term it bounds; a NaN
+    # slack (an overflowed step minus another) fails
+    bad = (~(growth_slack >= -1e-9 * (1.0 + np.abs(alphas)))
+           | ~(lower_slack >= -1e-9 * (1.0 + np.abs(gammas))))
     first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
     return ScheduleReport(
         ok=first is None,
@@ -315,7 +318,6 @@ class RunTrace:
     last: np.ndarray | None = None           # x_{T+1}
     last_average: np.ndarray | None = None   # x^ag_{T+1}
     stopped_at: int | None = None
-    meta: dict = field(default_factory=dict)
     row_stopped_at: list | None = None       # batch: each row's stopped_at
     row_errors: dict | None = None           # batch: row -> why it went non-finite
 
@@ -356,7 +358,6 @@ class RunTrace:
             last=point(self.last),
             last_average=point(self.last_average),
             stopped_at=stopped,
-            meta=dict(self.meta),
         )
 
 
@@ -797,7 +798,6 @@ def expectation_bound(params: GeometryParams, sched, target: str, V0: float, T: 
 
 
 _PLAN_CHUNK = 1 << 17
-_PLAN_CAP = 1 << 34
 
 
 def halving_horizon(sched) -> int:
@@ -818,39 +818,43 @@ def plan_from_params(
     target: str,
     V0_estimate: float,
     epsilon: float,
-    sched=None,
+    sched,
+    horizon: int,
 ) -> RestartPlan:
-    """Size a restart plan from the computable bound.
+    """Size a restart plan of ``sched``, the schedule it will run, within
+    ``horizon`` steps in all.
 
     * n = ceil(log2(V0/epsilon)) halving stages;
     * K = smallest horizon with gamma_K >= 2 gamma_1, so each stage at least
       halves the divergence to the optimum (plus its own residual terms);
     * T = smallest horizon >= K at which the bound with start error epsilon
       falls below epsilon (driven by the noise term when sigma > 0), found
-      by streaming the bound's terms in chunks of 2^17 steps.
+      by streaming the bound's terms in chunks of 2^17 steps up to the
+      ``horizon - n K`` steps the final stage has.
 
-    ``meta`` holds ``target``, ``gamma1`` (gamma_1), ``halving_ratio``
-    (gamma_1 / gamma_K, at most 1/2) and ``schedule`` (the schedule's
-    ``describe()``).
+    A plan whose n K + T steps do not fit in ``horizon`` is a
+    ``ParameterError`` naming n, K and the horizon; the bound is never
+    evaluated past the horizon. ``meta`` holds ``target``, ``gamma1``
+    (gamma_1), ``halving_ratio`` (gamma_1 / gamma_K, at most 1/2) and
+    ``schedule`` (the schedule's ``describe()``).
     """
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not V0_estimate > 0.0:
         raise ParameterError(f"V0_estimate must be positive, got {V0_estimate}")
-    if sched is None:
-        sched = default_schedule(params, target)
     n = max(0, math.ceil(math.log2(V0_estimate / epsilon))) if epsilon < V0_estimate else 0
 
     gamma1 = float(sched.gamma(1))
     K = halving_horizon(sched)
+    last = horizon - n * K  # the longest final stage that fits
 
     # stream the bound terms in chunks until the residual drops below epsilon
     T = None
     A_prev = 0.0
     acc = gamma1 * epsilon
     start = 1
-    while start <= _PLAN_CAP:
-        t = np.arange(start, start + _PLAN_CHUNK, dtype=float)
+    while start <= last:
+        t = np.arange(start, min(start + _PLAN_CHUNK, last + 1), dtype=float)
         A, noise, det = _bound_term_arrays(params, sched, target, t, A_prev=A_prev)
         step_terms = noise + det
         if not np.all(np.isfinite(step_terms)):
@@ -868,9 +872,10 @@ def plan_from_params(
         acc += float(np.sum(step_terms))
         A_prev = float(A[-1])
         start += _PLAN_CHUNK
-    if T is None:
-        raise NumericalError(
-            f"plan_from_params: bound does not reach epsilon={epsilon} within {_PLAN_CAP} steps"
+    if T is None or K > last:
+        raise ParameterError(
+            f"plan_from_params: no plan of n={n} halving stages of K={K} steps and a final "
+            f"stage reaching epsilon={epsilon} fits in a horizon of {horizon} steps"
         )
     T = max(T, K)
     meta = {

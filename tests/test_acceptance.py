@@ -153,8 +153,8 @@ def test_criterion_3_restart_halving():
 
     x1 = np.zeros(d)
     V0 = breg(x1)
-    plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 10)
     sched = default_schedule(params, "nacsmd")
+    plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 10, sched, 100_000)
     _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
     Ds = [breg(s) for s in rtrace.stage_starts]
     ratios = [b / a for a, b in zip(Ds, Ds[1:])]

@@ -237,8 +237,28 @@ class TestRunExperiment:
         }
         cell = run_experiment(cfg, out_dir=tmp_path)["cells"][0]
         assert cell["hit_rate"] is None
-        assert cell["failed_runs"] == {"0": "the auto restart plan (n=10, K=3, T=38544) runs "
-                                            "38574 steps, more than run.T_max = 500"}
+        assert cell["failed_runs"] == {"0": "plan_from_params: no plan of n=10 halving stages "
+                                            "of K=3 steps and a final stage reaching "
+                                            "epsilon=0.05630841141765061 fits in a horizon of "
+                                            "500 steps"}
+
+    def test_restart_plans_read_the_bound_within_T_max(self, tmp_path, monkeypatch):
+        # these plans need millions of steps: the planner gives up at the
+        # run's 300 instead of streaming the bound on to find them
+        seen = []
+        real = solvers._bound_term_arrays
+
+        def recording(params, sched, target, t, A_prev=0.0):
+            seen.append(int(np.max(t)))
+            return real(params, sched, target, t, A_prev)
+
+        monkeypatch.setattr(solvers, "_bound_term_arrays", recording)
+        cfg = {"instance": {"d": [20], "q": 2.0}, "solver": {"schedule_mode": "validated"},
+               "run": {"restart": "auto", "T_max": 300, "seeds": [0, 1]},
+               "output": {"traces": False, "plotdata": False}}
+        cells = run_experiment(cfg, out_dir=tmp_path)["cells"]
+        assert seen and max(seen) <= 300
+        assert [len(cell["failed_runs"]) for cell in cells] == [0, 2, 2, 2, 2]
 
     def test_schedule_valid_over_its_run_keeps_its_offset(self, tmp_path):
         # growth fails by rounding at t = 16286, far past the run's 50 steps
@@ -461,6 +481,17 @@ class TestCli:
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
         rc = main(["validate", self.write_cfg(tmp_path, {"instance": {"zzz": 1}})])
         assert rc == 2
+
+    def test_validate_unrepairable_schedule_exit_3(self, tmp_path, capsys):
+        # every offset doubling from 200 at m = 60 overflows within the
+        # 200000 steps: the validated schedule cannot be built
+        cfg = {"instance": {"d": [3]},
+               "solver": {"schedule_mode": "validated",
+                          "algorithms": [{"name": "nacsmd", "m": 60.0, "offset": 200.0}]},
+               "run": {"T_max": 200000, "seeds": [0]}}
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["validate", self.write_cfg(tmp_path, cfg)]) == 3
+        assert "offset doublings" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,key", [
         ({"instance": {"q": "3"}}, "instance.q"),

@@ -64,8 +64,8 @@ def reference_validate(sched, params, horizon):
     else:
         A = np.cumsum(alphas)
         lower_slack = gammas - beta * alphas * (alphas / A) ** (params.q - 1.0)
-    bad = ((growth_slack < -1e-9 * (1.0 + np.abs(alphas)))
-           | (lower_slack < -1e-9 * (1.0 + np.abs(gammas))))
+    bad = (~(growth_slack >= -1e-9 * (1.0 + np.abs(alphas)))
+           | ~(lower_slack >= -1e-9 * (1.0 + np.abs(gammas))))
     first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
     return solvers.ScheduleReport(
         ok=first is None,
@@ -277,6 +277,19 @@ class TestLongHorizons:
                 assert not reference_validate(sched, params, 200_000).ok
             assert default_schedule(params, target, m=60.0, offset=200.0,
                                     validate_horizon=30_000) == sched
+
+    def test_a_nan_slack_fails(self):
+        # doubling the offset of the schedule above reaches 205823, where
+        # alpha_t and gamma_t overflow at every step: each slack is inf - inf
+        params = derive_params(2, 2, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in ("nacsmd", "acsmd"):
+                sched = PolynomialSchedule(m=60.0, offset=205823.0, target=target)
+                assert not validate_schedule(sched, params, 10).ok
+                assert not reference_validate(sched, params, 10).ok
+            with pytest.raises(NumericalError, match="offset doublings"):
+                default_schedule(params, "nacsmd", m=60.0, offset=200.0,
+                                 validate_horizon=200_000)
 
     def test_a_long_acsmd_sum_is_left_to_the_scan(self):
         # (q - 1) * horizon * 2^-53 above 2.5e-10: the cumsum's rounding

@@ -243,6 +243,22 @@ class TestSolvers:
             acsa_baseline(oracle, H, inst.mu_F, params.L, np.zeros(2), 10, stage0=stage0)
 
 
+PLAN_HORIZON = 100_000
+# (target, derive_params arguments, V0, (n, K, T, halving_ratio's hex)) at epsilon 1e-2
+PINNED_PLANS = [
+    ("nacsmd", (3.0, 2.0, 1.5, 2.0 * power_uc_constant(3.0), 0.5), 4.0,
+     (9, 3, 6750, "0x1.7974c0d9e251bp-2")),
+    ("acsmd", (2.0, 2.0, 10.0, 1.0, 0.3), 8.0, (10, 26, 31, "0x1.f71d52300e633p-2")),
+]
+
+
+def default_plan(params, target, V0, epsilon, horizon=None):
+    """``plan_from_params`` on ``default_schedule(params, target)``, by
+    default within a horizon that every plan of these tests fits in."""
+    return plan_from_params(params, target, V0, epsilon, default_schedule(params, target),
+                            PLAN_HORIZON if horizon is None else horizon)
+
+
 class TestRestart:
     def test_degenerate_plan_matches_single_run(self):
         inst = RidgeInstance(dimension=3, x_star=np.array([0.5, -0.5, 1.0]),
@@ -279,8 +295,8 @@ class TestRestart:
 
         x1 = np.zeros(6)
         V0 = breg(x1)
-        plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 6)
         sched = default_schedule(params, "nacsmd")
+        plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 6, sched, PLAN_HORIZON)
         _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
         Ds = [breg(s) for s in rtrace.stage_starts]
         for a, b in zip(Ds, Ds[1:]):
@@ -327,7 +343,7 @@ class TestRestart:
 class TestPlanning:
     def test_epsilon_above_v0_means_no_halving(self):
         params = derive_params(2.0, 2.0, 1.0, 1.0)
-        plan = plan_from_params(params, "nacsmd", V0_estimate=0.5, epsilon=1.0)
+        plan = default_plan(params, "nacsmd", V0=0.5, epsilon=1.0)
         assert plan.n == 0
 
     def test_accelerated_halving_length_scales_with_condition_root(self):
@@ -341,25 +357,25 @@ class TestPlanning:
         printed = PolynomialSchedule(m=1.0, offset=(4.0 * params.M / params.mu) ** 0.5,
                                      target="acsmd")
         assert 10 <= halving_horizon(printed) <= 30
-        n = plan_from_params(params, "nacsmd", V0_estimate=2.0 ** 10, epsilon=1.0).n
+        n = default_plan(params, "nacsmd", V0=2.0 ** 10, epsilon=1.0).n
         assert n == 10
         # the printed constants violate the smooth-case condition at small t,
         # so the bound-driven horizon search refuses them explicitly
         with pytest.raises(ParameterError, match="smooth-case"):
-            plan_from_params(params, "acsmd", 2.0 ** 10, 1.0, sched=printed)
+            plan_from_params(params, "acsmd", 2.0 ** 10, 1.0, printed, PLAN_HORIZON)
 
     def test_validated_accelerated_plan_still_halves(self):
         # the offset-repaired schedule pays a longer stage but the halving
         # guarantee is certificate-exact
         params = derive_params(2.0, 2.0, 100.0, 1.0)
-        plan = plan_from_params(params, "acsmd", V0_estimate=2.0 ** 4, epsilon=1.0)
+        plan = default_plan(params, "acsmd", V0=2.0 ** 4, epsilon=1.0)
         assert plan.meta["halving_ratio"] <= 0.5
         assert plan.K >= 10
 
     def test_stochastic_horizon_scaling(self):
         params = derive_params(2.0, 2.0, 1.0, 1.0, sigma=2.0)
-        t1 = plan_from_params(params, "nacsmd", 1.0, 1e-2).T
-        t2 = plan_from_params(params, "nacsmd", 1.0, 5e-3).T
+        t1 = default_plan(params, "nacsmd", 1.0, 1e-2).T
+        t2 = default_plan(params, "nacsmd", 1.0, 5e-3).T
         # noise-dominated: halving epsilon roughly multiplies T by 2^(q-1) = 2
         assert 1.7 <= t2 / t1 <= 2.9
 
@@ -377,18 +393,22 @@ class TestPlanning:
 
         monkeypatch.setattr(solvers, "expectation_bound", counted)
         params = derive_params(2.0, 2.0, 1.0, 1.0, sigma=2.0)
-        plan = plan_from_params(params, "nacsmd", 1.0, 1e-2)
+        plan = default_plan(params, "nacsmd", 1.0, 1e-2)
         assert calls == []
         assert sorted(plan.meta) == ["gamma1", "halving_ratio", "schedule", "target"]
 
-    @pytest.mark.parametrize("target,args,V0,want", [
-        ("nacsmd", (3.0, 2.0, 1.5, 2.0 * power_uc_constant(3.0), 0.5), 4.0,
-         (9, 3, 6750, "0x1.7974c0d9e251bp-2")),
-        ("acsmd", (2.0, 2.0, 10.0, 1.0, 0.3), 8.0, (10, 26, 31, "0x1.f71d52300e633p-2")),
-    ])
+    @pytest.mark.parametrize("target,args,V0,want", PINNED_PLANS)
     def test_plans_keep_their_bits(self, target, args, V0, want):
-        plan = plan_from_params(derive_params(*args), target, V0, 1e-2)
+        plan = default_plan(derive_params(*args), target, V0, 1e-2)
         assert (plan.n, plan.K, plan.T, float.hex(plan.meta["halving_ratio"])) == want
+
+    @pytest.mark.parametrize("target,args,V0,want", PINNED_PLANS)
+    def test_a_plan_fits_its_horizon_exactly(self, target, args, V0, want):
+        n, K, T, _ = want
+        plan = default_plan(derive_params(*args), target, V0, 1e-2, horizon=n * K + T)
+        assert (plan.n, plan.K, plan.T, float.hex(plan.meta["halving_ratio"])) == want
+        with pytest.raises(ParameterError, match=f"n={n} halving stages of K={K} steps"):
+            default_plan(derive_params(*args), target, V0, 1e-2, horizon=n * K + T - 1)
 
     def test_expectation_bound_decreases(self):
         params = derive_params(4.0, 2.0, 1.0, 0.5, sigma=1.0)

@@ -402,15 +402,17 @@ def _cell_schedule(cfg: dict, cell: dict, params):
     return sched, validate_schedule(sched, params, T_max)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=None)
 def _ridge_optimum(x_star_bytes: bytes, sigma_b: float, mu: float, q: float):
     """``exact_optimum`` of the ridge instance with these inputs, solved once.
 
     Keyed on everything the optimum and its value read (the dimension is the
     length of x_star), so any config that builds the same instance shares
     it. A grid visits each seed's instance once per algorithm, one cell
-    after another, so the memo hits for up to 256 seeds a cell. The returned
-    x_opt is shared, hence read-only.
+    after another, so the memo is unbounded: each distinct instance keeps
+    its d floats and its key for the life of the process, and is solved
+    once however many seeds a cell has. The returned x_opt is shared, hence
+    read-only.
     """
     x_star = np.frombuffer(x_star_bytes)
     x_opt, psi_star = exact_optimum(
@@ -617,8 +619,7 @@ def _run_group(cfg: dict, prepared: list) -> dict:
         # _cell_schedule already checked each schedule over these T_max steps
         _, _, trace = _solver(name)(
             oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
-            trace_opts=TraceOptions(record_iterates=False, gap_fn=gap_fn,
-                                    bregman_fn=bregman_fn, noise_fn=noise_fn),
+            trace_opts=TraceOptions(gap_fn=gap_fn, bregman_fn=bregman_fn, noise_fn=noise_fn),
         )
 
     for k, (cell, seed, bundle, desc, want_cert) in enumerate(runs):
@@ -659,8 +660,7 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, report):
             plan = RestartPlan(**run_cfg["restart"])
         _, rtrace = restart(
             name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
-            trace_opts=TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
-                                    bregman_fn=bregman_fn),
+            trace_opts=TraceOptions(gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
         )
         desc = dict(sched.describe(), valid=report.ok, mode=cfg["solver"]["schedule_mode"],
                     restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})

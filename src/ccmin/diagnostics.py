@@ -137,7 +137,7 @@ def certificate_options(params: GeometryParams, H: PowerNormRegularizer, x_star,
     """What a ``(d,)`` run must record for ``certificate_check``: the gap
     psi - psi_star, the Bregman divergence D(x*, .) and the noise terms. No
     iterate is recorded; certificate memory is O(T)."""
-    return TraceOptions(record_iterates=False, gap_fn=lambda x: psi(x) - psi_star,
+    return TraceOptions(gap_fn=lambda x: psi(x) - psi_star,
                         bregman_fn=bregman_to(H, x_star),
                         noise_fn=NoiseTerms(x_star, params.p))
 
@@ -303,7 +303,6 @@ def lower_bound_experiment(
     # validated over the T steps each run takes, so the runs need no check of their own
     sched = default_schedule(params, solver, validate_horizon=T)
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
-    opts = TraceOptions(record_iterates=False)
     # the two signs share s and C
     plus, plus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=1)
     minus, minus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=-1)
@@ -320,8 +319,7 @@ def lower_bound_experiment(
             uniforms[k] = rng.random(T)
         grads = np.where(positive, plus.gradients(uniforms), minus.gradients(uniforms))
         # (T, n, 1): step t hands the loop column t of the block
-        _, y, trace = run(_ReplayOracle(grads.T[:, :, None]), H, sched, np.zeros((n, 1)), T,
-                          trace_opts=opts)
+        _, y, trace = run(_ReplayOracle(grads.T[:, :, None]), H, sched, np.zeros((n, 1)), T)
         if trace.row_errors:
             # the first trial to go non-finite ends the experiment, as it would alone
             raise NumericalError(next(iter(trace.row_errors.values())))

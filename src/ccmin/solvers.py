@@ -29,7 +29,11 @@ when its sampled gradient is not finite (the error names the oracle), or
 when its iterate goes non-finite: the loop then narrows the oracle and the
 per-row functions to the rows left through their ``take(keep)``, so a row that
 left draws nothing and raises nothing more. ``RunTrace.row(i)`` is row i's
-own trace, or raises the error that ended it.
+own trace, or raises the error that ended it. A trace keeps per-step
+scalar series (the steps, and what the ``TraceOptions`` hooks return) and
+the start and end points, never the iterates in between: its memory is
+O(T S) plus O(S d), and a caller who wants the points records them through
+the hooks.
 
 A mirror-descent schedule is a pair of sequences (alpha_t, gamma_t).
 Validity means, for every t up to the horizon,
@@ -272,22 +276,26 @@ def default_schedule(
 
 @dataclass
 class TraceOptions:
-    """What a solver records per iteration.
+    """The per-step scalar series a solver records.
 
-    ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate / the raw
-    iterate after each step and stored as scalar series (for an ``(S, d)``
-    batch they take the live rows and give one value per row, and need a
-    ``take(keep)`` if rows can leave early). ``noise_fn(delta, x)`` gets
-    every step's realized noise delta_t = sample - mean gradient and the
-    iterate x_t the step started from, always as ``(S, d)`` rows (a ``(d,)``
-    run is a batch of one), and returns two values per row, stored as the
-    series ``noise_norm`` and ``noise_inner``; it is only called when the
-    oracle exposes ``mean_gradient``. ``diagnostics.NoiseTerms`` is the one
-    the run certificates read. Every step is recorded: the certificates hold
-    step by step and read them all.
+    ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate
+    x^ag_{t+1} / the raw iterate x_{t+1} after each step and stored as scalar
+    series (for an ``(S, d)`` batch they take the live rows and give one
+    value per row, and need a ``take(keep)`` if rows can leave early).
+    ``noise_fn(delta, x)`` gets every step's realized noise delta_t = sample
+    - mean gradient and the iterate x_t the step started from, always as
+    ``(S, d)`` rows (a ``(d,)`` run is a batch of one), and returns two
+    values per row, stored as the series ``noise_norm`` and ``noise_inner``;
+    it is only called when the oracle exposes ``mean_gradient``.
+    ``diagnostics.NoiseTerms`` is the one the run certificates read. Every
+    step is recorded: the certificates hold step by step and read them all.
+
+    No iterate is recorded: a trace keeps the start and end points only. A
+    caller who wants the points records them through these hooks, which see
+    every x^ag_{t+1}, x_{t+1} and x_t, and through the oracle, whose
+    ``sample_gradient`` sees every query point.
     """
 
-    record_iterates: bool = True
     gap_fn: object = None
     bregman_fn: object = None
     noise_fn: object = None
@@ -295,21 +303,18 @@ class TraceOptions:
 
 @dataclass
 class RunTrace:
-    """What a run recorded. A batch trace holds every row: its T is the
-    number of steps the loop ran, its vector arrays are ``(steps, S, d)``,
-    its gap, Bregman and noise series ``(T, S)``, its alphas, gammas and A
-    ``(T,)`` when the rows share one schedule and ``(T, S)`` when each has
-    its own, and its end points ``(S, d)``. ``row(i)`` is row i's own trace,
-    as views of these arrays."""
+    """What a run recorded: per-step series and the start and end points.
+    A batch trace holds every row: its T is the number of steps the loop
+    ran, its gap, Bregman and noise series are ``(T, S)``, its alphas,
+    gammas and A ``(T,)`` when the rows share one schedule and ``(T, S)``
+    when each has its own, and its points ``(S, d)``. ``row(i)`` is row i's
+    own trace, as views of these arrays."""
 
     algorithm: str
     T: int
     alphas: np.ndarray
     gammas: np.ndarray
     A: np.ndarray
-    iterates: np.ndarray | None = None       # rows x_1 .. x_{T+1}
-    averaged: np.ndarray | None = None       # rows x^ag_1 .. x^ag_{T+1}
-    query_points: np.ndarray | None = None   # acsmd oracle query points
     noise_norm: np.ndarray | None = None     # noise_fn's first value, per t
     noise_inner: np.ndarray | None = None    # noise_fn's second value, per t
     psi_gap: np.ndarray | None = None
@@ -332,8 +337,8 @@ class RunTrace:
         stopped = self.row_stopped_at[i]
         k = self.T if stopped is None else stopped
 
-        def cut(arr, n):
-            return None if arr is None else arr[:n, i]
+        def cut(arr):
+            return None if arr is None else arr[:k, i]
 
         def steps(arr):  # shared by the rows, or one column each
             return arr[:k] if arr.ndim == 1 else arr[:k, i]
@@ -347,13 +352,10 @@ class RunTrace:
             alphas=steps(self.alphas),
             gammas=steps(self.gammas),
             A=steps(self.A),
-            iterates=cut(self.iterates, k + 1),
-            averaged=cut(self.averaged, k + 1),
-            query_points=cut(self.query_points, k),
-            noise_norm=cut(self.noise_norm, k),
-            noise_inner=cut(self.noise_inner, k),
-            psi_gap=cut(self.psi_gap, k),
-            bregman_to_opt=cut(self.bregman_to_opt, k),
+            noise_norm=cut(self.noise_norm),
+            noise_inner=cut(self.noise_inner),
+            psi_gap=cut(self.psi_gap),
+            bregman_to_opt=cut(self.bregman_to_opt),
             start=point(self.start),
             last=point(self.last),
             last_average=point(self.last_average),
@@ -374,7 +376,7 @@ class _Rows:
 
     ``leave`` drops rows from the batch and narrows the oracle, the three
     per-row functions and the stop gaps to the rows left; ``at`` indexes
-    the live rows along the row axis of the ``(T, S, ...)`` record buffers.
+    the live rows along the row axis of the ``(T, S)`` series buffers.
     """
 
     def __init__(self, x, oracle, fns, stop_gap):
@@ -427,19 +429,18 @@ def _one_row(fn):
     return None if fn is None else (lambda x: np.array([float(fn(x[0]))]))
 
 
-def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=False,
-         row_steps=False):
+def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, row_steps=False):
     """The step loop of every solver, on a ``(d,)`` start or an ``(S, d)`` batch.
 
     ``step(t, x, x_avg, state, sample, live)`` is a solver's arithmetic for
     step t on the live rows, whose batch positions are ``live``: from the
     iterate ``x`` and the average ``x_avg`` it returns (alpha_t, gamma_t,
-    query point, next iterate, next average), drawing its gradient through
+    next iterate, next average), drawing its gradient through
     ``sample(query point)``. alpha_t and gamma_t are floats, or, with
     ``row_steps``, ``(live rows, 1)`` columns. ``state`` is a per-row
     array, zero at the start, that the step may update in place.
     Everything about rows is this loop's: the ``(d,)`` reshape, sampling
-    and the noise terms, the record buffers, rows leaving at their stop
+    and the noise terms, the series buffers, rows leaving at their stop
     gap or on a non-finite oracle output or iterate (``blame`` formats the
     error from what went non-finite and the step), and the trace. Returns
     (final iterates, final averages, trace); a ``(d,)`` run gives its row's
@@ -468,14 +469,8 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
     # a row's column past the step it left at is never written, and never read
     alphas = np.zeros((T, x.shape[0]) if row_steps else T)
     gammas = np.zeros(alphas.shape)
-    iterates = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
-    averaged = np.empty((T + 1,) + x.shape) if opts.record_iterates else None
-    query_points = np.empty((T,) + x.shape) if queries and opts.record_iterates else None
     noise_norm, noise_inner = series("noise"), series("noise")
     psi_gap, breg = series("gap"), series("bregman")
-    if iterates is not None:
-        iterates[0] = x
-        averaged[0] = x
 
     g = delta = None
 
@@ -490,7 +485,7 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
     x_avg = x.copy()
     steps = T
     for t in range(1, T + 1):
-        a_t, g_t, x_q, x_next, avg_next = step(t, x, x_avg, state, sample, rows.live)
+        a_t, g_t, x_next, avg_next = step(t, x, x_avg, state, sample, rows.live)
         if row_steps:
             alphas[t - 1, rows.at], gammas[t - 1, rows.at] = a_t[:, 0], g_t[:, 0]
         else:
@@ -501,18 +496,13 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
             if not np.isfinite(vals).all():
                 keep = rows.leave(~np.isfinite(vals).all(axis=1), x, x_avg,
                                   error=blame.format(what, t))
-                x, x_avg, state, x_q, x_next, avg_next, delta = (
-                    _take(v, keep) for v in (x, x_avg, state, x_q, x_next, avg_next, delta))
+                x, x_avg, state, x_next, avg_next, delta = (
+                    _take(v, keep) for v in (x, x_avg, state, x_next, avg_next, delta))
         if not rows.live.size:
             steps = t - 1
             break
         if noise_norm is not None:  # x is still the iterate x_t the step started from
             noise_norm[t - 1, rows.at], noise_inner[t - 1, rows.at] = rows.fns["noise"](delta, x)
-        if iterates is not None:
-            iterates[t, rows.at] = x_next
-            averaged[t, rows.at] = avg_next
-        if query_points is not None:
-            query_points[t - 1, rows.at] = x_q
         if psi_gap is not None:
             gap = _series(rows.fns["gap"], avg_next, "gap_fn")
             psi_gap[t - 1, rows.at] = gap
@@ -537,9 +527,6 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, queries=Fal
         alphas=alphas[:steps],
         gammas=gammas[:steps],
         A=np.cumsum(alphas[:steps], axis=0),
-        iterates=_first(iterates, steps + 1),
-        averaged=_first(averaged, steps + 1),
-        query_points=_first(query_points, steps),
         noise_norm=_first(noise_norm, steps),
         noise_inner=_first(noise_inner, steps),
         psi_gap=_first(psi_gap, steps),
@@ -635,10 +622,10 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
         else:
             S += a_t * x_next
             avg_next = S / A_t
-        return a_t, g_t, x_q, x_next, avg_next
+        return a_t, g_t, x_next, avg_next
 
     return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng, opts,
-                stop_gap, queries=accelerated, row_steps=which is not None)
+                stop_gap, row_steps=which is not None)
 
 
 def nacsmd(
@@ -714,8 +701,10 @@ class RestartPlan:
 
 @dataclass
 class RestartTrace:
+    """The traces of a restart chain's n halving stages and of its final
+    stage. Each stage's ``start`` is the previous stage's ``last``."""
+
     stage_traces: list
-    stage_starts: list        # x_1^0, x_1^1, ..., x_1^{n} and the final-stage start
     final_trace: RunTrace
 
 
@@ -732,9 +721,10 @@ def restart(
 ):
     """Run n stages of K iterations, chaining the raw (non-averaged) endpoint
     as the next start, then a final T-iteration stage whose averaged output is
-    returned. ``solver`` names one of ``TARGETS``. With n = 0 this is
-    byte-identical to a single solver call. A batch row that goes non-finite
-    ends the whole chain with its error.
+    returned with the ``RestartTrace``. ``solver`` names one of ``TARGETS``.
+    With n = 0 this is byte-identical to a single solver call. A batch row
+    that goes non-finite in any stage, the final one included, ends the
+    whole chain with its error.
 
     With ``params`` the schedule is checked once, over the final stage's T
     steps, before any stage runs: T >= K, and a violation within K steps is
@@ -742,18 +732,13 @@ def restart(
     step = _solver(solver)
     if params is not None:
         _check_schedules(solver, sched, params, plan.T)
-    x = np.array(x1, dtype=float)
-    stage_traces = []
-    stage_starts = [x.copy()]
-    for _ in range(plan.n):
-        x, _, tr = step(oracle, H, sched, x, plan.K, rng=rng, trace_opts=trace_opts)
+    x, traces = x1, []
+    for steps in [plan.K] * plan.n + [plan.T]:
+        x, y, tr = step(oracle, H, sched, x, steps, rng=rng, trace_opts=trace_opts)
         if tr.row_errors:
             raise NumericalError(next(iter(tr.row_errors.values())))
-        stage_traces.append(tr)
-        stage_starts.append(x.copy())
-    _, y, final_tr = step(oracle, H, sched, x, plan.T, rng=rng, trace_opts=trace_opts)
-    return y, RestartTrace(stage_traces=stage_traces, stage_starts=stage_starts,
-                           final_trace=final_tr)
+        traces.append(tr)
+    return y, RestartTrace(stage_traces=traces[:-1], final_trace=traces[-1])
 
 
 def _run_inequality_steps(params: GeometryParams, target: str, alphas, gammas, A, moment):
@@ -966,9 +951,9 @@ def acsa_baseline(
             x_new = rhs / (mu_eff + gamma_t)
         else:
             x_new = _solve_power_linear(alpha_t * H.mu, mu_eff + gamma_t, rhs, H.q)
-        return alpha_t, gamma_t, x_md, x_new, alpha_t * x_new + (1.0 - alpha_t) * x_ag
+        return alpha_t, gamma_t, x_new, alpha_t * x_new + (1.0 - alpha_t) * x_ag
 
     _, x_ag, trace = _run(
         "acsa", "acsa_baseline: non-finite {} at step {}", step, oracle, x1, T, rng,
-        TraceOptions(record_iterates=False, gap_fn=gap_fn), stop_gap)
+        TraceOptions(gap_fn=gap_fn), stop_gap)
     return x_ag, trace

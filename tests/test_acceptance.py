@@ -40,6 +40,7 @@ from ccmin import (
     ridge_psi,
 )
 from ccmin.bench import run_experiment
+from recording import Recording, RecordingOracle
 
 TABLE2 = {20: [91, 81, 32, 20, 14], 50: [110, 66, 26, 16, 12],
           100: [145, 82, 33, 21, 15], 200: [138, 76, 26, 17, 12]}
@@ -87,12 +88,15 @@ def test_criterion_1_pathwise_certificates():
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             x_opt, psi_star = exact_optimum(inst)
             psi = lambda x, i=inst: ridge_psi(i, x)  # noqa: E731
-            # the iterates too, for the region check below
-            opts = dataclasses.replace(certificate_options(params, H, x_opt, psi, psi_star),
-                                       record_iterates=True)
+            cert_opts = certificate_options(params, H, x_opt, psi, psi_star)
             for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
+                # the points too, for the region check below
+                averaged = Recording(cert_opts.gap_fn)
+                iterates = Recording(cert_opts.bregman_fn)
+                queries = RecordingOracle(oracle)
+                opts = dataclasses.replace(cert_opts, gap_fn=averaged, bregman_fn=iterates)
                 sched = default_schedule(params, target, validate_horizon=2 * T)
-                _, _, tr = solver(oracle, H, sched, np.zeros(d), T,
+                _, _, tr = solver(queries, H, sched, np.zeros(d), T,
                                   rng=philox(seed, 7), params=params, trace_opts=opts)
                 rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
                 checked += 1
@@ -100,11 +104,10 @@ def test_criterion_1_pathwise_certificates():
                     violations.append((q, kappa, target, seed, rep.first_violation))
                 if kappa == 1.5:
                     # the declared region constant must cover the realized steps
-                    ratio = holder_ratio(tr.iterates[1:], tr.iterates[:-1],
-                                         x_star, kappa, q)
+                    xs = np.vstack([tr.start, iterates[0]])  # x_1 .. x_{T+1}
+                    ratio = holder_ratio(xs[1:], xs[:-1], x_star, kappa, q)
                     if target == "acsmd":
-                        ratio = max(ratio, holder_ratio(tr.averaged[1:],
-                                                        tr.query_points, x_star,
+                        ratio = max(ratio, holder_ratio(averaged[0], queries[0], x_star,
                                                         kappa, q))
                     assert ratio <= L, f"region smoothness constant exceeded: {ratio}"
     elapsed = time.time() - t0
@@ -156,7 +159,8 @@ def test_criterion_3_restart_halving():
     sched = default_schedule(params, "nacsmd")
     plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 10, sched, 100_000)
     _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
-    Ds = [breg(s) for s in rtrace.stage_starts]
+    stages = rtrace.stage_traces + [rtrace.final_trace]
+    Ds = [breg(tr.start) for tr in stages]
     ratios = [b / a for a, b in zip(Ds, Ds[1:])]
     ok = plan.n >= 8 and all(r <= 0.5 + 1e-3 for r in ratios)
     report("criterion 3 (restart halving)", ok,
@@ -292,7 +296,7 @@ def test_criterion_8_noise_rate_slope():
     from ccmin import ridge_oracle
 
     gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
-    opts = TraceOptions(record_iterates=False, gap_fn=gap_fn)
+    opts = TraceOptions(gap_fn=gap_fn)
     curves = []
     for seed in range(100):
         oracle = ridge_oracle(inst)

@@ -25,6 +25,7 @@ from ccmin import (
     power_uc_constant,
 )
 from ccmin.diagnostics import LowerBoundReport
+from recording import Recording, RecordingOracle
 
 SOLVERS = {"nacsmd": nacsmd, "acsmd": acsmd}
 
@@ -63,20 +64,23 @@ def test_batched_rows_match_single_runs(name, q, S):
     a = 0.6
     b = rng.uniform(-1.0, 1.0, (S, d))
     noise = rng.standard_normal((T, S, d)) * np.array([0.0, 0.3, 5.0])
-    opts = TraceOptions(record_iterates=True)
     solver = SOLVERS[name]
-    x, y, trace = solver(DriftOracle(a, b, noise), H, sched, x1, T, trace_opts=opts)
+
+    def run(oracle, start):
+        """The run's trace and the points it passed: x_{t+1}, x^ag_{t+1}, queries."""
+        points = Recording(), Recording(), RecordingOracle(oracle)
+        opts = TraceOptions(gap_fn=points[1], bregman_fn=points[0])
+        return solver(points[2], H, sched, start, T, trace_opts=opts), points
+
+    (x, y, trace), points = run(DriftOracle(a, b, noise), x1)
     assert x.shape == y.shape == (S, d)
-    assert trace.iterates.shape == (T + 1, S, d)
+    assert all(rec[i].shape == (T, d) for rec in points for i in range(S))
     for i in sorted({*range(0, S, 13), S - 1}):
-        xi, yi, tri = solver(DriftOracle(a, b[i], noise[:, i]), H, sched, x1[i], T,
-                             trace_opts=opts)
+        (xi, yi, tri), alone = run(DriftOracle(a, b[i], noise[:, i]), x1[i])
         assert x[i].tobytes() == xi.tobytes()
         assert y[i].tobytes() == yi.tobytes()
-        assert trace.iterates[:, i].tobytes() == tri.iterates.tobytes()
-        assert trace.averaged[:, i].tobytes() == tri.averaged.tobytes()
-        if name == "acsmd":
-            assert trace.query_points[:, i].tobytes() == tri.query_points.tobytes()
+        for rec, rec_i in zip(points, alone):  # iterates, averages, queries
+            assert rec[i].tobytes() == rec_i[0].tobytes()
         assert trace.alphas.tobytes() == tri.alphas.tobytes()
         assert trace.gammas.tobytes() == tri.gammas.tobytes()
 
@@ -150,7 +154,7 @@ def reference_lower_bound(solver, mu, q, sigma, epsilon, gamma, trials, seed=0, 
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q, dim=1)
-    opts = TraceOptions(record_iterates=False)
+    opts = TraceOptions()
     signed = {}
     for nu in (1, -1):
         _, inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=nu)

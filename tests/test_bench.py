@@ -402,6 +402,14 @@ class TestOptimumMemo:
         assert bundle["psi_star"] == exact_optimum(optimum_calls[2])[1]
         assert len(optimum_calls) == 4  # served from the memo
 
+    def test_one_solve_per_instance_past_256_seeds(self, tmp_path, optimum_calls):
+        # each algorithm's cell visits every seed in turn: a memo of 256
+        # entries evicts each optimum before the next cell asks for it
+        cfg = {"instance": {"d": [2]}, "solver": {"algorithms": ["nacsmd", "acsa"]},
+               "run": {"T_max": 5, "seeds": list(range(257))}, "output": self.QUIET}
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(optimum_calls) == 257
+
 
 class TestEmitters:
     def test_single_summary_single_row(self, tmp_path):

@@ -6,6 +6,7 @@ row-wise dot products must keep the bits of per-row ``a @ x``.
 """
 
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -35,6 +36,7 @@ from ccmin import (
 from ccmin.bench import parse_plotdata, run_experiment
 from ccmin.geometry import _row_dot
 from ccmin.oracles import StochasticGradientOracle
+from recording import Recording, RecordingOracle
 
 SEEDS = [0, 1, 2]
 
@@ -76,6 +78,20 @@ def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+def recording(opts, oracle):
+    """(options, oracle, recordings) of a run that also records its points:
+    x^ag_{t+1}, x_{t+1} and the query points, in that order."""
+    recs = Recording(opts.gap_fn), Recording(opts.bregman_fn), RecordingOracle(oracle)
+    return dataclasses.replace(opts, gap_fn=recs[0], bregman_fn=recs[1]), recs[2], recs
+
+
+def assert_same_points(batch_recs, i, alone_recs):
+    """Row i of a batch passed its hooks and its oracle the points of its run alone."""
+    for rec, alone in zip(batch_recs, alone_recs):
+        assert (np.array(rec.store.get(i, [])).tobytes()
+                == np.array(alone.store.get(0, [])).tobytes())
+
+
 @pytest.mark.parametrize("name", ["nacsmd", "acsmd", "acsa"])
 def test_batch_rows_keep_every_recorded_and_certified_bit(name):
     d, q, T = 5, 3.0, 80
@@ -105,18 +121,21 @@ def test_batch_rows_keep_every_recorded_and_certified_bit(name):
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
-    oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(4)])
+    opts, oracle, points = recording(
+        opts, OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(4)]))
     x, y, batch = solve(oracle, np.tile(x1, (4, 1)), opts, stop)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
-        one = TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
-                           bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p))
-        xi, yi, alone = solve(ridge_oracle(inst), x1, one, stop[i] or None, rng=philox(i, 7))
+        one, oracle_i, points_i = recording(
+            TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                         bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
+            ridge_oracle(inst))
+        xi, yi, alone = solve(oracle_i, x1, one, stop[i] or None, rng=philox(i, 7))
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
+        assert_same_points(points, i, points_i)
         assert row.T == alone.T and row.stopped_at == alone.stopped_at
-        for field in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
-                      "noise_norm", "noise_inner", "psi_gap", "bregman_to_opt", "start",
-                      "last", "last_average"):
+        for field in ("alphas", "gammas", "A", "noise_norm", "noise_inner", "psi_gap",
+                      "bregman_to_opt", "start", "last", "last_average"):
             a, b = getattr(row, field), getattr(alone, field)
             assert (a is None) == (b is None)
             assert a is None or a.tobytes() == b.tobytes(), field
@@ -370,23 +389,26 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
-    oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(6)])
+    opts, oracle, points = recording(
+        opts, OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
     x, y, batch = solver(oracle, H, per_row, np.tile(x1, (6, 1)), T, trace_opts=opts,
                          stop_gap=stop)
     # every step evaluates each distinct schedule once, at a scalar t
     assert all(sc.ts == list(range(1, batch.T + 1)) for sc in scheds)
     assert batch.alphas.shape == (batch.T, 6)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
-        one = TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
-                           bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p))
-        xi, yi, alone = solver(ridge_oracle(inst), H, per_row[i].sched, x1, T,
+        one, oracle_i, points_i = recording(
+            TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                         bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
+            ridge_oracle(inst))
+        xi, yi, alone = solver(oracle_i, H, per_row[i].sched, x1, T,
                                rng=philox(i, 7), trace_opts=one, stop_gap=stop[i] or None)
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
+        assert_same_points(points, i, points_i)
         assert row.T == alone.T and row.stopped_at == alone.stopped_at
-        for field in ("alphas", "gammas", "A", "iterates", "averaged", "query_points",
-                      "noise_norm", "noise_inner", "psi_gap", "bregman_to_opt", "start",
-                      "last", "last_average"):
+        for field in ("alphas", "gammas", "A", "noise_norm", "noise_inner", "psi_gap",
+                      "bregman_to_opt", "start", "last", "last_average"):
             a, b = getattr(row, field), getattr(alone, field)
             assert (a is None) == (b is None)
             assert a is None or a.tobytes() == b.tobytes(), field

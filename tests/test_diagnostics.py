@@ -355,8 +355,7 @@ class TestExpectationBound:
                 lambda x: 2.0 / 3.0 * (np.asarray(x, dtype=float) - inst.x_star),
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             _, x_avg, _ = nacsmd(oracle, H, sched, x1, T, rng=philox(14, seed),
-                                 params=params,
-                                 trace_opts=TraceOptions(record_iterates=False))
+                                 params=params, trace_opts=TraceOptions())
             gaps.append(ridge_psi(inst, x_avg) - psi_star)
         V0 = H.value(x_opt) - H.value(x1) - float(H.grad(x1) @ (x_opt - x1))
         bound = expectation_bound(params, sched, "nacsmd", V0, T)

@@ -37,6 +37,7 @@ from ccmin import (
     ridge_psi,
     validate_schedule,
 )
+from recording import Recording
 
 
 def reference_alpha(sched, t):
@@ -340,15 +341,13 @@ def ridge_run(solver, d, q, seed, gap_fn=None):
         return ridge_psi(inst, x)
 
     # the run's gap function does not count towards the calls
-    opts = dataclasses.replace(
-        certificate_options(params, H, x_opt, lambda x: ridge_psi(inst, x), psi_star),
-        record_iterates=True)
-    if gap_fn is not None:
-        opts = dataclasses.replace(opts, gap_fn=gap_fn)
+    opts = certificate_options(params, H, x_opt, lambda x: ridge_psi(inst, x), psi_star)
+    averaged = Recording(opts.gap_fn if gap_fn is None else gap_fn)  # x^ag_2 .. x^ag_{T+1}
+    opts = dataclasses.replace(opts, gap_fn=averaged)
     sched = default_schedule(params, solver.__name__, validate_horizon=300)
     _, _, trace = solver(ridge_oracle(inst), H, sched, np.full(d, 3.25), 300,
                          rng=np.random.Generator(np.random.Philox(seed)), trace_opts=opts)
-    return trace, (params, H, x_opt, psi, psi_star), calls
+    return trace, (params, H, x_opt, psi, psi_star), calls, averaged
 
 
 def same_certificate(a, b):
@@ -366,22 +365,22 @@ class TestCertificateGaps:
     @pytest.mark.parametrize("solver", [nacsmd, acsmd])
     @pytest.mark.parametrize("d,q", [(3, 2.0), (20, 3.0), (50, 3.0), (200, 4.0)])
     def test_recorded_gaps_give_the_recomputed_report(self, solver, d, q):
-        trace, args, calls = ridge_run(solver, d, q, seed=d)
+        trace, args, calls, averaged = ridge_run(solver, d, q, seed=d)
         recorded = certificate_check(trace, *args)
         assert len(calls) == 1  # only the last row is re-evaluated
         del calls[:]
         _, _, _, psi, psi_star = args
-        gaps = np.array([psi(row) for row in trace.averaged[1:]]) - psi_star
+        gaps = np.array([psi(row) for row in averaged[0]]) - psi_star
         recomputed = certificate_check(dataclasses.replace(trace, psi_gap=gaps), *args)
         assert len(calls) == trace.T + 1
         same_certificate(recorded, recomputed)
         assert recorded.ok
 
     def test_a_relative_gap_is_refused(self):
-        trace, args, calls = ridge_run(acsmd, 20, 3.0, seed=5)
+        trace, args, _, _ = ridge_run(acsmd, 20, 3.0, seed=5)
         gap0 = float(trace.psi_gap[0])
-        rel_trace, _, _ = ridge_run(acsmd, 20, 3.0, seed=5,
-                                    gap_fn=lambda x: (args[3](x) - args[4]) / gap0)
+        rel_trace, _, _, _ = ridge_run(acsmd, 20, 3.0, seed=5,
+                                       gap_fn=lambda x: (args[3](x) - args[4]) / gap0)
         with pytest.raises(DiagnosticUnavailableError, match="gap psi - psi_star"):
             certificate_check(rel_trace, *args)
         with pytest.raises(DiagnosticUnavailableError, match="Bregman"):

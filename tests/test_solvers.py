@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from ccmin import (
     ridge_psi,
     validate_schedule,
 )
+from recording import Recording, RecordingOracle
 
 
 def philox(*key):
@@ -139,24 +141,39 @@ class TestSolvers:
         _, psi_star = exact_optimum(inst)
         gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
         sched = default_schedule(params, "nacsmd", validate_horizon=2000)
-        opts = TraceOptions(record_iterates=False, gap_fn=gap_fn)
+        opts = TraceOptions(gap_fn=gap_fn)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 1000, params=params,
                           trace_opts=opts)
         gaps = tr.psi_gap[9:]
         assert np.all(np.diff(gaps) <= 1e-12 * (1.0 + gaps[:-1]))
 
+    def test_a_run_keeps_no_iterate(self):
+        # default options: the trace holds per-step scalars and end points,
+        # while one (T + 1, d) record would be (T + 1) d doubles
+        d, T = 200, 2000
+        inst, oracle, params, H = deterministic_ridge(d=d, q=3.0)
+        sched = default_schedule(params, "acsmd", validate_horizon=T)
+        tracemalloc.start()
+        try:
+            acsmd(oracle, H, sched, np.ones(d), T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * d * 8 / 2
+
     def test_acsmd_first_query_is_start_point(self):
         inst, oracle, params, H = deterministic_ridge(d=3, q=4.0)
         sched = default_schedule(params, "acsmd", validate_horizon=200)
         x1 = np.array([0.5, -1.0, 2.0])
-        _, _, tr = acsmd(oracle, H, sched, x1, 5, params=params)
-        assert np.array_equal(tr.query_points[0], x1)
+        queries = RecordingOracle(oracle)
+        acsmd(queries, H, sched, x1, 5, params=params)
+        assert np.array_equal(queries[0][0], x1)
 
     def test_acceleration_beats_plain_on_deterministic_quadratic(self):
         inst, oracle, params, H = deterministic_ridge(d=50, q=2.0, mu=2.0, seed=3)
         _, psi_star = exact_optimum(inst)
         gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
-        opts = TraceOptions(record_iterates=False, gap_fn=gap_fn)
+        opts = TraceOptions(gap_fn=gap_fn)
         x1 = np.ones(50)
 
         def first_hit(solver, target, m=None):
@@ -173,21 +190,24 @@ class TestSolvers:
         rng = philox(4)
         orc = ridge_oracle(
             RidgeInstance(dimension=3, x_star=inst.x_star, sigma_b=0.1, mu=2.0, q=3.0))
-        _, x_avg, tr = nacsmd(orc, H, sched, np.zeros(3), 50, rng=rng, params=params)
+        iterates = Recording()  # x_2 .. x_{T+1}
+        _, x_avg, tr = nacsmd(orc, H, sched, np.zeros(3), 50, rng=rng, params=params,
+                              trace_opts=TraceOptions(bregman_fn=iterates))
         weights = tr.alphas / tr.A[-1]
         assert weights.min() > 0.0
         assert np.sum(weights) == pytest.approx(1.0)
-        recomputed = np.sum(weights[:, None] * tr.iterates[1:], axis=0)
+        recomputed = np.sum(weights[:, None] * iterates[0], axis=0)
         assert np.allclose(recomputed, x_avg, atol=1e-12)
-        hull_lo = tr.iterates[1:].min(axis=0) - 1e-12
-        hull_hi = tr.iterates[1:].max(axis=0) + 1e-12
+        hull_lo = iterates[0].min(axis=0) - 1e-12
+        hull_hi = iterates[0].max(axis=0) + 1e-12
         assert np.all(x_avg >= hull_lo) and np.all(x_avg <= hull_hi)
         # the accelerated recursion realizes the same alpha-weighted average
         sched_ac = default_schedule(params, "acsmd", validate_horizon=200)
+        iterates_ac = Recording()
         _, ag, tra = acsmd(orc, H, sched_ac, np.zeros(3), 50, rng=philox(4),
-                           params=params)
+                           params=params, trace_opts=TraceOptions(bregman_fn=iterates_ac))
         w = tra.alphas / tra.A[-1]
-        assert np.allclose(np.sum(w[:, None] * tra.iterates[1:], axis=0), ag,
+        assert np.allclose(np.sum(w[:, None] * iterates_ac[0], axis=0), ag,
                            atol=1e-10)
 
     def test_determinism_bit_exact(self):
@@ -198,13 +218,15 @@ class TestSolvers:
         H = PowerNormRegularizer(mu=2.0, q=4.0, dim=4)
         for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
             sched = default_schedule(params, target, validate_horizon=300)
-            runs = []
-            opts = TraceOptions(noise_fn=NoiseTerms(inst.x_star, params.p))
+            runs, iterates = [], []
             for _ in range(2):
+                iterates.append(Recording())
+                opts = TraceOptions(bregman_fn=iterates[-1],
+                                    noise_fn=NoiseTerms(inst.x_star, params.p))
                 _, _, tr = solver(oracle, H, sched, np.zeros(4), 200,
                                   rng=philox(77), params=params, trace_opts=opts)
                 runs.append(tr)
-            assert np.array_equal(runs[0].iterates, runs[1].iterates)
+            assert np.array_equal(iterates[0][0], iterates[1][0])
             assert np.array_equal(runs[0].noise_norm, runs[1].noise_norm)
             assert np.array_equal(runs[0].noise_inner, runs[1].noise_inner)
 
@@ -278,11 +300,16 @@ class TestRestart:
         inst, oracle, params, H = deterministic_ridge(d=4, q=2.0, mu=2.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         plan = RestartPlan(n=3, K=5, T=10)
+        iterates = Recording()  # every stage's x_2 .. x_{K+1}, in turn
         _, rtrace = restart("nacsmd", oracle, H, sched, np.zeros(4), plan,
-                            params=params)
-        for k, tr in enumerate(rtrace.stage_traces):
-            assert np.array_equal(tr.iterates[0], rtrace.stage_starts[k])
-            assert np.array_equal(tr.iterates[-1], rtrace.stage_starts[k + 1])
+                            params=params, trace_opts=TraceOptions(bregman_fn=iterates))
+        stages = rtrace.stage_traces + [rtrace.final_trace]
+        ends = iterates[0][plan.K - 1::plan.K][:plan.n]
+        assert len(rtrace.stage_traces) == plan.n
+        assert np.array_equal(stages[0].start, np.zeros(4))
+        for tr, end, following in zip(stages, ends, stages[1:]):
+            assert np.array_equal(tr.last, end)
+            assert np.array_equal(following.start, end)
 
     def test_halving_contraction_deterministic(self):
         # sigma = 0, q = kappa = 2: the run inequality makes each stage shrink
@@ -298,7 +325,7 @@ class TestRestart:
         sched = default_schedule(params, "nacsmd")
         plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 6, sched, PLAN_HORIZON)
         _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
-        Ds = [breg(s) for s in rtrace.stage_starts]
+        Ds = [breg(tr.start) for tr in rtrace.stage_traces + [rtrace.final_trace]]
         for a, b in zip(Ds, Ds[1:]):
             assert b <= (0.5 + 1e-3) * a
 
@@ -332,6 +359,25 @@ class TestRestart:
                 params=params)
         assert horizons == [40]
         assert len(queries) == 3 * 5 + 40
+
+    @pytest.mark.parametrize("blow_up", [3, 16])
+    def test_a_batch_row_blowing_up_in_any_stage_ends_the_chain(self, blow_up):
+        # 3 rows; the (blow_up)-th query and every later one is NaN: in a
+        # halving stage at 3, in the final stage at 16
+        class Failing:
+            mean_gradient = None
+            calls = 0
+
+            def sample_gradient(self, x, rng=None):
+                self.calls += 1
+                return np.full(x.shape, np.nan if self.calls >= blow_up else 0.5)
+
+        inst, _, params, H = deterministic_ridge(d=2, q=2.0, mu=2.0)
+        sched = default_schedule(params, "nacsmd", validate_horizon=100)
+        oracle = Failing()
+        with pytest.raises(NumericalError, match="non-finite oracle output"):
+            restart("nacsmd", oracle, H, sched, np.zeros((3, 2)), RestartPlan(n=2, K=5, T=20))
+        assert oracle.calls == blow_up
 
     def test_plan_validation(self):
         with pytest.raises(ParameterError):

@@ -35,6 +35,7 @@ from ccmin import (
 )
 from ccmin.diagnostics import CertificateReport
 from ccmin.solvers import TARGETS, _run_inequality_steps
+from recording import Recording
 
 SOLVERS = {"nacsmd": nacsmd, "acsmd": acsmd}
 
@@ -90,30 +91,21 @@ def old_certificate_check(trace, params, H, x_star, psi, psi_star, tol=1e-6):
     )
 
 
-class RecordingNoise(NoiseTerms):
-    """``NoiseTerms`` of an ``(S, d)`` batch that also keeps every delta_t
-    it is handed, by row; ``take`` shares the store."""
-
-    def __init__(self, x_star, p, store=None, rows=None):
-        super().__init__(x_star, p)
-        self.rows = np.arange(len(self.x_star)) if rows is None else rows
-        self.store = {} if store is None else store
-
-    def __call__(self, delta, x):
-        for i, row in zip(self.rows.tolist(), delta):
-            self.store.setdefault(i, []).append(row.copy())
-        return super().__call__(delta, x)
-
-    def take(self, keep):
-        return RecordingNoise(self.x_star[keep], self.p, self.store, self.rows[keep])
+def recording_options(gap_fn, bregman_fn, noise_fn):
+    """Options that also record every x^ag_{t+1}, x_{t+1} and delta_t."""
+    return TraceOptions(gap_fn=Recording(gap_fn), bregman_fn=Recording(bregman_fn),
+                        noise_fn=Recording(noise_fn))
 
 
-def recorded_trace(trace, noise):
-    """``trace`` as the record-based check read it, with realized noise."""
+def recorded_trace(trace, opts, i):
+    """Row i of ``trace``, run under ``recording_options`` ``opts``, as the
+    record-based check read it: with its iterates, averages and realized
+    noise."""
     return types.SimpleNamespace(
         T=trace.T, algorithm=trace.algorithm, alphas=trace.alphas, gammas=trace.gammas,
-        A=trace.A, iterates=trace.iterates, averaged=trace.averaged,
-        noise=np.array(noise), psi_gap=trace.psi_gap)
+        A=trace.A, iterates=np.vstack([trace.start, opts.bregman_fn[i]]),
+        averaged=np.vstack([trace.start, opts.gap_fn[i]]),
+        noise=opts.noise_fn[i], psi_gap=trace.psi_gap)
 
 
 def assert_same_report(got, want):
@@ -150,13 +142,11 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
     psi_star = np.array([o[1] for o in opt])
     gap0 = np.array([ridge_psi(inst, x1) for inst in insts]) - psi_star
     stop = gap0 * np.array([0.0, 0.05, 0.0, 0.3, 0.0, 0.01])
-    recorder = RecordingNoise(x_opts, params.p)
-    opts = TraceOptions(
-        record_iterates=True,
-        gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]),
-                            np.stack([i.x_star for i in insts]), psi_star),
-        bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
-        noise_fn=recorder)
+    opts = recording_options(
+        bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]),
+                     np.stack([i.x_star for i in insts]), psi_star),
+        bench._RowFn(functools.partial(bregman_to, H), x_opts),
+        NoiseTerms(x_opts, params.p))
     oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(S)])
     _, _, batch = SOLVERS[name](oracle, H, per_row, np.tile(x1, (S, 1)), T, trace_opts=opts,
                                 stop_gap=stop)
@@ -165,21 +155,20 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
         psi = functools.partial(ridge_psi, inst)
         row = batch.row(i)
         got = certificate_check(row, params, H, x_opt, psi, p_star)
-        old = recorded_trace(row, recorder.store[i])
+        old = recorded_trace(row, opts, i)
         assert_same_report(got, old_certificate_check(old, params, H, x_opt, psi, p_star))
         # the old check's own re-evaluation of every gap gives the same report
         old.psi_gap = None
         assert_same_report(got, old_certificate_check(old, params, H, x_opt, psi, p_star))
         # and so does the row run alone, as a (d,) run
-        alone_noise = RecordingNoise(x_opt[None], params.p)
-        alone_opts = TraceOptions(record_iterates=True, gap_fn=lambda x: psi(x) - p_star,
-                                  bregman_fn=bregman_to(H, x_opt), noise_fn=alone_noise)
+        alone_opts = recording_options(lambda x: psi(x) - p_star, bregman_to(H, x_opt),
+                                       NoiseTerms(x_opt, params.p))
         _, _, alone = SOLVERS[name](ridge_oracle(inst), H, per_row[i], x1, T,
                                     rng=philox(i, 7), trace_opts=alone_opts,
                                     stop_gap=stop[i] or None)
         assert_same_report(certificate_check(alone, params, H, x_opt, psi, p_star), got)
         assert_same_report(got, old_certificate_check(
-            recorded_trace(alone, alone_noise.store[0]), params, H, x_opt, psi, p_star))
+            recorded_trace(alone, alone_opts, 0), params, H, x_opt, psi, p_star))
 
 
 def test_noise_terms_need_a_mean_gradient():
@@ -232,7 +221,7 @@ def test_a_certified_grid_batch_holds_no_vector_record(tmp_path, monkeypatch):
         {"checked": 2, "violations": 0}] * 4
     assert [shape for shape, *_ in seen] == [(2, d), (6, d)]
     for (S, _), opts, trace, peak in seen:
-        assert opts.record_iterates is False and isinstance(opts.noise_fn, NoiseTerms)
+        assert isinstance(opts.noise_fn, NoiseTerms)
         for field in ("iterates", "averaged", "query_points", "noise"):
             assert getattr(trace, field, None) is None, field
         assert trace.noise_norm.shape == trace.noise_inner.shape == (T, S)

@@ -32,11 +32,9 @@ from .oracles import (
     RidgeInstance,
     RidgeOracle,
     StochasticGradientOracle,
-    additive_noise_oracle,
     bernoulli_oracle,
-    ridge_oracle,
 )
-from .regularizers import PowerNormRegularizer, composite_prox, prox_bisection_oracle
+from .regularizers import PowerNormRegularizer, composite_prox
 from .solvers import (
     PolynomialSchedule,
     RestartPlan,

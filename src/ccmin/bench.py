@@ -56,12 +56,12 @@ from .diagnostics import (
 from .errors import ConfigError, NumericalError, ParameterError
 from .geometry import bregman_to, derive_params, power_uc_constant
 from .oracles import (
+    AdditiveNoiseOracle,
     OracleRows,
     RidgeInstance,
+    RidgeOracle,
     _philox,
-    additive_noise_oracle,
     bernoulli_oracle,
-    ridge_oracle,
 )
 from .regularizers import PowerNormRegularizer
 from .solvers import (
@@ -135,6 +135,9 @@ _PRESETS = ("acsmd1", "acsmd2", "acsmd3")  # plain-string names for acsmd of deg
 _ALGORITHMS = ("acsa", "nacsmd", "acsmd") + _PRESETS
 _KINDS = ("ridge", "custom-deterministic", "bernoulli")
 CENSOR_MARGIN = 1  # censored runs count as T_max + 1 in medians
+# the keys each kind of start-point block takes besides its "kind"
+_START_KEYS = {"x_star": {"uniform": {"scale"}, "fixed": {"values"}},
+               "x1": {"constant": {"value"}, "zeros": set(), "fixed": {"values"}}}
 
 
 def _merge_defaults(raw: dict, defaults: dict, path: str, overrides: list) -> dict:
@@ -145,6 +148,8 @@ def _merge_defaults(raw: dict, defaults: dict, path: str, overrides: list) -> di
             if isinstance(default, dict) and isinstance(value, dict) and key not in ("x_star", "x1"):
                 out[key] = _merge_defaults(value, default, f"{path}{key}.", overrides)
                 continue
+            if isinstance(default, bool) and not isinstance(value, bool):
+                raise ConfigError(f"{path}{key} must be true or false, got {value!r}")
             if value != default:
                 overrides.append(f"{path}{key}")
             out[key] = value
@@ -261,14 +266,18 @@ def resolve_config(raw: dict) -> dict:
         _number(inst["R"], "instance.R")
     _unit_scale(cfg["solver"]["safety_scale"], "solver.safety_scale")
     _integer(cfg["solver"]["acsa_stage0"], "solver.acsa_stage0", 1)
-    xs = inst["x_star"]
-    if xs.get("kind") not in ("uniform", "fixed"):
-        raise ConfigError("instance.x_star.kind must be 'uniform' or 'fixed'")
-    if xs["kind"] == "fixed" and "values" not in xs:
-        raise ConfigError("fixed x_star needs a 'values' list")
-    x1 = inst["x1"]
-    if x1.get("kind") not in ("constant", "zeros", "fixed"):
-        raise ConfigError("instance.x1.kind must be 'constant', 'zeros' or 'fixed'")
+    for name, kinds in _START_KEYS.items():
+        block, key = inst[name], f"instance.{name}"
+        if not isinstance(block, dict) or block.get("kind") not in kinds:
+            raise ConfigError(f"{key}.kind must be one of {sorted(kinds)}")
+        unknown = set(block) - kinds[block["kind"]] - {"kind"}
+        if unknown:
+            raise ConfigError(f"unknown config keys under {key}: {sorted(unknown)}")
+        if block["kind"] == "fixed" and not isinstance(block.get("values"), list):
+            raise ConfigError(f"fixed {name} needs a 'values' list")
+        for field in set(block) - {"kind"}:
+            for value in block[field] if field == "values" else [block[field]]:
+                _number(value, f"{key}.{field}")
     if cfg["solver"]["schedule_mode"] not in ("printed", "validated"):
         raise ConfigError("solver.schedule_mode must be 'printed' or 'validated'")
 
@@ -391,15 +400,19 @@ def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal
 
 
 def _cell_schedule(cfg: dict, cell: dict, params):
-    """The run schedule of a ``nacsmd``/``acsmd`` cell and its
-    ``validate_schedule`` report at ``T_max``: what ``ccmin run`` runs and
-    ``ccmin validate`` checks. ``params`` may be any seed's: a schedule's
-    validity does not read sigma, the one parameter that differs between
-    the seeds of a cell."""
+    """The run schedule of a ``nacsmd``/``acsmd`` cell and its description
+    for ``summary.json``, whose ``valid`` says whether it passes
+    ``validate_schedule`` at ``T_max``: what ``ccmin run`` runs and ``ccmin
+    validate`` checks. A validated schedule passes there, since
+    ``default_schedule`` returns no other, so only a printed one is scanned.
+    ``params`` may be any seed's: a schedule's validity does not read sigma,
+    the one parameter that differs between the seeds of a cell."""
     spec, T_max = cell["algorithm"], int(cfg["run"]["T_max"])
+    mode = cfg["solver"]["schedule_mode"]
     sched = _resolve_schedule(spec, params, spec["name"], cfg["solver"], cfg["instance"]["mu"],
                               T_max)
-    return sched, validate_schedule(sched, params, T_max)
+    valid = mode == "validated" or validate_schedule(sched, params, T_max).ok
+    return sched, dict(sched.describe(), valid=valid, mode=mode)
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,7 +429,7 @@ def _ridge_optimum(x_star_bytes: bytes, sigma_b: float, mu: float, q: float):
     """
     x_star = np.frombuffer(x_star_bytes)
     x_opt, psi_star = exact_optimum(
-        RidgeInstance(dimension=x_star.size, x_star=x_star, sigma_b=sigma_b, mu=mu, q=q)
+        RidgeInstance(x_star=x_star, sigma_b=sigma_b, mu=mu, q=q)
     )
     x_opt.flags.writeable = False
     return x_opt, psi_star
@@ -434,7 +447,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
         )
         mu_eff = inst["mu"] * power_uc_constant(inst["q"])
         params = derive_params(inst["q"], 2.0, 0.0, mu_eff, sigma=inst["sigma"])
-        H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"], dim=1)
+        H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"])
         x1 = np.zeros(1)
         psi = lambda x: b_inst.psi(float(np.asarray(x).ravel()[0]))  # noqa: E731
         return {
@@ -446,18 +459,15 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     d = cell["d"]
     x_star = _draw_x_star(inst, d, seed)
     sigma_b = 0.0 if kind == "custom-deterministic" else inst["sigma_b"]
-    ridge = RidgeInstance(
-        dimension=d, x_star=x_star, sigma_b=sigma_b,
-        mu=inst["mu"], q=inst["q"], R=inst["R"],
-    )
+    ridge = RidgeInstance(x_star=x_star, sigma_b=sigma_b, mu=inst["mu"], q=inst["q"], R=inst["R"])
     L_declared = ridge.L * cell["L_multiplier"]
     mu_eff = inst["mu"] * power_uc_constant(inst["q"])
     params = derive_params(inst["q"], inst["kappa"], L_declared, mu_eff,
                            sigma=ridge.declared_sigma)
-    H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"], dim=d)
-    oracle = ridge_oracle(ridge)
+    H = PowerNormRegularizer(mu=inst["mu"], q=inst["q"])
+    oracle = RidgeOracle(ridge)
     if kind == "custom-deterministic":
-        oracle = additive_noise_oracle(oracle.mean_gradient, d, sigma=0.0, q=inst["q"])
+        oracle = AdditiveNoiseOracle(oracle.mean_gradient, d, q=inst["q"])
     x_opt, psi_star = _ridge_optimum(x_star.tobytes(), sigma_b, inst["mu"], inst["q"])
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
@@ -537,10 +547,10 @@ def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
         try:
             if restarts:
                 [(cell, bundles)] = prepared
-                sched, report = _cell_schedule(cfg, cell, next(iter(bundles.values()))["params"])
+                sched, desc = _cell_schedule(cfg, cell, next(iter(bundles.values()))["params"])
                 for seed, bundle in bundles.items():
                     outcomes[cell["label"], seed] = _restart_run(cfg, cell, seed, bundle,
-                                                                 sched, report)
+                                                                 sched, desc)
             else:
                 outcomes.update(_run_group(cfg, prepared))
         except (NumericalError, ParameterError) as exc:
@@ -587,14 +597,12 @@ def _run_group(cfg: dict, prepared: list) -> dict:
             want_cert = False
         else:
             try:
-                sched, sched_report = _cell_schedule(cfg, cell, first["params"])
+                sched, desc = _cell_schedule(cfg, cell, first["params"])
             except (NumericalError, ParameterError) as exc:
                 out.update({(cell["label"], seed): exc for seed in bundles})
                 continue
-            desc = dict(sched.describe(), valid=sched_report.ok,
-                        mode=cfg["solver"]["schedule_mode"])
             # the run inequality presumes validity
-            want_cert = bool(run_cfg["certificates"]) and sched_report.ok
+            want_cert = run_cfg["certificates"] and desc["valid"]
         for seed, bundle in bundles.items():
             runs.append((cell, seed, bundle, desc, want_cert))
             scheds.append(sched)
@@ -637,10 +645,10 @@ def _run_group(cfg: dict, prepared: list) -> dict:
     return out
 
 
-def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, report):
-    """One seed's restart run under its cell's schedule ``sched`` (whose
-    ``validate_schedule`` report is ``report``): its (record, trace rows),
-    or the exception that ended it.
+def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: dict):
+    """One seed's restart run under its cell's schedule ``sched``, which
+    ``_cell_schedule`` describes as ``desc``: its (record, trace rows), or
+    the exception that ended it.
 
     Each stage is a ``(d,)`` run (a batch of one row of the solver's loop),
     and the stages are flattened to one trace. An auto plan is sized within
@@ -662,8 +670,7 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, report):
             name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
             trace_opts=TraceOptions(gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
         )
-        desc = dict(sched.describe(), valid=report.ok, mode=cfg["solver"]["schedule_mode"],
-                    restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
+        desc = dict(desc, restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
         # certificates are per-stage statements: a chain gets none
         return _run_outcome(cell, seed, bundle, _flatten_restart(rtrace), run_cfg["epsilon"],
                             "n/a", desc)

@@ -302,7 +302,7 @@ def lower_bound_experiment(
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     # validated over the T steps each run takes, so the runs need no check of their own
     sched = default_schedule(params, solver, validate_horizon=T)
-    H = PowerNormRegularizer(mu=mu, q=q, dim=1)
+    H = PowerNormRegularizer(mu=mu, q=q)
     # the two signs share s and C
     plus, plus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=1)
     minus, minus_inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=-1)
@@ -344,6 +344,9 @@ def lower_bound_experiment(
         gradient_scale=plus_inst.C,
         trials=trials,
     )
+
+
+_NOISE_CHUNK = 10_000  # trials whose noise paths are drawn as one block
 
 
 @dataclass
@@ -402,7 +405,6 @@ def concentration_check(
     q: float = 2.0,
     tau_grid: np.ndarray | None = None,
     mgf_draws: int = 100_000,
-    chunk: int = 10_000,
 ) -> ConcentrationReport:
     """Monte Carlo check of the martingale tail bound on a scripted path.
 
@@ -436,8 +438,8 @@ def concentration_check(
 
     rng = _philox((seed, 0xC0))
     sums = np.empty(trials)
-    for done in range(0, trials, chunk):
-        n = min(chunk, trials - done)
+    for done in range(0, trials, _NOISE_CHUNK):
+        n = min(_NOISE_CHUNK, trials - done)
         W = np.einsum("ntd,td->nt", probe.draw_noise(rng, (n, T)), dirs)
         sums[done:done + n] = W @ weights
 

@@ -30,7 +30,7 @@ handed ``None``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,12 @@ __all__ = [
     "StochasticGradientOracle",
     "RidgeInstance",
     "RidgeOracle",
-    "ridge_oracle",
     "OracleRows",
     "BernoulliLowerBoundInstance",
     "BernoulliOracle",
     "bernoulli_oracle",
     "solve_bernoulli_activation",
     "AdditiveNoiseOracle",
-    "additive_noise_oracle",
     "absolute_gaussian_moment",
 ]
 
@@ -69,12 +67,10 @@ class StochasticGradientOracle:
 
     Attributes
     ----------
-    dimension : int
     mean_gradient : callable or None
         Exact expected gradient, when the instance can reveal it.
     """
 
-    dimension: int = 0
     mean_gradient = None
 
     def sample_gradient(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -95,23 +91,23 @@ class RidgeInstance:
 
     xi ~ N(0, sigma_b^2); the population loss is E (<a,x> - b)^2 =
     (1/3)||x - x_star||_2^2 + sigma_b^2 with mean gradient (2/3)(x - x_star).
-    The regularized objective adds (mu/q)||x||_q^q.
+    The regularized objective adds (mu/q)||x||_q^q. The dimension d is the
+    length of ``x_star``.
     """
 
-    dimension: int
     x_star: np.ndarray
     sigma_b: float
     mu: float
     q: float
     R: float | None = None  # iterate radius bound; None means "estimate as 2||x_star||_q"
+    dimension: int = field(init=False)
 
     def __post_init__(self):
         xs = np.asarray(self.x_star, dtype=float)
+        if xs.ndim != 1 or xs.size == 0:
+            raise ParameterError(f"x_star must be a non-empty 1-D array, got shape {xs.shape}")
         object.__setattr__(self, "x_star", xs)
-        if xs.shape != (self.dimension,):
-            raise ParameterError(
-                f"x_star must have shape ({self.dimension},), got {xs.shape}"
-            )
+        object.__setattr__(self, "dimension", xs.size)
         if self.sigma_b < 0.0:
             raise ParameterError(f"sigma_b must be nonnegative, got {self.sigma_b}")
         if self.mu < 0.0:
@@ -152,7 +148,6 @@ class RidgeOracle(StochasticGradientOracle):
 
     def __init__(self, instance: RidgeInstance):
         self.instance = instance
-        self.dimension = instance.dimension
 
     def sample_gradient(self, x, rng=None):
         a, xi = self._draw(_need_rng(self, rng))
@@ -167,10 +162,6 @@ class RidgeOracle(StochasticGradientOracle):
 
     def mean_gradient(self, x):
         return _ridge_mean_gradient(np.asarray(x, dtype=float), self.instance.x_star)
-
-
-def ridge_oracle(instance: RidgeInstance) -> RidgeOracle:
-    return RidgeOracle(instance)
 
 
 def _ridge_gradients(a, x, instance, xi, x_star=None):
@@ -199,7 +190,6 @@ class OracleRows(StochasticGradientOracle):
         self.rngs = list(rngs)
         if not self.oracles or len(self.rngs) != len(self.oracles) or None in self.rngs:
             raise ParameterError("OracleRows needs one generator per oracle, and at least one")
-        self.dimension = self.oracles[0].dimension
         ridge = all(type(o) is RidgeOracle for o in self.oracles) and len(
             {o.instance.sigma_b for o in self.oracles}) == 1
         self._x_star = np.stack([o.instance.x_star for o in self.oracles]) if ridge else None
@@ -264,8 +254,6 @@ class BernoulliLowerBoundInstance:
     C: float
     mu: float
     q: float
-    sigma: float
-    epsilon: float
 
     @property
     def x_opt(self) -> float:
@@ -287,7 +275,6 @@ class BernoulliLowerBoundInstance:
 class BernoulliOracle(StochasticGradientOracle):
     def __init__(self, instance: BernoulliLowerBoundInstance):
         self.instance = instance
-        self.dimension = 1
 
     def sample_gradient(self, x, rng=None):
         return self.gradients(_need_rng(self, rng).random(1))
@@ -330,10 +317,7 @@ def bernoulli_oracle(
         )
     C = mu ** (1.0 / q) * (epsilon * p) ** (1.0 / p)
     s = solve_bernoulli_activation(mu, q, sigma, epsilon)
-    instance = BernoulliLowerBoundInstance(
-        nu=int(nu), s=s, C=C, mu=float(mu), q=float(q),
-        sigma=float(sigma), epsilon=float(epsilon),
-    )
+    instance = BernoulliLowerBoundInstance(nu=int(nu), s=s, C=C, mu=float(mu), q=float(q))
     return BernoulliOracle(instance), instance
 
 
@@ -363,7 +347,7 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
     ``draw_noise`` samples the noise alone, in blocks of any shape.
     """
 
-    def __init__(self, grad_fn, dimension: int, kind: str, sigma: float,
+    def __init__(self, grad_fn, dimension: int, kind: str = "gaussian", sigma: float = 0.0,
                  q: float = 2.0, tail: float = 4.0):
         if kind not in _NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {kind!r}; expected one of {_NOISE_KINDS}")
@@ -375,7 +359,6 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
         self._grad_fn = grad_fn
         self.dimension = int(dimension)
         self.kind = kind
-        self.q = float(q)
         self.noise_level = float(sigma)
         self.noise_moment_exponent = p
         self.tail = float(tail)
@@ -421,14 +404,3 @@ class AdditiveNoiseOracle(StochasticGradientOracle):
 
     def mean_gradient(self, x):
         return np.asarray(self._grad_fn(x), dtype=float)
-
-
-def additive_noise_oracle(
-    grad_fn,
-    dimension: int,
-    kind: str = "gaussian",
-    sigma: float = 0.0,
-    q: float = 2.0,
-    tail: float = 4.0,
-) -> AdditiveNoiseOracle:
-    return AdditiveNoiseOracle(grad_fn, dimension, kind, sigma, q=q, tail=tail)

@@ -10,8 +10,8 @@ per coordinate, with v_j = gamma * mu |y_j|^{q-1} sign(y_j) - alpha * g_j,
 
     x_j = sign(v_j) * (|v_j| / ((alpha + gamma) * mu)) ** (1/(q-1)).
 
-``prox_bisection_oracle`` solves the same first-order condition by bracketed
-bisection and exists purely to cross-check the closed form.
+The tests cross-check it against an independent bracketed bisection on the
+same first-order condition (``tests/prox_reference.py``).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 
-__all__ = ["PowerNormRegularizer", "composite_prox", "prox_bisection_oracle"]
+__all__ = ["PowerNormRegularizer", "composite_prox"]
 
 _UNDERFLOW = 1e-300  # |v| below this maps to 0 before the 1/(q-1) root
 
@@ -33,15 +33,12 @@ class PowerNormRegularizer:
 
     mu: float
     q: float
-    dim: int
 
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ParameterError(f"mu must be positive, got {self.mu}")
         if not self.q >= 2.0:
             raise ParameterError(f"q must be >= 2, got {self.q}")
-        if self.dim < 1:
-            raise ParameterError(f"dim must be positive, got {self.dim}")
 
     def value(self, x: np.ndarray):
         """H(x); for an ``(S, d)`` batch, one value per row."""
@@ -85,62 +82,3 @@ def composite_prox(
     av = np.abs(v)
     mag = np.where(av < _UNDERFLOW, 0.0, (av / scale) ** (1.0 / (H.q - 1.0)))
     return np.sign(v) * mag
-
-
-def prox_bisection_oracle(
-    H: PowerNormRegularizer,
-    g: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    gamma: float,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Independent prox solver: per-coordinate bisection on the optimality condition.
-
-    The scalar condition (alpha + gamma) * mu |x|^{q-1} sign(x) = v_j is
-    strictly monotone, so a geometrically widened bracket plus bisection
-    converges unconditionally. Accepts alpha = 0 (pure divergence term),
-    where the minimizer is y itself.
-    """
-    if alpha < 0.0:
-        raise ParameterError(f"alpha must be nonnegative, got {alpha}")
-    if not gamma > 0.0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    g = np.asarray(g, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = gamma * H.grad(y) - alpha * g
-    scale = (alpha + gamma) * H.mu
-    qm1 = H.q - 1.0
-
-    def resid(x: float, target: float) -> float:
-        return scale * abs(x) ** qm1 * np.sign(x) - target
-
-    out = np.empty_like(v)
-    for j, target in enumerate(v):
-        if target == 0.0:
-            out[j] = 0.0
-            continue
-        lo, hi = (0.0, 1.0) if target > 0.0 else (-1.0, 0.0)
-        width = 1.0
-        expansions = 0
-        while resid(hi if target > 0.0 else lo, target) * np.sign(target) < 0.0:
-            width *= 2.0
-            if target > 0.0:
-                hi = width
-            else:
-                lo = -width
-            expansions += 1
-            if expansions > 200:
-                raise NumericalError(
-                    f"prox_bisection_oracle: bracket expansion failed at coordinate {j}"
-                )
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if resid(mid, target) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        out[j] = 0.5 * (lo + hi)
-    return out

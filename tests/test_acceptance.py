@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from ccmin import (
+    AdditiveNoiseOracle,
     PowerNormRegularizer,
     RidgeInstance,
     TraceOptions,
     acsmd,
-    additive_noise_oracle,
     certificate_check,
     certificate_options,
     composite_prox,
@@ -35,11 +35,11 @@ from ccmin import (
     nacsmd,
     plan_from_params,
     power_uc_constant,
-    prox_bisection_oracle,
     restart,
     ridge_psi,
 )
 from ccmin.bench import run_experiment
+from prox_reference import prox_bisection_oracle
 from recording import Recording, RecordingOracle
 
 TABLE2 = {20: [91, 81, 32, 20, 14], 50: [110, 66, 26, 16, 12],
@@ -78,12 +78,12 @@ def test_criterion_1_pathwise_certificates():
         for seed in range(10):
             rng0 = philox(seed, 101)
             x_star = rng0.uniform(-1.0, 1.0, d)
-            inst = RidgeInstance(dimension=d, x_star=x_star, sigma_b=0.0, mu=mu, q=q)
+            inst = RidgeInstance(x_star=x_star, sigma_b=0.0, mu=mu, q=q)
             # kappa = 2 uses the exact constant; kappa = 1.5 a region-valid one
             L = inst.L if kappa == 2.0 else 2.0
             params = derive_params(q, kappa, L, mu * power_uc_constant(q), sigma=sigma)
-            H = PowerNormRegularizer(mu=mu, q=q, dim=d)
-            oracle = additive_noise_oracle(
+            H = PowerNormRegularizer(mu=mu, q=q)
+            oracle = AdditiveNoiseOracle(
                 lambda x, xs=x_star: 2.0 / 3.0 * (np.asarray(x, dtype=float) - xs),
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             x_opt, psi_star = exact_optimum(inst)
@@ -124,7 +124,7 @@ def test_criterion_2_prox_oracle_equivalence():
     for q in (2.0, 2.5, 3.0, 4.0):
         for _ in range(250):
             d = int(rng.integers(1, 9))
-            H = PowerNormRegularizer(mu=float(rng.uniform(0.2, 4.0)), q=q, dim=d)
+            H = PowerNormRegularizer(mu=float(rng.uniform(0.2, 4.0)), q=q)
             g = rng.normal(0, 3, d)
             y = rng.normal(0, 3, d)
             alpha = float(rng.uniform(0.05, 5.0))
@@ -142,13 +142,13 @@ def test_criterion_2_prox_oracle_equivalence():
 def test_criterion_3_restart_halving():
     d, mu, q = 20, 2.0, 2.0
     rng0 = philox(3, 101)
-    inst = RidgeInstance(dimension=d, x_star=rng0.uniform(-1, 1, d),
+    inst = RidgeInstance(x_star=rng0.uniform(-1, 1, d),
                          sigma_b=0.0, mu=mu, q=q)
-    oracle = additive_noise_oracle(
+    oracle = AdditiveNoiseOracle(
         lambda x: 2.0 / 3.0 * (np.asarray(x, dtype=float) - inst.x_star),
         d, kind="gaussian", sigma=0.0, q=q)
     params = derive_params(q, 2.0, inst.L, mu * power_uc_constant(q))
-    H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+    H = PowerNormRegularizer(mu=mu, q=q)
     x_opt, _ = exact_optimum(inst)
 
     def breg(y):
@@ -287,19 +287,19 @@ def test_criterion_8_noise_rate_slope():
     t0 = time.time()
     d, q, mu, sigma_b, T = 4, 4.0, 2.0, 0.5, 500
     rng0 = philox(8, 101)
-    inst = RidgeInstance(dimension=d, x_star=rng0.uniform(-1, 1, d),
+    inst = RidgeInstance(x_star=rng0.uniform(-1, 1, d),
                          sigma_b=sigma_b, mu=mu, q=q)
     params = derive_params(q, 2.0, inst.L, mu * power_uc_constant(q))
-    H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+    H = PowerNormRegularizer(mu=mu, q=q)
     x_opt, psi_star = exact_optimum(inst)
     sched = default_schedule(params, "nacsmd", validate_horizon=2 * T)
-    from ccmin import ridge_oracle
+    from ccmin import RidgeOracle
 
     gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
     opts = TraceOptions(gap_fn=gap_fn)
     curves = []
     for seed in range(100):
-        oracle = ridge_oracle(inst)
+        oracle = RidgeOracle(inst)
         # start at the optimum so the whole run sits in the noise-driven regime
         _, _, tr = nacsmd(oracle, H, sched, x_opt.copy(), T, rng=philox(8, seed),
                           params=params, trace_opts=opts)

@@ -50,7 +50,7 @@ class DriftOracle:
 def problem(q, target):
     mu = 1.3
     params = derive_params(q, 2.0, 0.7, mu * power_uc_constant(q))
-    return default_schedule(params, target), PowerNormRegularizer(mu=mu, q=q, dim=3)
+    return default_schedule(params, target), PowerNormRegularizer(mu=mu, q=q)
 
 
 @pytest.mark.parametrize("name", ["nacsmd", "acsmd"])
@@ -153,7 +153,7 @@ def reference_lower_bound(solver, mu, q, sigma, epsilon, gamma, trials, seed=0, 
     run = SOLVERS[solver]
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
-    H = PowerNormRegularizer(mu=mu, q=q, dim=1)
+    H = PowerNormRegularizer(mu=mu, q=q)
     opts = TraceOptions()
     signed = {}
     for nu in (1, -1):

@@ -294,6 +294,35 @@ class TestRunExperiment:
         report = lower_bound_experiment("acsmd", 1.0, 2.0, 1.0, 0.05, 0.5, trials=4)
         assert horizons and max(horizons) <= report.T_bound
 
+    def test_no_schedule_is_scanned_twice_at_one_horizon(self, tmp_path, monkeypatch):
+        # default_schedule returns only a schedule that passes at T_max, so a
+        # validated cell is not scanned there again; a printed one is scanned once
+        scans = []
+        real = solvers.validate_schedule
+
+        def recording(sched, params, horizon):
+            scans.append(repr((sched, params, horizon)))
+            return real(sched, params, horizon)
+
+        monkeypatch.setattr(solvers, "validate_schedule", recording)
+        monkeypatch.setattr(bench, "validate_schedule", recording)
+        for mode in ("validated", "printed"):
+            del scans[:]
+            cfg = {"instance": {"d": [3, 5]},
+                   "solver": {"schedule_mode": mode,
+                              "algorithms": ["nacsmd", "acsmd1", "acsmd2"]},
+                   "run": {"T_max": 60, "seeds": [0, 1], "stop_at_target": False},
+                   "output": {"traces": False, "plotdata": False}}
+            cells = run_experiment(cfg, out_dir=tmp_path / mode)["cells"]
+            assert len(scans) == len(set(scans)), mode
+            if mode == "printed":
+                assert len(scans) == len(cells)
+            else:
+                assert all(cell["schedule"]["valid"] for cell in cells)
+            for cell in cells:
+                checked = 2 if cell["schedule"]["valid"] else 0
+                assert cell["certificates"]["checked"] == checked
+
     def test_parallel_workers_match_serial(self, tmp_path):
         s1 = run_experiment(TINY, out_dir=tmp_path / "w1", workers=1)
         s2 = run_experiment(TINY, out_dir=tmp_path / "w2", workers=2)
@@ -557,6 +586,43 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("extra,message", [
+        ({"instance": {"x_star": {"kind": "uniform", "scale": "big"}}},
+         "instance.x_star.scale must be a finite number, got 'big'"),
+        ({"instance": {"x1": {"kind": "constant", "value": "abc"}}},
+         "instance.x1.value must be a finite number, got 'abc'"),
+        ({"instance": {"x_star": {"kind": "fixed", "values": ["a", 1, 2]}}},
+         "instance.x_star.values must be a finite number, got 'a'"),
+        ({"instance": {"x1": {"kind": "fixed", "values": [1.0, float("nan"), 2.0]}}},
+         "instance.x1.values must be a finite number, got nan"),
+        ({"instance": {"x_star": {"kind": "uniform", "scael": 2.0}}},
+         "unknown config keys under instance.x_star: ['scael']"),
+        ({"instance": {"x1": {"kind": "zeros", "value": 1.0}}},
+         "unknown config keys under instance.x1: ['value']"),
+        ({"instance": {"x1": {"kind": "fixed"}}}, "fixed x1 needs a 'values' list"),
+        ({"instance": {"x_star": 0.3}},
+         "instance.x_star.kind must be one of ['fixed', 'uniform']"),
+        ({"run": {"stop_at_target": "false"}},
+         "run.stop_at_target must be true or false, got 'false'"),
+        ({"run": {"certificates": 0}}, "run.certificates must be true or false, got 0"),
+        ({"output": {"traces": "no"}}, "output.traces must be true or false, got 'no'"),
+        ({"output": {"plotdata": None}}, "output.plotdata must be true or false, got None"),
+    ], ids=["scale", "value", "values", "nan-values", "unknown-key", "zeros-key",
+            "fixed-without-values", "not-a-block", "stop_at_target", "certificates", "traces",
+            "plotdata"])
+    def test_bad_start_point_or_switch_exit_2(self, tmp_path, capsys, command, extra, message):
+        # each exited 1 with a traceback, or exited 0 and ran with another value
+        cfg = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
+               "run": {"T_max": 20, "seeds": [0]}}
+        for block, keys in extra.items():
+            cfg[block] = dict(cfg.get(block, {}), **keys)
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_baseline_on_the_bernoulli_instance_exit_2(self, tmp_path, capsys, command):
         # the config is refused before any run starts, so nothing is written
         cfg = {"instance": {"kind": "bernoulli"}, "solver": {"algorithms": ["nacsmd", "acsa"]}}
@@ -733,12 +799,11 @@ def test_public_names():
         "CertificateReport", "ConfigError", "DiagnosticUnavailableError", "GeometryParams",
         "NoiseTerms", "NumericalError", "OracleRows", "ParameterError", "PolynomialSchedule",
         "PowerNormRegularizer", "RestartPlan", "RidgeInstance", "RidgeOracle", "RunTrace",
-        "StochasticGradientOracle", "TraceOptions", "acsa_baseline", "acsmd",
-        "additive_noise_oracle", "bernoulli_oracle", "bregman_to", "certificate_check",
-        "certificate_options", "composite_prox", "concentration_check", "default_schedule",
-        "derive_params", "diagnostics", "dual_exponent", "errors", "exact_optimum",
-        "expectation_bound", "geometry", "lower_bound_experiment", "lq_norm",
-        "martingale_tail_bound", "nacsmd", "oracles", "plan_from_params", "power_inv_r",
-        "power_uc_constant", "prox_bisection_oracle", "regularizers", "restart", "ridge_oracle",
-        "ridge_psi", "solvers", "validate_schedule",
+        "StochasticGradientOracle", "TraceOptions", "acsa_baseline", "acsmd", "bernoulli_oracle",
+        "bregman_to", "certificate_check", "certificate_options", "composite_prox",
+        "concentration_check", "default_schedule", "derive_params", "diagnostics", "dual_exponent",
+        "errors", "exact_optimum", "expectation_bound", "geometry", "lower_bound_experiment",
+        "lq_norm", "martingale_tail_bound", "nacsmd", "oracles", "plan_from_params", "power_inv_r",
+        "power_uc_constant", "regularizers", "restart", "ridge_psi", "solvers",
+        "validate_schedule",
     ]

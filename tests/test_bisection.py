@@ -110,7 +110,7 @@ X_STARS = {
 @pytest.mark.parametrize("xs", sorted(X_STARS))
 def test_exact_optimum_matches_fixed_count_loop(q, mu, xs):
     x_star = X_STARS[xs]
-    inst = RidgeInstance(dimension=x_star.size, x_star=x_star, sigma_b=0.1, mu=mu, q=q)
+    inst = RidgeInstance(x_star=x_star, sigma_b=0.1, mu=mu, q=q)
     with np.errstate(all="ignore"):
         # with no residual check the optimum is compared on every instance,
         # including those whose residual the check rejects
@@ -158,7 +158,7 @@ def test_residual_check_scales_with_the_instance():
     # mu = 1e-300 at q = 2 leaves x_star as the optimum to the last bit; its
     # residual |mu x_star| reaches 1, far below 1e-10 * 1e300
     x_star = X_STARS["huge"]
-    inst = RidgeInstance(dimension=4, x_star=x_star, sigma_b=0.1, mu=1e-300, q=2.0)
+    inst = RidgeInstance(x_star=x_star, sigma_b=0.1, mu=1e-300, q=2.0)
     with np.errstate(over="ignore"):
         x_opt, _ = exact_optimum(inst)
         assert x_opt.tobytes() == x_star.tobytes()

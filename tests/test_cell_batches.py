@@ -20,6 +20,7 @@ from ccmin import (
     OracleRows,
     PowerNormRegularizer,
     RidgeInstance,
+    RidgeOracle,
     TraceOptions,
     acsa_baseline,
     acsmd,
@@ -30,7 +31,6 @@ from ccmin import (
     exact_optimum,
     nacsmd,
     power_uc_constant,
-    ridge_oracle,
     ridge_psi,
 )
 from ccmin.bench import parse_plotdata, run_experiment
@@ -95,10 +95,10 @@ def assert_same_points(batch_recs, i, alone_recs):
 @pytest.mark.parametrize("name", ["nacsmd", "acsmd", "acsa"])
 def test_batch_rows_keep_every_recorded_and_certified_bit(name):
     d, q, T = 5, 3.0, 80
-    insts = [RidgeInstance(dimension=d, x_star=philox(s, 1).uniform(-0.3, 0.3, d),
+    insts = [RidgeInstance(x_star=philox(s, 1).uniform(-0.3, 0.3, d),
                            sigma_b=0.1, mu=2.0, q=q) for s in range(4)]
     opt = [exact_optimum(inst) for inst in insts]
-    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    H = PowerNormRegularizer(mu=2.0, q=q)
     params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
     x1 = np.full(d, 3.25)
     stop = np.array([0.0, 0.5, 0.0, 5.0])  # two rows stop early, at their own steps
@@ -122,13 +122,13 @@ def test_batch_rows_keep_every_recorded_and_certified_bit(name):
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
     opts, oracle, points = recording(
-        opts, OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(4)]))
+        opts, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(4)]))
     x, y, batch = solve(oracle, np.tile(x1, (4, 1)), opts, stop)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
         one, oracle_i, points_i = recording(
             TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
                          bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
-            ridge_oracle(inst))
+            RidgeOracle(inst))
         xi, yi, alone = solve(oracle_i, x1, one, stop[i] or None, rng=philox(i, 7))
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
@@ -248,7 +248,6 @@ class BlowUp(StochasticGradientOracle):
 
     def __init__(self, inner):
         self.inner = inner
-        self.dimension = inner.dimension
         self.mean_gradient = inner.mean_gradient
         self.calls = 0
 
@@ -372,10 +371,10 @@ class CountedSchedule:
 @pytest.mark.parametrize("name", ["nacsmd", "acsmd"])
 def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
     d, q, T = 5, 3.0, 80
-    insts = [RidgeInstance(dimension=d, x_star=philox(s, 1).uniform(-0.3, 0.3, d),
+    insts = [RidgeInstance(x_star=philox(s, 1).uniform(-0.3, 0.3, d),
                            sigma_b=0.1, mu=2.0, q=q) for s in range(6)]
     opt = [exact_optimum(inst) for inst in insts]
-    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    H = PowerNormRegularizer(mu=2.0, q=q)
     params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
     solver = nacsmd if name == "nacsmd" else acsmd
     m = [0.0, 1.0, 2.0] if name == "nacsmd" else [1.0, 2.0, 3.0]
@@ -390,7 +389,7 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
     opts, oracle, points = recording(
-        opts, OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
+        opts, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
     x, y, batch = solver(oracle, H, per_row, np.tile(x1, (6, 1)), T, trace_opts=opts,
                          stop_gap=stop)
     # every step evaluates each distinct schedule once, at a scalar t
@@ -400,7 +399,7 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
         one, oracle_i, points_i = recording(
             TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
                          bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
-            ridge_oracle(inst))
+            RidgeOracle(inst))
         xi, yi, alone = solver(oracle_i, H, per_row[i].sched, x1, T,
                                rng=philox(i, 7), trace_opts=one, stop_gap=stop[i] or None)
         row = batch.row(i)
@@ -420,11 +419,11 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
 
 
 def test_schedules_must_match_the_rows():
-    H = PowerNormRegularizer(mu=2.0, q=3.0, dim=2)
+    H = PowerNormRegularizer(mu=2.0, q=3.0)
     params = derive_params(3.0, 2.0, 1.0, 2.0 * power_uc_constant(3.0))
     sched = default_schedule(params, "acsmd")
-    oracle = OracleRows([ridge_oracle(RidgeInstance(dimension=2, x_star=np.zeros(2),
-                                                    sigma_b=0.1, mu=2.0, q=3.0))] * 3,
+    oracle = OracleRows([RidgeOracle(RidgeInstance(x_star=np.zeros(2),
+                                                   sigma_b=0.1, mu=2.0, q=3.0))] * 3,
                         [philox(s) for s in range(3)])
     with pytest.raises(bench.ParameterError, match="2 schedules for a batch of 3 rows"):
         acsmd(oracle, H, [sched, sched], np.zeros((3, 2)), 5)

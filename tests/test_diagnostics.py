@@ -11,7 +11,7 @@ from ccmin import (
     PowerNormRegularizer,
     RidgeInstance,
     TraceOptions,
-    additive_noise_oracle,
+    AdditiveNoiseOracle,
     bernoulli_oracle,
     certificate_check,
     certificate_options,
@@ -26,7 +26,7 @@ from ccmin import (
     acsmd,
     power_inv_r,
     power_uc_constant,
-    ridge_oracle,
+    RidgeOracle,
     ridge_psi,
 )
 from ccmin.solvers import _bound_term_arrays
@@ -38,10 +38,10 @@ def philox(*key):
 
 def ridge_problem(d=4, q=4.0, mu=2.0, sigma_b=0.0, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    inst = RidgeInstance(dimension=d, x_star=scale * rng.uniform(-1, 1, d),
+    inst = RidgeInstance(x_star=scale * rng.uniform(-1, 1, d),
                          sigma_b=sigma_b, mu=mu, q=q)
     params = derive_params(q, 2.0, inst.L, mu * power_uc_constant(q))
-    H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+    H = PowerNormRegularizer(mu=mu, q=q)
     x_opt, psi_star = exact_optimum(inst)
     psi = lambda x: ridge_psi(inst, x)  # noqa: E731
     return inst, params, H, x_opt, psi_star, psi
@@ -49,7 +49,7 @@ def ridge_problem(d=4, q=4.0, mu=2.0, sigma_b=0.0, seed=0, scale=1.0):
 
 class TestExactOptimum:
     def test_zero_regularization_returns_truth(self):
-        inst = RidgeInstance(dimension=3, x_star=np.array([1.0, -2.0, 0.5]),
+        inst = RidgeInstance(x_star=np.array([1.0, -2.0, 0.5]),
                              sigma_b=0.2, mu=0.0, q=2.0)
         x_opt, psi_star = exact_optimum(inst)
         assert np.allclose(x_opt, inst.x_star)
@@ -57,13 +57,13 @@ class TestExactOptimum:
 
     def test_quadratic_closed_form(self):
         # q=2, mu=2: (2/3)(x - x*) + 2x = 0 gives x = x*/4
-        inst = RidgeInstance(dimension=4, x_star=np.array([2.0, -1.0, 0.4, 0.0]),
+        inst = RidgeInstance(x_star=np.array([2.0, -1.0, 0.4, 0.0]),
                              sigma_b=0.0, mu=2.0, q=2.0)
         x_opt, _ = exact_optimum(inst)
         assert np.allclose(x_opt, inst.x_star / 4.0, atol=1e-12)
 
     def test_against_dense_grid_minimization(self):
-        inst = RidgeInstance(dimension=2, x_star=np.array([0.8, -0.6]),
+        inst = RidgeInstance(x_star=np.array([0.8, -0.6]),
                              sigma_b=0.1, mu=2.0, q=4.0)
         x_opt, psi_star = exact_optimum(inst)
         for j in range(2):
@@ -79,7 +79,7 @@ class TestExactOptimum:
 class TestCertificate:
     def run_trace(self, solver, target, params, H, inst, sigma=0.0, T=200, seed=1):
         x_opt, psi_star = exact_optimum(inst)
-        oracle = additive_noise_oracle(
+        oracle = AdditiveNoiseOracle(
             lambda x, xs=inst.x_star: 2.0 / 3.0 * (np.asarray(x, dtype=float) - xs),
             inst.dimension, kind="bounded_sphere", sigma=sigma, q=inst.q)
         sched = default_schedule(params, target, validate_horizon=max(2 * T, 500))
@@ -116,7 +116,7 @@ class TestCertificate:
 
     def test_requires_recorded_noise(self):
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
-        oracle = ridge_oracle(inst)
+        oracle = RidgeOracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         opts = certificate_options(params, H, x_opt, psi, psi_star)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(3),
@@ -129,7 +129,7 @@ class TestCertificate:
         # the gap and Bregman series stand in for the iterates a certificate
         # once re-evaluated; a run that recorded neither is refused
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
-        oracle = ridge_oracle(inst)
+        oracle = RidgeOracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(4),
                           params=params,
@@ -146,15 +146,15 @@ class TestCertificate:
         d, mu = 5, 2.0
         for seed in range(3):
             rng0 = philox(seed, 101)
-            inst = RidgeInstance(dimension=d, x_star=rng0.uniform(-1, 1, d),
+            inst = RidgeInstance(x_star=rng0.uniform(-1, 1, d),
                                  sigma_b=0.15, mu=mu, q=q)
             L = inst.L if kappa == 2.0 else 3.0  # generous region constant
             params = derive_params(q, kappa, L, mu * power_uc_constant(q))
-            H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+            H = PowerNormRegularizer(mu=mu, q=q)
             if noise == "ridge":
-                oracle = ridge_oracle(inst)
+                oracle = RidgeOracle(inst)
             else:
-                oracle = additive_noise_oracle(
+                oracle = AdditiveNoiseOracle(
                     lambda x, xs=inst.x_star: 2.0 / 3.0 * (np.asarray(x) - xs),
                     d, kind="pareto", sigma=0.6, q=q, tail=4.0)
             x_opt, psi_star = exact_optimum(inst)
@@ -226,7 +226,7 @@ def test_run_inequality_terms_keep_their_bits(q, solver, target):
     recorded = RecordedNoise(x_opt, params.p)
     opts = dataclasses.replace(certificate_options(params, H, x_opt, psi, psi_star),
                                noise_fn=recorded)
-    _, _, tr = solver(ridge_oracle(inst), H, sched, np.zeros(inst.dimension), 200,
+    _, _, tr = solver(RidgeOracle(inst), H, sched, np.zeros(inst.dimension), 200,
                       rng=philox(int(q), 17), params=params, trace_opts=opts)
     rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
     noise_moment, deterministic = reference_certificate_terms(tr, params,
@@ -340,18 +340,18 @@ class TestExpectationBound:
         # computable bound with the declared noise level
         d, q, mu, sigma = 4, 4.0, 2.0, 0.5
         rng0 = np.random.default_rng(13)
-        inst = RidgeInstance(dimension=d, x_star=rng0.uniform(-1, 1, d),
+        inst = RidgeInstance(x_star=rng0.uniform(-1, 1, d),
                              sigma_b=0.0, mu=mu, q=q)
         mu_eff = mu * power_uc_constant(q)
         params = derive_params(q, 2.0, inst.L, mu_eff, sigma=sigma)
-        H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+        H = PowerNormRegularizer(mu=mu, q=q)
         x_opt, psi_star = exact_optimum(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=500)
         T = 200
         x1 = np.zeros(d)
         gaps = []
         for seed in range(100):
-            oracle = additive_noise_oracle(
+            oracle = AdditiveNoiseOracle(
                 lambda x: 2.0 / 3.0 * (np.asarray(x, dtype=float) - inst.x_star),
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             _, x_avg, _ = nacsmd(oracle, H, sched, x1, T, rng=philox(14, seed),

@@ -68,7 +68,7 @@ def test_lq_norm_examples():
 
 
 def test_bregman_quadratic_and_identity():
-    H = PowerNormRegularizer(mu=1.0, q=2.0, dim=2)
+    H = PowerNormRegularizer(mu=1.0, q=2.0)
     assert bregman_to(H, np.array([1.0, 0.0]))(np.zeros(2)) == pytest.approx(0.5)
     x = np.array([0.3, -1.2])
     assert bregman_to(H, x)(x) == pytest.approx(0.0)
@@ -77,7 +77,7 @@ def test_bregman_quadratic_and_identity():
 def test_bregman_power_example_against_finite_differences():
     # omega = (2/4)|x|^4, x = 1, y = -1: direct value is 4; cross-check the
     # gradient entering the divergence by central differences
-    H = PowerNormRegularizer(mu=2.0, q=4.0, dim=1)
+    H = PowerNormRegularizer(mu=2.0, q=4.0)
     x, y = np.array([1.0]), np.array([-1.0])
     assert bregman_to(H, x)(y) == pytest.approx(4.0)
     h = 1e-6
@@ -97,7 +97,7 @@ def reference_bregman(omega, x, y):
 @pytest.mark.parametrize("d", [1, 7, 200])
 def test_bregman_to_keeps_the_bits(q, d):
     rng = np.random.default_rng(int(q) * 1000 + d)
-    H = PowerNormRegularizer(mu=1.7, q=q, dim=d)
+    H = PowerNormRegularizer(mu=1.7, q=q)
     for scale in (1e-3, 1.0, 3.0):
         x = scale * rng.standard_normal(d)
         to_x = bregman_to(H, x)
@@ -115,7 +115,7 @@ def test_bregman_to_evaluates_omega_x_once():
             return super().value(x)
 
     calls = []
-    H = Counting(mu=1.0, q=3.0, dim=2)
+    H = Counting(mu=1.0, q=3.0)
     to_x = bregman_to(H, np.array([0.5, -1.0]))
     for y in np.linspace(-1.0, 1.0, 6):
         to_x(np.array([y, 2 * y]))
@@ -127,8 +127,8 @@ def test_gradient_matches_finite_differences():
     # slice, which avoids cancellation against the other coordinates' value
     rng = np.random.default_rng(3)
     for q in (2.0, 2.5, 3.0, 4.0):
-        H = PowerNormRegularizer(mu=1.7, q=q, dim=5)
-        H1 = PowerNormRegularizer(mu=1.7, q=q, dim=1)
+        H = PowerNormRegularizer(mu=1.7, q=q)
+        H1 = PowerNormRegularizer(mu=1.7, q=q)
         for _ in range(25):
             x = rng.normal(0.0, 2.0, 5)
             g = H.grad(x)
@@ -204,7 +204,7 @@ def curvature_ratios(f, grad, dim, norm_q, power, samples, seed):
 
 def test_check_uniform_convexity_quartic_1d():
     # power_uc_constant(4) is a modulus of |x|^4 on every sampled pair
-    H = PowerNormRegularizer(mu=1.0, q=4.0, dim=1)
+    H = PowerNormRegularizer(mu=1.0, q=4.0)
     ratios = curvature_ratios(H.value, H.grad, 1, 4.0, 4.0, samples=2000, seed=2)
     assert power_uc_constant(4.0) - 1e-9 <= ratios.min() <= 1.0 + 1e-9
     assert ratios.min() >= 1.0 / 3.0 - 1e-9
@@ -234,7 +234,7 @@ def test_young_gap_dominance_sweep():
 def test_bregman_nonnegative_for_convex_omega():
     rng = np.random.default_rng(8)
     for q in (2.0, 3.0, 4.0):
-        H = PowerNormRegularizer(mu=0.8, q=q, dim=4)
+        H = PowerNormRegularizer(mu=0.8, q=q)
         for _ in range(100):
             x, y = rng.normal(0, 2, 4), rng.normal(0, 2, 4)
             assert bregman_to(H, x)(y) >= -1e-12
@@ -244,7 +244,7 @@ def test_uniform_convexity_lower_bound_dense_grid_1d():
     # D(x, y) >= (mu c_q / q) |x - y|^q on a dense 1-D grid, with the
     # empirically calibrated constant (the nominal mu alone fails for q > 2)
     q, mu = 4.0, 2.0
-    H = PowerNormRegularizer(mu=mu, q=q, dim=1)
+    H = PowerNormRegularizer(mu=mu, q=q)
     c = power_uc_constant(q)
     grid = np.linspace(-3.0, 3.0, 201)
     for xv in grid:

@@ -221,7 +221,7 @@ def baseline_problem(q, S, T, poison=None):
         step, row, value = poison
         noise[step - 1, row, 1] = value
     x1 = rng.uniform(-2.0, 2.0, (S, d))
-    H = PowerNormRegularizer(mu=1.3, q=q, dim=d)
+    H = PowerNormRegularizer(mu=1.3, q=q)
     return (lambda: Drift(0.8, b.copy(), noise.copy())), H, x1, (lambda: Gap(b.copy()))
 
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from ccmin import (
+    AdditiveNoiseOracle,
     OracleRows,
     ParameterError,
     PowerNormRegularizer,
     RidgeInstance,
-    additive_noise_oracle,
+    RidgeOracle,
     bernoulli_oracle,
     default_schedule,
     derive_params,
     nacsmd,
     power_uc_constant,
-    ridge_oracle,
 )
 from ccmin.oracles import solve_bernoulli_activation
 
@@ -25,14 +25,14 @@ def philox(*key):
 
 def make_ridge(d=6, sigma_b=0.1, mu=2.0, q=4.0, seed=0):
     rng = np.random.default_rng(seed)
-    return RidgeInstance(dimension=d, x_star=rng.uniform(-1, 1, d),
+    return RidgeInstance(x_star=rng.uniform(-1, 1, d),
                          sigma_b=sigma_b, mu=mu, q=q)
 
 
 class TestRidge:
     def test_mean_gradient_formula(self):
         inst = make_ridge()
-        orc = ridge_oracle(inst)
+        orc = RidgeOracle(inst)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.normal(0, 2, inst.dimension)
@@ -41,7 +41,7 @@ class TestRidge:
     def test_sample_mean_converges_at_truth(self):
         # noiseless labels, query at the truth: gradients average to zero
         inst = make_ridge(d=4, sigma_b=0.0)
-        orc = ridge_oracle(inst)
+        orc = RidgeOracle(inst)
         rng = philox(2)
         total = np.zeros(4)
         n = 100_000
@@ -51,7 +51,7 @@ class TestRidge:
 
     def test_unbiasedness_at_random_points(self):
         inst = make_ridge(d=3, sigma_b=0.2, seed=5)
-        orc = ridge_oracle(inst)
+        orc = RidgeOracle(inst)
         point_rng = np.random.default_rng(6)
         rng = philox(7)
         n = 4000
@@ -64,7 +64,7 @@ class TestRidge:
 
     def test_reproducibility_bit_exact(self):
         inst = make_ridge()
-        orc = ridge_oracle(inst)
+        orc = RidgeOracle(inst)
         x = np.ones(inst.dimension)
         a = [orc.sample_gradient(x, philox(42)) for _ in range(1)]
         stream1 = philox(42)
@@ -86,7 +86,15 @@ class TestRidge:
     @pytest.mark.parametrize("R", [0.0, -1.0])
     def test_radius_must_be_positive(self, R):
         with pytest.raises(ParameterError, match="R must be positive"):
-            RidgeInstance(dimension=2, x_star=np.ones(2), sigma_b=0.1, mu=2.0, q=3.0, R=R)
+            RidgeInstance(x_star=np.ones(2), sigma_b=0.1, mu=2.0, q=3.0, R=R)
+
+    def test_dimension_is_the_length_of_x_star(self):
+        assert RidgeInstance(x_star=[0.5, -1.0, 2.0], sigma_b=0.1, mu=2.0, q=3.0).dimension == 3
+
+    @pytest.mark.parametrize("x_star", [np.zeros(0), np.ones((2, 2)), 0.5])
+    def test_x_star_must_be_a_non_empty_vector(self, x_star):
+        with pytest.raises(ParameterError, match="x_star must be a non-empty 1-D array"):
+            RidgeInstance(x_star=x_star, sigma_b=0.1, mu=2.0, q=3.0)
 
 
 class TestBernoulli:
@@ -145,7 +153,7 @@ class TestBernoulli:
 class TestAdditiveNoise:
     def test_zero_sigma_is_exactly_deterministic(self):
         grad = lambda x: 3.0 * np.asarray(x)  # noqa: E731
-        orc = additive_noise_oracle(grad, 3, kind="gaussian", sigma=0.0)
+        orc = AdditiveNoiseOracle(grad, 3, kind="gaussian", sigma=0.0)
         x = np.array([1.0, -2.0, 0.5])
         rng = philox(10)
         g = orc.sample_gradient(x, rng)
@@ -156,8 +164,8 @@ class TestAdditiveNoise:
     def test_bounded_sphere_norm_and_mgf(self):
         q, sigma, d = 4.0, 0.7, 5
         p = q / (q - 1.0)
-        orc = additive_noise_oracle(lambda x: np.zeros(d), d, kind="bounded_sphere",
-                                    sigma=sigma, q=q)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(d), d, kind="bounded_sphere",
+                                  sigma=sigma, q=q)
         rng = philox(11)
         mgf_vals = []
         for _ in range(2000):
@@ -170,8 +178,8 @@ class TestAdditiveNoise:
 
     def test_gaussian_moment_calibration_1d(self):
         sigma, p = 1.3, 2.0
-        orc = additive_noise_oracle(lambda x: np.zeros(1), 1, kind="gaussian",
-                                    sigma=sigma, q=2.0)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(1), 1, kind="gaussian",
+                                  sigma=sigma, q=2.0)
         rng = philox(12)
         draws = np.array([orc.sample_gradient(np.zeros(1), rng)[0] for _ in range(100_000)])
         assert np.mean(np.abs(draws) ** p) == pytest.approx(sigma ** p, rel=0.02)
@@ -179,16 +187,16 @@ class TestAdditiveNoise:
     def test_gaussian_moment_calibration_p_fractional(self):
         sigma, q, d = 0.9, 4.0, 3
         p = q / (q - 1.0)
-        orc = additive_noise_oracle(lambda x: np.zeros(d), d, kind="gaussian",
-                                    sigma=sigma, q=q)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(d), d, kind="gaussian",
+                                  sigma=sigma, q=q)
         rng = philox(13)
         draws = np.array([orc.sample_gradient(np.zeros(d), rng) for _ in range(100_000)])
         emp = np.mean(np.sum(np.abs(draws) ** p, axis=1))
         assert emp == pytest.approx(sigma ** p, rel=0.02)
 
     def test_gaussian_mgf_level_certified(self):
-        orc = additive_noise_oracle(lambda x: np.zeros(4), 4, kind="gaussian",
-                                    sigma=1.0, q=2.0)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(4), 4, kind="gaussian",
+                                  sigma=1.0, q=2.0)
         rng = philox(14)
         draws = np.array([orc.sample_gradient(np.zeros(4), rng) for _ in range(50_000)])
         mgf = np.mean(np.exp(np.sum(draws ** 2, axis=1) / orc.mgf_sigma ** 2))
@@ -196,21 +204,21 @@ class TestAdditiveNoise:
 
     def test_pareto_moment_and_rejection(self):
         q, sigma = 2.0, 1.1
-        orc = additive_noise_oracle(lambda x: np.zeros(2), 2, kind="pareto",
-                                    sigma=sigma, q=q, tail=5.0)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(2), 2, kind="pareto",
+                                  sigma=sigma, q=q, tail=5.0)
         assert orc.mgf_sigma is None
         rng = philox(15)
         draws = np.array([orc.sample_gradient(np.zeros(2), rng) for _ in range(200_000)])
         emp = np.mean(np.sum(np.abs(draws) ** 2, axis=1))
         assert emp == pytest.approx(sigma ** 2, rel=0.03)
         with pytest.raises(ParameterError, match="tail"):
-            additive_noise_oracle(lambda x: np.zeros(1), 1, kind="pareto",
-                                  sigma=1.0, q=2.0, tail=1.5)
+            AdditiveNoiseOracle(lambda x: np.zeros(1), 1, kind="pareto",
+                                sigma=1.0, q=2.0, tail=1.5)
 
     @pytest.mark.parametrize("kind", ["gaussian", "bounded_sphere"])
     @pytest.mark.parametrize("q,d", [(2.0, 1), (3.0, 4), (4.0, 7), (20.0, 50)])
     def test_block_draws_match_successive_samples(self, kind, q, d):
-        orc = additive_noise_oracle(lambda x: np.zeros(d), d, kind=kind, sigma=0.7, q=q)
+        orc = AdditiveNoiseOracle(lambda x: np.zeros(d), d, kind=kind, sigma=0.7, q=q)
         block = orc.draw_noise(philox(17, d), (300,))
         stream = philox(17, d)
         successive = np.array([orc.sample_gradient(np.zeros(d), stream) for _ in range(300)])
@@ -219,12 +227,12 @@ class TestAdditiveNoise:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="noise kind"):
-            additive_noise_oracle(lambda x: x, 1, kind="cauchy", sigma=1.0)
+            AdditiveNoiseOracle(lambda x: x, 1, kind="cauchy", sigma=1.0)
 
     def test_unbiasedness(self):
         grad = lambda x: np.array([1.0, -2.0]) + 0.5 * np.asarray(x)  # noqa: E731
         for kind in ("gaussian", "bounded_sphere", "pareto"):
-            orc = additive_noise_oracle(grad, 2, kind=kind, sigma=0.5, q=3.0, tail=6.0)
+            orc = AdditiveNoiseOracle(grad, 2, kind=kind, sigma=0.5, q=3.0, tail=6.0)
             rng = philox(16)
             x = np.array([0.4, 0.8])
             draws = np.array([orc.sample_gradient(x, rng) for _ in range(20_000)])
@@ -236,9 +244,9 @@ class TestCallerGenerator:
     """An oracle keeps no random stream: every draw comes from the caller."""
 
     def test_noisy_oracles_refuse_a_missing_generator(self):
-        ridge = ridge_oracle(make_ridge())
+        ridge = RidgeOracle(make_ridge())
         bern, _ = bernoulli_oracle(1.0, 2.0, 1.0, 0.05, nu=1)
-        noisy = additive_noise_oracle(lambda x: np.zeros(3), 3, kind="gaussian", sigma=0.5)
+        noisy = AdditiveNoiseOracle(lambda x: np.zeros(3), 3, kind="gaussian", sigma=0.5)
         for orc, x, name in ((ridge, np.zeros(6), "RidgeOracle"),
                              (bern, np.zeros(1), "BernoulliOracle"),
                              (noisy, np.zeros(3), "AdditiveNoiseOracle")):
@@ -248,19 +256,19 @@ class TestCallerGenerator:
                 orc.sample_gradient(x, None)
 
     def test_zero_noise_oracle_needs_no_generator(self):
-        orc = additive_noise_oracle(lambda x: 3.0 * np.asarray(x), 2, sigma=0.0)
+        orc = AdditiveNoiseOracle(lambda x: 3.0 * np.asarray(x), 2, sigma=0.0)
         assert np.array_equal(orc.sample_gradient(np.array([1.0, -1.0])), [3.0, -3.0])
 
     def test_solver_without_rng_is_refused(self):
         inst = make_ridge(d=4, q=2.0)
         params = derive_params(2.0, 2.0, inst.L, inst.mu * power_uc_constant(2.0))
-        H = PowerNormRegularizer(mu=inst.mu, q=2.0, dim=4)
+        H = PowerNormRegularizer(mu=inst.mu, q=2.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=10)
         with pytest.raises(ParameterError, match="RidgeOracle"):
-            nacsmd(ridge_oracle(inst), H, sched, np.zeros(4), 10)
+            nacsmd(RidgeOracle(inst), H, sched, np.zeros(4), 10)
 
     def test_rows_refuse_a_missing_generator(self):
-        oracles = [ridge_oracle(make_ridge(seed=k)) for k in range(2)]
+        oracles = [RidgeOracle(make_ridge(seed=k)) for k in range(2)]
         with pytest.raises(ParameterError, match="generator"):
             OracleRows(oracles, [None, None])
         with pytest.raises(ParameterError, match="generator"):

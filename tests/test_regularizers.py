@@ -6,8 +6,8 @@ from ccmin import (
     ParameterError,
     PowerNormRegularizer,
     composite_prox,
-    prox_bisection_oracle,
 )
+from prox_reference import prox_bisection_oracle
 
 
 def golden_min_1d(fn, lo, hi, iters=200):
@@ -30,27 +30,25 @@ def golden_min_1d(fn, lo, hi, iters=200):
 
 
 def test_evaluate_and_grad_examples():
-    H = PowerNormRegularizer(mu=2.0, q=4.0, dim=2)
+    H = PowerNormRegularizer(mu=2.0, q=4.0)
     assert H.value(np.array([1.0, 1.0])) == pytest.approx(1.0)
     assert np.allclose(H.grad(np.array([1.0, 1.0])), [2.0, 2.0])
     assert H.value(np.zeros(2)) == 0.0
     assert np.all(H.grad(np.zeros(2)) == 0.0)
-    H2 = PowerNormRegularizer(mu=1.0, q=2.0, dim=2)
+    H2 = PowerNormRegularizer(mu=1.0, q=2.0)
     assert H2.value(np.array([3.0, -4.0])) == pytest.approx(12.5)
     assert np.allclose(H2.grad(np.array([3.0, -4.0])), [3.0, -4.0])
 
 
 def test_regularizer_validation():
     with pytest.raises(ParameterError):
-        PowerNormRegularizer(mu=0.0, q=2.0, dim=1)
+        PowerNormRegularizer(mu=0.0, q=2.0)
     with pytest.raises(ParameterError):
-        PowerNormRegularizer(mu=1.0, q=1.5, dim=1)
-    with pytest.raises(ParameterError):
-        PowerNormRegularizer(mu=1.0, q=2.0, dim=0)
+        PowerNormRegularizer(mu=1.0, q=1.5)
 
 
 def test_prox_scalar_example_against_golden_section():
-    H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
+    H = PowerNormRegularizer(mu=1.0, q=2.0)
     g, y, alpha, gamma = np.array([-1.0]), np.array([0.0]), 1.0, 1.0
     x = composite_prox(H, g, y, alpha, gamma)
     assert x[0] == pytest.approx(0.5, abs=1e-12)
@@ -64,7 +62,7 @@ def test_prox_scalar_example_against_golden_section():
 
 
 def test_prox_quartic_example_against_bisection():
-    H = PowerNormRegularizer(mu=2.0, q=4.0, dim=1)
+    H = PowerNormRegularizer(mu=2.0, q=4.0)
     x = composite_prox(H, np.array([0.0]), np.array([1.0]), 1.0, 1.0)
     assert x[0] == pytest.approx((2.0 / 4.0) ** (1.0 / 3.0), abs=1e-12)
     xb = prox_bisection_oracle(H, np.array([0.0]), np.array([1.0]), 1.0, 1.0)
@@ -74,7 +72,7 @@ def test_prox_quartic_example_against_bisection():
 def test_prox_zero_gradient_shrinks_toward_y():
     # g = 0: x+_j = sign(y_j) (gamma/(alpha+gamma))^{1/(q-1)} |y_j|, tending
     # to y as alpha -> 0
-    H = PowerNormRegularizer(mu=1.5, q=3.0, dim=3)
+    H = PowerNormRegularizer(mu=1.5, q=3.0)
     y = np.array([1.0, -2.0, 0.5])
     g = np.zeros(3)
     for alpha, gamma in [(1.0, 1.0), (0.5, 4.0), (1e-9, 1.0)]:
@@ -94,7 +92,7 @@ def test_prox_matches_bisection_randomized(q):
     for _ in range(60):
         d = int(rng.integers(1, 9))
         mu = float(rng.uniform(0.2, 4.0))
-        H = H_cache.setdefault((mu, d), PowerNormRegularizer(mu=mu, q=q, dim=d))
+        H = H_cache.setdefault((mu, d), PowerNormRegularizer(mu=mu, q=q))
         g = rng.normal(0, 3, d)
         y = rng.normal(0, 3, d)
         alpha = float(rng.uniform(0.05, 5.0))
@@ -107,7 +105,7 @@ def test_prox_matches_bisection_randomized(q):
 def test_prox_first_order_residual():
     rng = np.random.default_rng(12)
     for q in (2.0, 2.5, 3.0, 4.0):
-        H = PowerNormRegularizer(mu=1.3, q=q, dim=6)
+        H = PowerNormRegularizer(mu=1.3, q=q)
         for _ in range(50):
             g = rng.normal(0, 2, 6)
             y = rng.normal(0, 2, 6)
@@ -123,7 +121,7 @@ def test_prox_three_point_inequality():
     #   f(u*) + D_nu(u*, y) + D_f(u, u*) <= f(u) + D_nu(u, y) - D_nu(u, u*)
     rng = np.random.default_rng(13)
     for q in (2.0, 3.0, 4.0):
-        H = PowerNormRegularizer(mu=0.9, q=q, dim=4)
+        H = PowerNormRegularizer(mu=0.9, q=q)
 
         def breg(a, b):
             return H.value(a) - H.value(b) - float(H.grad(b) @ (a - b))
@@ -147,7 +145,7 @@ def test_prox_three_point_inequality():
 
 def test_prox_monotone_in_gradient_scale():
     rng = np.random.default_rng(14)
-    H = PowerNormRegularizer(mu=1.0, q=3.0, dim=5)
+    H = PowerNormRegularizer(mu=1.0, q=3.0)
     for _ in range(50):
         g = rng.normal(0, 1, 5)
         y = rng.normal(0, 1, 5)
@@ -159,7 +157,7 @@ def test_prox_monotone_in_gradient_scale():
 
 
 def test_prox_parameter_errors():
-    H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
+    H = PowerNormRegularizer(mu=1.0, q=2.0)
     with pytest.raises(ParameterError):
         composite_prox(H, np.zeros(1), np.zeros(1), 0.0, 1.0)
     with pytest.raises(ParameterError):
@@ -169,7 +167,7 @@ def test_prox_parameter_errors():
 
 
 def test_prox_underflow_guard():
-    H = PowerNormRegularizer(mu=1.0, q=4.0, dim=1)
+    H = PowerNormRegularizer(mu=1.0, q=4.0)
     x = composite_prox(H, np.array([1e-310]), np.zeros(1), 1.0, 1.0)
     assert x[0] == 0.0
     assert np.isfinite(x).all()

@@ -25,6 +25,7 @@ from ccmin import (
     PolynomialSchedule,
     PowerNormRegularizer,
     RidgeInstance,
+    RidgeOracle,
     acsmd,
     certificate_check,
     certificate_options,
@@ -33,7 +34,6 @@ from ccmin import (
     exact_optimum,
     nacsmd,
     power_uc_constant,
-    ridge_oracle,
     ridge_psi,
     validate_schedule,
 )
@@ -329,10 +329,10 @@ class TestLongHorizons:
 
 def ridge_run(solver, d, q, seed, gap_fn=None):
     rng = np.random.default_rng(seed)
-    inst = RidgeInstance(dimension=d, x_star=0.3 * rng.uniform(-1, 1, d),
+    inst = RidgeInstance(x_star=0.3 * rng.uniform(-1, 1, d),
                          sigma_b=0.1, mu=2.0, q=q)
     params = derive_params(q, 2.0, inst.L, 2.0 * power_uc_constant(q))
-    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    H = PowerNormRegularizer(mu=2.0, q=q)
     x_opt, psi_star = exact_optimum(inst)
     calls = []
 
@@ -345,7 +345,7 @@ def ridge_run(solver, d, q, seed, gap_fn=None):
     averaged = Recording(opts.gap_fn if gap_fn is None else gap_fn)  # x^ag_2 .. x^ag_{T+1}
     opts = dataclasses.replace(opts, gap_fn=averaged)
     sched = default_schedule(params, solver.__name__, validate_horizon=300)
-    _, _, trace = solver(ridge_oracle(inst), H, sched, np.full(d, 3.25), 300,
+    _, _, trace = solver(RidgeOracle(inst), H, sched, np.full(d, 3.25), 300,
                          rng=np.random.Generator(np.random.Philox(seed)), trace_opts=opts)
     return trace, (params, H, x_opt, psi, psi_star), calls, averaged
 

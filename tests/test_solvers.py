@@ -16,7 +16,7 @@ from ccmin import (
     TraceOptions,
     acsa_baseline,
     acsmd,
-    additive_noise_oracle,
+    AdditiveNoiseOracle,
     default_schedule,
     derive_params,
     expectation_bound,
@@ -25,7 +25,7 @@ from ccmin import (
     plan_from_params,
     power_uc_constant,
     restart,
-    ridge_oracle,
+    RidgeOracle,
     ridge_psi,
     validate_schedule,
 )
@@ -45,13 +45,13 @@ def explicit_schedule(alphas, gammas, target):
 
 def deterministic_ridge(d=4, q=2.0, mu=2.0, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    inst = RidgeInstance(dimension=d, x_star=scale * rng.uniform(-1, 1, d),
+    inst = RidgeInstance(x_star=scale * rng.uniform(-1, 1, d),
                          sigma_b=0.0, mu=mu, q=q)
-    oracle = additive_noise_oracle(
+    oracle = AdditiveNoiseOracle(
         lambda x, xs=inst.x_star: 2.0 / 3.0 * (np.asarray(x, dtype=float) - xs),
         d, kind="gaussian", sigma=0.0, q=q)
     params = derive_params(q, 2.0, inst.L, mu * power_uc_constant(q))
-    H = PowerNormRegularizer(mu=mu, q=q, dim=d)
+    H = PowerNormRegularizer(mu=mu, q=q)
     return inst, oracle, params, H
 
 
@@ -188,8 +188,8 @@ class TestSolvers:
         inst, oracle, params, H = deterministic_ridge(d=3, q=3.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=200)
         rng = philox(4)
-        orc = ridge_oracle(
-            RidgeInstance(dimension=3, x_star=inst.x_star, sigma_b=0.1, mu=2.0, q=3.0))
+        orc = RidgeOracle(
+            RidgeInstance(x_star=inst.x_star, sigma_b=0.1, mu=2.0, q=3.0))
         iterates = Recording()  # x_2 .. x_{T+1}
         _, x_avg, tr = nacsmd(orc, H, sched, np.zeros(3), 50, rng=rng, params=params,
                               trace_opts=TraceOptions(bregman_fn=iterates))
@@ -211,11 +211,11 @@ class TestSolvers:
                            atol=1e-10)
 
     def test_determinism_bit_exact(self):
-        inst = RidgeInstance(dimension=4, x_star=np.array([0.3, -0.2, 0.8, 0.0]),
+        inst = RidgeInstance(x_star=np.array([0.3, -0.2, 0.8, 0.0]),
                              sigma_b=0.1, mu=2.0, q=4.0)
-        oracle = ridge_oracle(inst)
+        oracle = RidgeOracle(inst)
         params = derive_params(4.0, 2.0, inst.L, 2.0 * power_uc_constant(4.0))
-        H = PowerNormRegularizer(mu=2.0, q=4.0, dim=4)
+        H = PowerNormRegularizer(mu=2.0, q=4.0)
         for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
             sched = default_schedule(params, target, validate_horizon=300)
             runs, iterates = [], []
@@ -231,9 +231,9 @@ class TestSolvers:
             assert np.array_equal(runs[0].noise_inner, runs[1].noise_inner)
 
     def test_nan_gradient_raises_numerical_error(self):
-        H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
-        bad = additive_noise_oracle(lambda x: np.array([np.nan]), 1,
-                                    kind="gaussian", sigma=0.0)
+        H = PowerNormRegularizer(mu=1.0, q=2.0)
+        bad = AdditiveNoiseOracle(lambda x: np.array([np.nan]), 1,
+                                  kind="gaussian", sigma=0.0)
         sched = default_schedule(derive_params(2, 2, 1, 1), "nacsmd",
                                  validate_horizon=10)
         with pytest.raises(NumericalError, match="t=1"):
@@ -283,11 +283,11 @@ def default_plan(params, target, V0, epsilon, horizon=None):
 
 class TestRestart:
     def test_degenerate_plan_matches_single_run(self):
-        inst = RidgeInstance(dimension=3, x_star=np.array([0.5, -0.5, 1.0]),
+        inst = RidgeInstance(x_star=np.array([0.5, -0.5, 1.0]),
                              sigma_b=0.1, mu=2.0, q=4.0)
-        oracle = ridge_oracle(inst)
+        oracle = RidgeOracle(inst)
         params = derive_params(4.0, 2.0, inst.L, 2.0 * power_uc_constant(4.0))
-        H = PowerNormRegularizer(mu=2.0, q=4.0, dim=3)
+        H = PowerNormRegularizer(mu=2.0, q=4.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         plan = RestartPlan(n=0, K=1, T=60)
         y, rtrace = restart("nacsmd", oracle, H, sched, np.zeros(3), plan,
@@ -334,10 +334,10 @@ class TestRestart:
         # within the final stage. The chain refuses the schedule before its
         # first oracle query, as a single run over T steps does.
         params = derive_params(2.0, 2.0, 1.0, 1.0)
-        H = PowerNormRegularizer(mu=1.0, q=2.0, dim=1)
+        H = PowerNormRegularizer(mu=1.0, q=2.0)
         queries = []
-        oracle = additive_noise_oracle(lambda x: queries.append(1) or np.zeros_like(x), 1,
-                                       kind="gaussian", sigma=0.0)
+        oracle = AdditiveNoiseOracle(lambda x: queries.append(1) or np.zeros_like(x), 1,
+                                     kind="gaussian", sigma=0.0)
         far = PolynomialSchedule(m=2.0, offset=1.2e8 + 0.5, target="nacsmd")
         plan = RestartPlan(n=3, K=100, T=20_000)
         with pytest.raises(ParameterError, match="t=16286") as single:
@@ -485,10 +485,10 @@ class TestBaseline:
         assert np.max(np.abs(x - x_opt)) <= 1e-2
 
     def test_determinism(self):
-        inst = RidgeInstance(dimension=3, x_star=np.array([0.2, 0.4, -0.6]),
+        inst = RidgeInstance(x_star=np.array([0.2, 0.4, -0.6]),
                              sigma_b=0.1, mu=2.0, q=3.0)
-        oracle = ridge_oracle(inst)
-        H = PowerNormRegularizer(mu=2.0, q=3.0, dim=3)
+        oracle = RidgeOracle(inst)
+        H = PowerNormRegularizer(mu=2.0, q=3.0)
         outs = [acsa_baseline(oracle, H, inst.mu_F, inst.L, np.zeros(3), 64,
                               rng=philox(13))[0] for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])

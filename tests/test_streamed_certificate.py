@@ -21,6 +21,7 @@ from ccmin import (
     ParameterError,
     PowerNormRegularizer,
     RidgeInstance,
+    RidgeOracle,
     TraceOptions,
     acsmd,
     bregman_to,
@@ -30,7 +31,6 @@ from ccmin import (
     exact_optimum,
     nacsmd,
     power_uc_constant,
-    ridge_oracle,
     ridge_psi,
 )
 from ccmin.diagnostics import CertificateReport
@@ -120,10 +120,10 @@ def assert_same_report(got, want):
 
 
 def problem(d, q, S, seed):
-    insts = [RidgeInstance(dimension=d, x_star=philox(seed, s, 1).uniform(-0.5, 0.5, d),
+    insts = [RidgeInstance(x_star=philox(seed, s, 1).uniform(-0.5, 0.5, d),
                            sigma_b=0.2, mu=2.0, q=q) for s in range(S)]
     opt = [exact_optimum(inst) for inst in insts]
-    H = PowerNormRegularizer(mu=2.0, q=q, dim=d)
+    H = PowerNormRegularizer(mu=2.0, q=q)
     params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
     return insts, opt, H, params
 
@@ -147,7 +147,7 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
                      np.stack([i.x_star for i in insts]), psi_star),
         bench._RowFn(functools.partial(bregman_to, H), x_opts),
         NoiseTerms(x_opts, params.p))
-    oracle = OracleRows([ridge_oracle(i) for i in insts], [philox(s, 7) for s in range(S)])
+    oracle = OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(S)])
     _, _, batch = SOLVERS[name](oracle, H, per_row, np.tile(x1, (S, 1)), T, trace_opts=opts,
                                 stop_gap=stop)
     assert sum(s is not None for s in batch.row_stopped_at) >= 2
@@ -163,7 +163,7 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
         # and so does the row run alone, as a (d,) run
         alone_opts = recording_options(lambda x: psi(x) - p_star, bregman_to(H, x_opt),
                                        NoiseTerms(x_opt, params.p))
-        _, _, alone = SOLVERS[name](ridge_oracle(inst), H, per_row[i], x1, T,
+        _, _, alone = SOLVERS[name](RidgeOracle(inst), H, per_row[i], x1, T,
                                     rng=philox(i, 7), trace_opts=alone_opts,
                                     stop_gap=stop[i] or None)
         assert_same_report(certificate_check(alone, params, H, x_opt, psi, p_star), got)
@@ -173,7 +173,7 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
 
 def test_noise_terms_need_a_mean_gradient():
     insts, opt, H, params = problem(3, 3.0, 1, seed=1)
-    oracle = ridge_oracle(insts[0])
+    oracle = RidgeOracle(insts[0])
     oracle.mean_gradient = None
     sched = default_schedule(params, "acsmd")
     _, _, tr = acsmd(oracle, H, sched, np.ones(3), 10, rng=philox(1),

@@ -42,3 +42,23 @@ def test_every_method_layer_resolves(tracing):
             assert isinstance(cls, type), layer
             for meth in methods:
                 assert callable(vars(cls).get(meth)), (layer, meth)
+
+
+def test_the_optimum_hook_reads_a_ridge_instance(monkeypatch):
+    # the exact_optimum hook keys each instance on (inst.dimension,
+    # inst.x_star.tobytes()); these are the instances a grid hands it
+    bench = importlib.import_module("ccmin.bench")
+    real, seen = bench.exact_optimum, []
+
+    def recording(instance, *args, **kwargs):
+        seen.append(instance)
+        return real(instance, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "exact_optimum", recording)
+    bench._ridge_optimum.cache_clear()
+    cfg = bench.resolve_config({"instance": {"d": [3]}, "run": {"seeds": [0]}})
+    bundle = bench._prepare_cell(cfg, bench.build_cells(cfg)[0], 0)
+    bench._ridge_optimum.cache_clear()
+    assert len(seen) == 1
+    for inst in seen + [bundle["ridge"]]:
+        assert inst.dimension == inst.x_star.size == 3

@@ -14,13 +14,15 @@ The grid runs in groups of cells (optionally across processes): the seeds
 of every mirror-descent cell of one (d, L_multiplier, solver) are the rows
 of one batched solver call, each row under its own cell's schedule and with
 the bits of its run alone; a baseline cell runs its seeds as a batch of its
-own, and a restart cell one seed at a time. Each run writes
+own, and a restart cell one seed at a time. The grid's ``summary.json``
+(per-cell medians/quartiles, resolved schedules, certificate status) is
+written first; then, a run at a time, each run's
 ``trace-<cell>-<seed>.csv`` with header
-``t,psi_gap,bregman_to_opt,alpha_t,gamma_t``, and the experiment ends with a
-``summary.json`` (per-cell medians/quartiles, resolved schedules, certificate
-status) plus a ``manifest.json`` carrying the resolved config, file hashes
-and the Python, numpy and platform versions. Outputs are deterministic: the
-same config byte-for-byte reproduces the same CSVs and summary.
+``t,psi_gap,bregman_to_opt,alpha_t,gamma_t`` and its lines of
+``plotdata.csv``; last a ``manifest.json`` carrying the resolved config, the
+hashes of the bytes written and the Python, numpy and platform versions.
+Every file is UTF-8. Outputs are deterministic: the same config
+byte-for-byte reproduces the same CSVs and summary.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import functools
@@ -278,6 +281,12 @@ def resolve_config(raw: dict) -> dict:
         for field in set(block) - {"kind"}:
             for value in block[field] if field == "values" else [block[field]]:
                 _number(value, f"{key}.{field}")
+        # a bernoulli instance reads neither block
+        if block["kind"] == "fixed" and inst["kind"] != "bernoulli":
+            for d in inst["d"]:
+                if len(block["values"]) != d:
+                    raise ConfigError(f"{key}.values has {len(block['values'])} entries "
+                                      f"but instance.d = {d}")
     if cfg["solver"]["schedule_mode"] not in ("printed", "validated"):
         raise ConfigError("solver.schedule_mode must be 'printed' or 'validated'")
 
@@ -353,10 +362,7 @@ def build_cells(cfg: dict) -> list:
 def _draw_x_star(inst: dict, d: int, seed: int) -> np.ndarray:
     xs = inst["x_star"]
     if xs["kind"] == "fixed":
-        values = np.asarray(xs["values"], dtype=float)
-        if values.size != d:
-            raise ConfigError(f"fixed x_star has {values.size} entries but d={d}")
-        return values
+        return np.asarray(xs["values"], dtype=float)
     rng = _philox((seed, 101))
     return xs.get("scale", 1.0) * rng.uniform(-1.0, 1.0, d)
 
@@ -367,10 +373,7 @@ def _make_x1(inst: dict, d: int) -> np.ndarray:
         return np.zeros(d)
     if x1["kind"] == "constant":
         return float(x1.get("value", 0.0)) * np.ones(d)
-    values = np.asarray(x1["values"], dtype=float)
-    if values.size != d:
-        raise ConfigError(f"fixed x1 has {values.size} entries but d={d}")
-    return values
+    return np.asarray(x1["values"], dtype=float)
 
 
 def _resolve_schedule(spec: dict, params, target: str, solver_cfg: dict, nominal_mu: float,
@@ -741,7 +744,8 @@ def _job(args):
 
 
 def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
-    """Run the full grid and write traces, summary.json and manifest.json."""
+    """Run the full grid and write summary.json, then each run's trace CSV
+    and plotdata lines, a run at a time, then manifest.json."""
     cfg = resolve_config(cfg)
     cells = build_cells(cfg)
     seeds = cfg["run"]["seeds"]
@@ -761,23 +765,9 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
                 for cell, cell_results in zip(group, group_results)}
     results = [by_label[cell["label"]] for cell in cells]
 
-    files = {}
     T_max = cfg["run"]["T_max"]
     cell_summaries = []
-    plot_rows = []
     for cell, cell_results in zip(cells, results):
-        for seed, (record, rows) in zip(seeds, cell_results):
-            if rows is None:
-                continue
-            if write_traces:
-                name = f"trace-{cell['label']}-{seed}.csv"
-                _write_trace_csv(out / name, rows)
-                files[name] = None
-            if write_plot:
-                rel = rows[:, 1] / record["gap0"]
-                for t, r in zip(rows[:, 0].tolist(), rel.tolist()):
-                    plot_rows.append((cell["label"], cell["algorithm"]["label"],
-                                      seed, int(t), math.log10(max(r, 1e-300))))
         records = [record for record, _ in cell_results]
         its = [r["iterations_to_target"] for r in records]
         # an errored run has no count to censor, so only completed runs count
@@ -814,15 +804,31 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
         "config": cfg,
         "cells": cell_summaries,
     }
-    _write_text_atomic(out / "summary.json", _stable_json(summary))
-    files["summary.json"] = None
+    # the manifest's hashes, each of the bytes as they were written
+    files = {"summary.json": _write_text_atomic(out / "summary.json", _stable_json(summary))}
 
+    # then each run's trace CSV and plot lines, in grid order, a run at a time
+    plot = (_atomic_file(out / "plotdata.csv") if write_plot
+            else contextlib.nullcontext((None, None)))
+    with plot as (write_plot_lines, plot_digest):
+        if write_plot:
+            write_plot_lines(emit_plotdata(()))  # the header alone
+        for cell, cell_results in zip(cells, results):
+            for seed, (record, rows) in zip(seeds, cell_results):
+                if rows is None:
+                    continue
+                if write_traces:
+                    name = f"trace-{cell['label']}-{seed}.csv"
+                    files[name] = _write_trace_csv(out / name, rows)
+                if write_plot:
+                    rel = rows[:, 1] / record["gap0"]
+                    write_plot_lines(_plot_lines(
+                        (cell["label"], cell["algorithm"]["label"], seed, int(t),
+                         math.log10(max(r, 1e-300)))
+                        for t, r in zip(rows[:, 0].tolist(), rel.tolist())))
     if write_plot:
-        _write_text_atomic(out / "plotdata.csv", emit_plotdata(plot_rows))
-        files["plotdata.csv"] = None
+        files["plotdata.csv"] = plot_digest.hexdigest()
 
-    for name in list(files):
-        files[name] = _sha256(out / name)
     # the one block of any artifact that differs between machines; uname,
     # not platform.platform(), which scans the interpreter binary for libc
     uname = platform.uname()
@@ -835,18 +841,35 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     return summary
 
 
-def _write_text_atomic(path: Path, text: str):
-    """Write ``text`` to ``path`` through a ``.tmp`` sibling that replaces it
-    whole, so a reader never sees a half-written file and a failed write
-    leaves no ``.tmp`` behind. Line endings are written as given."""
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """Yield ``(write, digest)``: ``write(text)`` appends ``text`` as UTF-8
+    bytes to a ``.tmp`` sibling of ``path``, and ``digest`` is the sha256 of
+    every byte written. The sibling replaces ``path`` whole when the block
+    ends, or is unlinked if it raises, so a reader never sees a half-written
+    file and a failed write leaves no ``.tmp`` behind."""
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
-        with tmp.open("w", newline="") as fh:
-            fh.write(text)
+        with tmp.open("wb") as fh:
+            def write(text: str):
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+
+            yield write, digest
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     tmp.replace(path)
+
+
+def _write_text_atomic(path: Path, text: str) -> str:
+    """Write ``text`` to ``path`` through ``_atomic_file``, line endings as
+    given; returns the sha256 of the bytes written."""
+    with _atomic_file(path) as (write, digest):
+        write(text)
+    return digest.hexdigest()
 
 
 _TRACE_HEADER = "t,psi_gap,bregman_to_opt,alpha_t,gamma_t\r\n"
@@ -854,19 +877,13 @@ _TRACE_HEADER = "t,psi_gap,bregman_to_opt,alpha_t,gamma_t\r\n"
 _TRACE_ROW = "%d,%.10e,%.10e,%.10e,%.10e\r\n"
 
 
-def _write_trace_csv(path: Path, rows: np.ndarray):
+def _write_trace_csv(path: Path, rows: np.ndarray) -> str:
     text = _TRACE_ROW * len(rows) % tuple(rows.ravel().tolist())
-    _write_text_atomic(path, _TRACE_HEADER + text)
+    return _write_text_atomic(path, _TRACE_HEADER + text)
 
 
 def _stable_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def emit_table(summary: dict):
@@ -931,10 +948,18 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def emit_plotdata(rows) -> str:
+def _plot_lines(rows) -> str:
+    """The plotdata lines of ``rows``, (cell, algorithm, seed, t, value)
+    tuples, as csv.writer writes them."""
     flat = [x for cell, alg, seed, t, val in rows
             for x in (_csv_field(cell), _csv_field(alg), seed, t, val)]
-    return ",".join(_PLOT_HEADER) + "\r\n" + _PLOT_ROW * (len(flat) // 5) % tuple(flat)
+    return _PLOT_ROW * (len(flat) // 5) % tuple(flat)
+
+
+def emit_plotdata(rows) -> str:
+    """``plotdata.csv`` of ``rows``: its header, then ``_plot_lines(rows)``,
+    the formatter ``run_experiment`` streams each run's lines through."""
+    return ",".join(_PLOT_HEADER) + "\r\n" + _plot_lines(rows)
 
 
 def parse_plotdata(text: str):
@@ -950,7 +975,7 @@ def parse_plotdata(text: str):
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -1025,7 +1050,7 @@ def _cmd_table(args) -> int:
     path = Path(args.summary)
     if path.is_dir():
         path = path / "summary.json"
-    summary = json.loads(path.read_text())
+    summary = json.loads(path.read_text(encoding="utf-8"))
     text, csv_text = emit_table(summary)
     sys.stdout.write(text)
     _write_out(args.out, {"table.txt": text, "table.csv": csv_text})

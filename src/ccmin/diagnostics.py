@@ -151,6 +151,9 @@ def _verified(series, last, what):
     return series
 
 
+_SLACK_TOL = 1e-6  # a step violates where slack / (1 + |rhs|) < -_SLACK_TOL
+
+
 def certificate_check(
     trace,
     params: GeometryParams,
@@ -158,7 +161,6 @@ def certificate_check(
     x_star: np.ndarray,
     psi,
     psi_star: float,
-    tol: float = 1e-6,
 ) -> CertificateReport:
     """Evaluate the pathwise inequality of a recorded run at every horizon.
 
@@ -201,7 +203,7 @@ def certificate_check(
     rhs = init_term + martingale + noise_moment + deterministic
     slack = rhs - lhs
     norm_slack = slack / (1.0 + np.abs(rhs))
-    bad = norm_slack < -tol
+    bad = norm_slack < -_SLACK_TOL
     first = int(np.argmax(bad)) + 1 if bool(bad.any()) else None
     return CertificateReport(
         algorithm=trace.algorithm,

@@ -173,7 +173,29 @@ def bregman_to(omega, x: np.ndarray):
     return divergence
 
 
+# the grid power_uc_constant scans for the minimum: the (start, stop, num) of
+# two np.linspace parts, one on either side of the pole at a = 1
+_UC_PARTS = ((-80.0, 0.9999, 400_001), (1.0001, 80.0, 40_001))
+_UC_SIZE = sum(num for _, _, num in _UC_PARTS)
 _UC_CHUNK = 1 << 15
+
+
+def _uc_grid(k0: int, k1: int) -> np.ndarray:
+    """Points ``k0 .. k1 - 1`` of the concatenation of ``np.linspace(*part)``
+    over ``_UC_PARTS``, with its bits but without building it: np.linspace
+    sets point k of a part to k * step + start, and its last point to stop."""
+    pieces = []
+    for start, stop, num in _UC_PARTS:
+        lo, hi = max(k0, 0), min(k1, num)
+        if lo < hi:
+            piece = np.arange(lo, hi, dtype=float)
+            piece *= (stop - start) / (num - 1)
+            piece += start
+            if hi == num:
+                piece[-1] = stop
+            pieces.append(piece)
+        k0, k1 = k0 - num, k1 - num
+    return np.concatenate(pieces)
 
 
 @lru_cache(maxsize=None)
@@ -203,19 +225,17 @@ def power_uc_constant(q: float) -> float:
 
     # Scale invariance lets us pin b = 1; the infimum sits at some a < 1
     # (the ratio tends to 1 at +-inf and blows up near a = 1 for q > 2).
-    grid = np.concatenate(
-        [np.linspace(-80.0, 0.9999, 400_001), np.linspace(1.0001, 80.0, 40_001)]
-    )
-    # the first global minimum, as np.argmin over the whole grid finds it,
-    # without holding the grid's temporaries all at once
+    # The first global minimum, as np.argmin over the whole grid finds it,
+    # from one chunk of the grid at a time
     i, best_val = 0, np.inf
-    for start in range(0, grid.size, _UC_CHUNK):
-        vals = ratio(grid[start:start + _UC_CHUNK])
+    for start in range(0, _UC_SIZE, _UC_CHUNK):
+        vals = ratio(_uc_grid(start, start + _UC_CHUNK))
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             i, best_val = start + j, float(vals[j])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    # the grid points either side of it, or the point itself at an end
+    bracket = _uc_grid(max(i - 1, 0), min(i + 2, _UC_SIZE))
+    lo, hi = bracket[0], bracket[-1]
 
     # Golden-section refinement of the bracketed minimum.
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

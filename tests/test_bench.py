@@ -1,11 +1,13 @@
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +98,51 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"^solver\.algorithms\[0\]\.safety_scale "):
                 resolve_config({"solver": {"algorithms": bad}})
 
+    @pytest.mark.parametrize("kind", ["ridge", "custom-deterministic"])
+    def test_fixed_start_points_have_every_d_entries(self, kind):
+        # a mismatch was found per cell at run time, after the cells before it ran
+        fixed = {"kind": "fixed", "values": [1.0, 2.0, 3.0]}
+        with pytest.raises(ConfigError, match=r"^instance\.x1\.values has 3 entries but "
+                                              r"instance\.d = 4$"):
+            resolve_config({"instance": {"kind": kind, "d": [3, 4], "x1": fixed}})
+        with pytest.raises(ConfigError, match=r"^instance\.x_star\.values has 3 entries but "
+                                              r"instance\.d = 2$"):
+            resolve_config({"instance": {"kind": kind, "d": [2, 3], "x_star": fixed}})
+        resolve_config({"instance": {"kind": kind, "d": [3], "x1": fixed, "x_star": fixed}})
+        # a bernoulli instance reads neither block
+        resolve_config({"instance": {"kind": "bernoulli", "d": [4], "x1": fixed},
+                        "solver": {"algorithms": ["nacsmd"]}})
+
     def test_grid_expansion(self):
         cfg = resolve_config({"instance": {"d": [2, 3], "L_multiplier": [1, 5]}})
         cells = build_cells(cfg)
         assert len(cells) == 2 * 2 * 5
         labels = {c["label"] for c in cells}
         assert len(labels) == len(cells)
+
+
+def child_env(**extra):
+    """The environment, plus ``extra``, of a child interpreter that imports
+    the ccmin under test, wherever pytest found it."""
+    paths = [str(Path(bench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **extra)
+
+
+class HalfWritten:
+    """A file whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
 
 
 class TestRunExperiment:
@@ -130,23 +171,6 @@ class TestRunExperiment:
 
     def test_trace_csv_never_half_written(self, tmp_path, monkeypatch):
         real_open = Path.open
-
-        class HalfWritten:
-            """A file whose write stores half the text, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError("disk full")
-
         monkeypatch.setattr(Path, "open", lambda self, *a, **k: HalfWritten(real_open(self, *a, **k)))
         path = tmp_path / "trace-x-0.csv"
         with pytest.raises(OSError, match="disk full"):
@@ -154,14 +178,106 @@ class TestRunExperiment:
         assert list(tmp_path.iterdir()) == []
 
     def test_summary_and_plotdata_never_half_written(self, tmp_path, monkeypatch):
-        # a lone surrogate cannot be encoded, so the plotdata write fails
-        monkeypatch.setattr(bench, "emit_plotdata", lambda rows: "t,v\n1,\ud800\n")
+        # a lone surrogate cannot be encoded, so the first plot line fails
+        monkeypatch.setattr(bench, "_csv_field", lambda text: "\ud800")
         with pytest.raises(UnicodeEncodeError):
             run_experiment(TINY, out_dir=tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert "summary.json" in names
         assert not names & {"plotdata.csv", "manifest.json"}
         assert not [n for n in names if n.endswith(".tmp")]
+
+    def test_a_trace_failing_mid_stream_leaves_no_plotdata(self, tmp_path, monkeypatch):
+        # the second run's trace CSV fails half-way, after the first run's
+        # trace and plot lines are written
+        real_open = Path.open
+
+        def open_(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            return HalfWritten(fh) if self.name.endswith("-nacsmd-1.csv.tmp") else fh
+
+        monkeypatch.setattr(Path, "open", open_)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(TINY, out_dir=tmp_path)
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "summary.json" in names and "trace-ridge-d3-Lx1-nacsmd-0.csv" in names
+        assert not names & {"plotdata.csv", "manifest.json"}
+        assert not [n for n in names if n.endswith(".tmp")]
+
+    def test_quoted_labels_stream_the_emitter_bytes(self, tmp_path, monkeypatch):
+        cfg = {"instance": {"d": [3]},
+               "solver": {"algorithms": [{"name": "nacsmd", "label": 'a,"b"'},
+                                         {"name": "acsmd", "m": 1.0, "label": "ünï"}]},
+               "run": {"epsilon": 0.05, "T_max": 60, "seeds": [0, 1]}}
+
+        def no_read_back(self, *args, **kwargs):
+            raise AssertionError(f"{self.name} read back")
+
+        # each manifest hash is of the bytes written: no file is read back
+        with monkeypatch.context() as m:
+            m.setattr(Path, "read_bytes", no_read_back)
+            m.setattr(Path, "read_text", no_read_back)
+            run_experiment(cfg, out_dir=tmp_path)
+        # rows rebuilt from the trace CSVs, in grid order: the steps of each
+        # run and log10 of its gap over gap0 (10 digits in the trace)
+        resolved = resolve_config(cfg)
+        plot = (tmp_path / "plotdata.csv").read_bytes().decode("utf-8")
+        values = [row[4] for row in parse_plotdata(plot)]
+        rows = []
+        for cell in build_cells(resolved):
+            for seed in resolved["run"]["seeds"]:
+                gap0 = bench._prepare_cell(resolved, cell, seed)["gap0"]
+                trace = (tmp_path / f"trace-{cell['label']}-{seed}.csv").read_bytes()
+                for line in trace.decode("utf-8").splitlines()[1:]:
+                    t, gap = line.split(",")[:2]
+                    value = values[len(rows)]
+                    assert value == pytest.approx(np.log10(float(gap) / gap0), abs=1e-9)
+                    rows.append((cell["label"], cell["algorithm"]["label"], seed, int(t), value))
+        assert len(rows) == len(values) > 0
+        assert plot == emit_plotdata(rows)
+        assert {'a,"b"', "ünï"} == {alg for _, alg, *_ in rows}
+        files = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["files"]
+        assert len(files) == len(list(tmp_path.iterdir())) - 1
+        for name, digest in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_artifacts_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the files' encoding is UTF-8, not the locale's (file names aside)
+        cfg = {"instance": {"d": [3]},
+               "solver": {"algorithms": [{"name": "nacsmd", "label": "ünï"}]},
+               "run": {"T_max": 20, "seeds": [0]}, "output": {"traces": False}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                        PYTHONIOENCODING="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "ccmin.bench", "run", str(path),
+                               "--out", str(tmp_path / "ascii")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        run_experiment(cfg, out_dir=tmp_path / "here")
+        for name in ("plotdata.csv", "summary.json"):
+            here = (tmp_path / "here" / name).read_bytes()
+            assert (tmp_path / "ascii" / name).read_bytes() == here, name
+        plot = (tmp_path / "ascii" / "plotdata.csv").read_bytes()
+        assert "\r\nridge-d3-Lx1-ünï,ünï,0,1,".encode("utf-8") in plot
+
+    def test_emission_holds_one_run(self, tmp_path):
+        # 40 runs of 1000 steps, 40,000 plot rows: the emitted text is held a
+        # run at a time, so the peak is about the grid's trace arrays (1.6 MB)
+        cfg = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
+               "run": {"seeds": {"count": 40, "base": 0}, "T_max": 1000,
+                       "stop_at_target": False, "certificates": False}}
+        # a one-step grid first, so that lazy imports and power_uc_constant's
+        # cached value are not counted
+        run_experiment(dict(cfg, run={"seeds": [0], "T_max": 1}), out_dir=tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path / "grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parse_plotdata((tmp_path / "grid" / "plotdata.csv").read_text())) == 40_000
+        assert peak < 4e6, peak  # 13 MB while every plot row was kept
 
     def test_atomic_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -607,11 +723,16 @@ class TestCli:
         ({"run": {"certificates": 0}}, "run.certificates must be true or false, got 0"),
         ({"output": {"traces": "no"}}, "output.traces must be true or false, got 'no'"),
         ({"output": {"plotdata": None}}, "output.plotdata must be true or false, got None"),
+        ({"instance": {"d": [3, 4], "x1": {"kind": "fixed", "values": [1.0, 2.0, 3.0]}}},
+         "instance.x1.values has 3 entries but instance.d = 4"),
+        ({"instance": {"d": [3, 4], "x_star": {"kind": "fixed", "values": [0.1] * 4}}},
+         "instance.x_star.values has 4 entries but instance.d = 3"),
     ], ids=["scale", "value", "values", "nan-values", "unknown-key", "zeros-key",
             "fixed-without-values", "not-a-block", "stop_at_target", "certificates", "traces",
-            "plotdata"])
+            "plotdata", "x1-length", "x_star-length"])
     def test_bad_start_point_or_switch_exit_2(self, tmp_path, capsys, command, extra, message):
-        # each exited 1 with a traceback, or exited 0 and ran with another value
+        # each exited 1 with a traceback, exited 0 and ran with another value,
+        # or (a fixed start point of another length) ran the cells before it
         cfg = {"instance": {"d": [3]}, "solver": {"algorithms": ["nacsmd"]},
                "run": {"T_max": 20, "seeds": [0]}}
         for block, keys in extra.items():
@@ -783,11 +904,8 @@ class TestCli:
         assert err.startswith("error:") and key in err
 
     def test_console_entry_point(self):
-        # the child imports the ccmin under test, wherever pytest found it
-        paths = [str(Path(bench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run([sys.executable, "-m", "ccmin.bench", "--help"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "run" in proc.stdout
 

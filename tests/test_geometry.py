@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ccmin import (
     bregman_to,
     derive_params,
     dual_exponent,
+    geometry,
     lq_norm,
     power_inv_r,
     power_uc_constant,
@@ -164,6 +167,78 @@ def test_power_uc_constant_keeps_its_bits(q, bits):
     # the values of the whole-grid search; the grid is now scanned in chunks
     power_uc_constant.cache_clear()
     assert power_uc_constant(q).hex() == bits
+
+
+def whole_grid_power_uc_constant(q):
+    """power_uc_constant as it was while it built its whole grid: the two
+    np.linspace parts and their concatenation, scanned in chunks of 2^15."""
+    q = float(q)
+
+    def ratio(a):
+        a = np.asarray(a, dtype=float)
+        return (np.abs(a) ** q - 1.0 - q * (a - 1.0)) / np.abs(a - 1.0) ** q
+
+    grid = np.concatenate(
+        [np.linspace(-80.0, 0.9999, 400_001), np.linspace(1.0001, 80.0, 40_001)]
+    )
+    i, best_val = 0, np.inf
+    for start in range(0, grid.size, 1 << 15):
+        vals = ratio(grid[start:start + (1 << 15)])
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            i, best_val = start + j, float(vals[j])
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = float(ratio(c1)), float(ratio(c2))
+    for _ in range(200):
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = float(ratio(c1))
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = float(ratio(c2))
+        if b - a < 1e-13 * (1.0 + abs(a)):
+            break
+    best = min(best_val, f1, f2)
+    return float(min(best, 1.0))
+
+
+def test_the_grid_chunks_have_the_linspace_bits():
+    whole = np.concatenate(
+        [np.linspace(-80.0, 0.9999, 400_001), np.linspace(1.0001, 80.0, 40_001)]
+    )
+    assert geometry._UC_SIZE == whole.size
+    chunks = [geometry._uc_grid(k, k + geometry._UC_CHUNK)
+              for k in range(0, whole.size, geometry._UC_CHUNK)]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    # the brackets around a minimum, at both ends and across the parts
+    for k in (0, 1, 400_000, 400_001, whole.size - 1):
+        lo, hi = max(k - 1, 0), min(k + 2, whole.size)
+        assert geometry._uc_grid(lo, hi).tobytes() == whole[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 7.3, 20.0])
+def test_power_uc_constant_equals_the_whole_grid_search(q):
+    power_uc_constant.cache_clear()
+    assert power_uc_constant(q).hex() == whole_grid_power_uc_constant(q).hex()
+
+
+def test_power_uc_constant_holds_one_chunk_of_its_grid():
+    # the whole grid and its two parts took about 7 MB
+    power_uc_constant.cache_clear()
+    tracemalloc.start()
+    try:
+        power_uc_constant(3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_power_uc_constant_values():

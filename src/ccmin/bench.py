@@ -40,6 +40,7 @@ import io
 import json
 import math
 import numbers
+import os
 import platform
 import sys
 from pathlib import Path
@@ -216,6 +217,18 @@ def _check_algorithm(alg: dict, key: str):
         _unit_scale(alg["safety_scale"], f"{key}.safety_scale")
 
 
+def _check_file_name_part(text: str, key: str):
+    """Refuse ``text``, which goes into trace file names, where the
+    file-system encoding cannot encode it (an ASCII locale, say)."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        raise ConfigError(
+            f"{key} {text!r} names trace files, which the file-system encoding "
+            f"({sys.getfilesystemencoding()}) cannot encode; use another label or "
+            "set output.traces to false") from None
+
+
 def _check_restart(plan, T_max: int):
     """Refuse a ``run.restart`` that is not null, ``"auto"`` or an explicit
     plan ``{n, K, T}`` with integers n >= 0, K >= 1, T >= K whose n K + T
@@ -299,6 +312,8 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"unknown algorithm {name!r}; expected one of {_ALGORITHMS}")
         if isinstance(alg, dict):
             _check_algorithm(alg, f"solver.algorithms[{i}]")
+            if "label" in alg and cfg["output"]["traces"]:
+                _check_file_name_part(alg["label"], f"solver.algorithms[{i}].label")
         if name == "acsa" and inst["kind"] == "bernoulli":
             raise ConfigError("the accelerated baseline needs a regression instance")
 

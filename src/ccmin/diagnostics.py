@@ -37,7 +37,8 @@ from .geometry import (GeometryParams, _bisect, _row_dot, bregman_to, derive_par
 from .oracles import (AdditiveNoiseOracle, RidgeInstance, _philox, _ridge_mean_gradient,
                       bernoulli_oracle)
 from .regularizers import PowerNormRegularizer
-from .solvers import TARGETS, TraceOptions, _run_inequality_steps, _solver, default_schedule
+from .solvers import (TARGETS, TraceOptions, _power_linear_guess, _run_inequality_steps, _solver,
+                      default_schedule)
 
 __all__ = [
     "exact_optimum",
@@ -78,6 +79,13 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
     bisection to machine width, stopping once the bracket no longer changes,
     within 200 steps. The residual must stay within residual_tol * max(1, max|x*|),
     since that of a machine-width root grows with the scale of x*.
+
+    At q = 2 or 3 the sign test of that equation is monotone in floating
+    point (as in ``solvers._solve_power_linear``), so the bisection starts
+    from the closed-form root of mu|x|^{q-1}sign(x) + (2/3)x = (2/3)x*_j and
+    certifies its bits within a few ulps of it; it falls back to the loop
+    where the root is further off, subnormal or next to 0 or x*_j, or the
+    loop could reach its cap first.
     """
     xs = instance.x_star
     if instance.mu == 0.0:
@@ -87,7 +95,8 @@ def exact_optimum(instance: RidgeInstance, residual_tol: float = 1e-10):
     def foc(x):
         return _ridge_mean_gradient(x, xs) + mu * np.abs(x) ** (q - 1.0) * np.sign(x)
 
-    x_opt = _bisect(lambda mid: foc(mid) < 0.0, np.minimum(0.0, xs), np.maximum(0.0, xs), 200)
+    x_opt = _bisect(lambda mid: foc(mid) < 0.0, np.minimum(0.0, xs), np.maximum(0.0, xs), 200,
+                    _power_linear_guess(mu, 2.0 / 3.0, 2.0 / 3.0 * xs, q))
     worst = float(np.max(np.abs(foc(x_opt))))
     tol = residual_tol * float(np.max(np.abs(xs), initial=1.0))
     if worst > tol:

@@ -132,14 +132,30 @@ def _row_dot(a: np.ndarray, b: np.ndarray):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray:
+# how many ulps _bisect walks from a guess before it falls back to the loop
+_WALK_ULPS = 6
+_TINY = np.finfo(float).tiny
+
+
+def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int,
+            guess: np.ndarray | None = None) -> np.ndarray:
     """Vectorised bisection of the brackets [lo, hi]; returns their midpoints.
 
     ``go_up(mid)`` marks the rows whose root lies above ``mid``. Each step
     depends only on the bits of (lo, hi), so once a step leaves both
     unchanged every later step would too: the loop stops there, which gives
     the same bits as running all ``max_steps`` steps.
+
+    A ``guess`` (an array shaped like ``lo``) skips the loop where it can
+    prove the loop's result; the caller passes one only where ``go_up`` is
+    monotone in floating point on [lo, hi]: true below some float, false
+    from it on. See :func:`_walk_from_guess`; where that proof fails, the
+    loop runs as without a guess.
     """
+    if guess is not None:
+        out = _walk_from_guess(go_up, lo, hi, max_steps, guess)
+        if out is not None:
+            return out
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
         up = go_up(mid)
@@ -149,6 +165,52 @@ def _bisect(go_up, lo: np.ndarray, hi: np.ndarray, max_steps: int) -> np.ndarray
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
+
+
+def _walk_from_guess(go_up, lo, hi, max_steps, guess):
+    """``_bisect``'s result for a monotone ``go_up``, found by walking one
+    ulp at a time from ``guess``, or None where it cannot be certified.
+
+    Each row walks until it holds adjacent floats l < h with ``go_up(l)``
+    true and ``go_up(h)`` false. For a monotone ``go_up`` every bracket the
+    loop visits then contains [l, h], and the loop's only fixed point is
+    (l, h), so it returns 0.5*(l+h). That holds for a row if:
+
+    - lo < l, h < hi, l and h are normal, and lo + lo and hi + hi are
+      finite: then each midpoint the loop takes is the exact midpoint
+      rounded, so a bracket with a float strictly inside loses at least one
+      float a step;
+    - the loop gets there within ``max_steps``: its width W_n obeys
+      W_{n+1} <= (1/2 + 2^-53) W_n + 2^-53 max(|l|, |h|), so after
+      ceil(log2((hi - lo)/(h - l))) + 1 steps the bracket is under 5(h - l)
+      wide, holds at most 9 floats besides l and h, and loses one a step:
+      (hi - lo)/(h - l) <= 2^(max_steps - 10), even as rounded, bounds the
+      steps by max_steps.
+
+    A row with lo == hi gives 0.5*(lo+hi), as the loop does. None (run the
+    loop) if any row's walk is longer than ``_WALK_ULPS`` or fails a check.
+    """
+    same = lo == hi
+    x = guess
+    up = go_up(x)
+    for _ in range(_WALK_ULPS):
+        y = np.nextafter(x, np.where(up, np.inf, -np.inf))
+        y_up = go_up(y)
+        closed = (y_up != up) | same
+        if closed.all():
+            break
+        x = np.where(closed, x, y)  # a row still walking has y_up == up
+    else:
+        return None
+    l = np.where(up, x, y)
+    h = np.where(up, y, x)
+    with np.errstate(all="ignore"):
+        ok = ((lo < l) & (h < hi) & (np.abs(l) >= _TINY) & (np.abs(h) >= _TINY)
+              & np.isfinite(lo + lo) & np.isfinite(hi + hi)
+              & ((hi - lo) / (h - l) <= 2.0 ** (max_steps - 10)))
+        if not (ok | same).all():
+            return None
+        return np.where(same, 0.5 * (lo + hi), 0.5 * (l + h))
 
 
 def bregman_to(omega, x: np.ndarray):

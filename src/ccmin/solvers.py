@@ -872,18 +872,39 @@ def plan_from_params(
     return RestartPlan(n=n, K=K, T=T, meta=meta)
 
 
+def _power_linear_guess(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray | None:
+    """The closed-form root of a|x|^{q-1}sign(x) + b x = c at q = 2 or 3,
+    else None: c/(a+b), or 2c/(b + sqrt(b^2 + 4a|c|)), which has no
+    cancellation for either sign of c."""
+    with np.errstate(all="ignore"):  # an overflowing guess only fails its walk
+        if q == 2.0:
+            return c / (a + b)
+        if q == 3.0:
+            return 2.0 * c / (b + np.sqrt(b * b + 4.0 * a * np.abs(c)))
+    return None
+
+
 def _solve_power_linear(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray:
     """Vector root of a|x|^{q-1}sign(x) + b x = c_j (a > 0, b > 0, monotone).
 
     Bisects the bracket between 0 and c/b until it stops changing, within
     90 steps. ``acsa_baseline`` solves q = 2 in closed form instead.
+
+    At q = 2 or 3 the bisection's test is monotone in floating point:
+    ``**1.0`` and ``**2.0`` are numpy's copy and ``np.square``, and every
+    other operation in it is one rounded IEEE operation, monotone in ``mid``.
+    So ``_bisect`` starts from the closed-form root and certifies the
+    bisection's bits within a few ulps of it; it runs the loop instead where
+    the root is more than a few ulps off, is subnormal, sits next to an end
+    of its bracket, or the loop could reach its 90-step cap first.
     """
     c = np.asarray(c, dtype=float)
 
     def go_up(mid):
         return a * np.abs(mid) ** (q - 1.0) * np.sign(mid) + b * mid < c
 
-    return _bisect(go_up, np.minimum(0.0, c / b), np.maximum(0.0, c / b), 90)
+    return _bisect(go_up, np.minimum(0.0, c / b), np.maximum(0.0, c / b), 90,
+                   _power_linear_guess(a, b, c, q))
 
 
 def acsa_baseline(

@@ -261,6 +261,25 @@ class TestRunExperiment:
         plot = (tmp_path / "ascii" / "plotdata.csv").read_bytes()
         assert "\r\nridge-d3-Lx1-ünï,ünï,0,1,".encode("utf-8") in plot
 
+    def test_a_label_the_file_names_cannot_encode_is_refused(self, tmp_path):
+        # with traces on, the label names trace files: an ASCII file-system
+        # encoding cannot hold it, so the config is refused before any run
+        cfg = {"instance": {"d": [3]},
+               "solver": {"algorithms": ["nacsmd", {"name": "nacsmd", "label": "ünï"}]},
+               "run": {"T_max": 20, "seeds": [0]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                        PYTHONIOENCODING="utf-8")
+        out = tmp_path / "out"
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "ccmin.bench", *args],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 2, proc.stderr
+            assert "solver.algorithms[1].label 'ünï'" in proc.stderr
+            assert proc.stdout == ""
+        assert not out.exists()
+
     def test_emission_holds_one_run(self, tmp_path):
         # 40 runs of 1000 steps, 40,000 plot rows: the emitted text is held a
         # run at a time, so the peak is about the grid's trace arrays (1.6 MB)

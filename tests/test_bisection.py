@@ -1,13 +1,15 @@
 """The bisections behind ``acsa_baseline``'s inner step, ``exact_optimum``
-and ``solve_bernoulli_activation`` stop once their bracket stops changing.
-These tests hold them to the bits of the fixed-count loops they replaced,
-which are copied here as the reference.
+and ``solve_bernoulli_activation`` stop once their bracket stops changing,
+and at q = 2 or 3 the first two start from a closed-form root and certify
+the bisection's result a few ulps from it. These tests hold them to the
+bits of the fixed-count loops they replaced, which are copied here as the
+reference.
 """
 
 import numpy as np
 import pytest
 
-from ccmin import NumericalError, RidgeInstance, exact_optimum
+from ccmin import NumericalError, RidgeInstance, diagnostics, exact_optimum, geometry, solvers
 from ccmin.oracles import solve_bernoulli_activation
 from ccmin.solvers import _bisect, _solve_power_linear
 
@@ -181,3 +183,108 @@ def test_activation_matches_fixed_count_loop(q):
             want = reference_bernoulli_activation(mu, q_, sigma, eps)
             assert type(got) is float
             assert_same_bits(got, want)
+
+
+def count_evaluations(monkeypatch, module):
+    """Make ``module``'s ``_bisect`` count its ``go_up`` evaluations into the
+    returned list."""
+    calls = []
+
+    def counting(go_up, *args):
+        def counted(mid):
+            calls.append(1)
+            return go_up(mid)
+        return _bisect(counted, *args)
+
+    monkeypatch.setattr(module, "_bisect", counting)
+    return calls
+
+
+def test_a_benchmark_shaped_solve_takes_a_few_evaluations(monkeypatch):
+    # an acsa inner step of the reproduction grid: 20 seeds at d = 200, q = 3;
+    # the bisection took over 50 evaluations
+    calls = count_evaluations(monkeypatch, solvers)
+    rng = np.random.default_rng(3)
+    a, b = 4.0 / 3.0, 3.2658
+    c = rng.uniform(-50.0, 50.0, (20, 200))
+    out = _solve_power_linear(a, b, c, 3.0)
+    assert 2 <= len(calls) <= 8
+    assert_same_bits(out, reference_power_linear(a, b, c, 3.0))
+
+
+def test_a_benchmark_shaped_optimum_takes_a_few_evaluations(monkeypatch):
+    calls = count_evaluations(monkeypatch, diagnostics)
+    x_star = np.random.default_rng(4).uniform(-0.3, 0.3, 200)
+    inst = RidgeInstance(x_star=x_star, sigma_b=0.1, mu=2.0, q=3.0)
+    got = exact_optimum(inst)
+    assert 2 <= len(calls) <= 8
+    want = reference_exact_optimum(inst)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1]
+
+
+# rows the certified start must leave to the loop, or get right next to it:
+# zeros, subnormals, and values near the smallest normal
+SWEEP_SPECIALS = [
+    np.array([0.0, -0.0]),
+    np.array([5e-324, -5e-324, 1e-310, -2.5e-320]),
+    np.array([2.3e-308, -4.5e-308, 1e-300]),
+]
+
+
+def test_certified_roots_match_the_fixed_count_loops_in_a_seeded_sweep(monkeypatch):
+    # a and b (or mu) from 1e-8 to 1e8; a solve where a|c|/b^2 is past about
+    # 1e22 needs more than 90 steps and so hits the cap, and one where it is
+    # below about 1e-16 has its root next to c/b, the end of its bracket
+    walks = {"certified": 0, "fell back": 0}
+    walk = geometry._walk_from_guess
+
+    def counted_walk(*args):
+        out = walk(*args)
+        walks["certified" if out is not None else "fell back"] += 1
+        return out
+
+    monkeypatch.setattr(geometry, "_walk_from_guess", counted_walk)
+    rng = np.random.default_rng(20261020)
+    with np.errstate(all="ignore"):
+        for k in range(400):
+            a, b, mu = 10.0 ** rng.uniform(-8.0, 8.0, 3)
+            # right-hand sides from 1e-12 to 1e12 in magnitude, of either sign
+            c = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-12.0, 12.0, 3)
+            if k % 10 == 0:
+                c = np.concatenate([c, SWEEP_SPECIALS[k // 10 % len(SWEEP_SPECIALS)]])
+            if k % 10 == 1:  # a root next to its bracket end c/b
+                a, b = 1e-8, 1e8
+            assert_same_bits(_solve_power_linear(a, b, c, 3.0),
+                             reference_power_linear(a, b, c, 3.0))
+            inst = RidgeInstance(x_star=c, sigma_b=0.1, mu=mu, q=3.0)
+            got = exact_optimum(inst, residual_tol=np.inf)
+            want = reference_exact_optimum(inst, residual_tol=np.inf)
+            assert_same_bits(got[0], want[0])
+            assert got[1] == want[1] or np.isnan(got[1]) and np.isnan(want[1])
+    # both paths ran, so the sweep checked the certificate and its refusals
+    assert walks["certified"] > 200 and walks["fell back"] > 100
+
+
+@pytest.mark.parametrize("threshold, top, guess", [
+    (1e-300, 1.0, 0.5),  # far from the guess
+    (1e-310, 1e-300, 1e-310),  # subnormal
+    (1.6e308, 1.7e308, 1.6e308),  # the loop's lo + hi overflows to inf
+])
+def test_a_start_that_cannot_be_certified_runs_the_loop(threshold, top, guess):
+    # the walk gives up on a threshold far from the guess, and leaves a
+    # subnormal pair, or a bracket whose sums overflow, to the loop
+    calls = []
+
+    def go_up(mid):
+        calls.append(1)
+        return mid < threshold
+
+    with np.errstate(over="ignore"):
+        out = _bisect(go_up, np.zeros(1), np.full(1, top), 90, np.full(1, guess))
+        lo, hi = np.zeros(1), np.full(1, top)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(mid < threshold, mid, lo), np.where(mid < threshold, hi, mid)
+    assert_same_bits(out, 0.5 * (lo + hi))
+    assert len(calls) > 2  # a certified start takes two evaluations here

@@ -10,11 +10,11 @@ the start point are calibration choices, flagged like any other override)
 and any key the user changes is listed under ``overrides`` in all emitted
 artifacts.
 
-The grid runs in groups of cells (optionally across processes): the seeds
-of every mirror-descent cell of one (d, L_multiplier, solver) are the rows
-of one batched solver call, each row under its own cell's schedule and with
-the bits of its run alone; a baseline cell runs its seeds as a batch of its
-own, and a restart cell one seed at a time. The grid's ``summary.json``
+The grid runs a grid point (d, L_multiplier) at a time (optionally across
+processes). Each seed's instance is built once per grid point and shared by
+its cells; the seeds of every cell of one solver are the rows of one batched
+solver call, each row under its own cell's schedule and with the bits of its
+run alone, and a restart cell runs one seed at a time. The grid's ``summary.json``
 (per-cell medians/quartiles, resolved schedules, certificate status) is
 written first; then, a run at a time, each run's
 ``trace-<cell>-<seed>.csv`` with header
@@ -37,6 +37,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -218,15 +219,19 @@ def _check_algorithm(alg: dict, key: str):
 
 
 def _check_file_name_part(text: str, key: str):
-    """Refuse ``text``, which goes into trace file names, where the
-    file-system encoding cannot encode it (an ASCII locale, say)."""
+    """Refuse ``text``, which goes into trace file names, where it holds a
+    path separator or NUL, or the file-system encoding cannot encode it (an
+    ASCII locale, say)."""
+    advice = "use another label or set output.traces to false"
+    if any(sep and sep in text for sep in (os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{key} {text!r} names trace files, so must hold no path "
+                          f"separator or NUL; {advice}")
     try:
         os.fsencode(text)
     except UnicodeEncodeError:
         raise ConfigError(
             f"{key} {text!r} names trace files, which the file-system encoding "
-            f"({sys.getfilesystemencoding()}) cannot encode; use another label or "
-            "set output.traces to false") from None
+            f"({sys.getfilesystemencoding()}) cannot encode; {advice}") from None
 
 
 def _check_restart(plan, T_max: int):
@@ -433,28 +438,10 @@ def _cell_schedule(cfg: dict, cell: dict, params):
     return sched, dict(sched.describe(), valid=valid, mode=mode)
 
 
-@functools.lru_cache(maxsize=None)
-def _ridge_optimum(x_star_bytes: bytes, sigma_b: float, mu: float, q: float):
-    """``exact_optimum`` of the ridge instance with these inputs, solved once.
-
-    Keyed on everything the optimum and its value read (the dimension is the
-    length of x_star), so any config that builds the same instance shares
-    it. A grid visits each seed's instance once per algorithm, one cell
-    after another, so the memo is unbounded: each distinct instance keeps
-    its d floats and its key for the life of the process, and is solved
-    once however many seeds a cell has. The returned x_opt is shared, hence
-    read-only.
-    """
-    x_star = np.frombuffer(x_star_bytes)
-    x_opt, psi_star = exact_optimum(
-        RidgeInstance(x_star=x_star, sigma_b=sigma_b, mu=mu, q=q)
-    )
-    x_opt.flags.writeable = False
-    return x_opt, psi_star
-
-
 def _prepare_cell(cfg: dict, cell: dict, seed: int):
-    """Build the problem bundle for one (cell, seed) pair."""
+    """Build one seed's problem bundle at the grid point of ``cell``. Only
+    the cell's ``d`` and ``L_multiplier`` are read, so the bundle serves
+    every cell of that (d, L_multiplier), and a grid builds it once there."""
     inst = cfg["instance"]
     kind = inst["kind"]
     if kind == "bernoulli":
@@ -486,7 +473,7 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     oracle = RidgeOracle(ridge)
     if kind == "custom-deterministic":
         oracle = AdditiveNoiseOracle(oracle.mean_gradient, d, q=inst["q"])
-    x_opt, psi_star = _ridge_optimum(x_star.tobytes(), sigma_b, inst["mu"], inst["q"])
+    x_opt, psi_star = exact_optimum(ridge)
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
     return {
@@ -524,65 +511,47 @@ def _psi_gaps(psi, psi_star):
     return lambda x: np.array([f(row) for f, row in zip(psi, x)]) - psi_star
 
 
-def _groups(cfg: dict, cells: list) -> list:
-    """The cells that run as one batch: without restarts, the mirror-descent
-    cells of one (d, L_multiplier, solver), whatever their schedules; every
-    other cell alone. Groups keep the grid's cell order."""
-    groups = {}
-    for cell in cells:
-        name = cell["algorithm"]["name"]
-        batched = name != "acsa" and cfg["run"]["restart"] is None
-        key = (cell["d"], cell["L_multiplier"], name) if batched else cell["label"]
-        groups.setdefault(key, []).append(cell)
-    return list(groups.values())
+def _groups(cells: list) -> list:
+    """The cells of each grid point (d, L_multiplier), in the grid's cell
+    order: ``build_cells`` lists a grid point's cells one after another."""
+    return [list(group) for _, group in
+            itertools.groupby(cells, key=lambda cell: (cell["d"], cell["L_multiplier"]))]
 
 
 def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
-    """Every seed of a group of grid cells; returns, per cell and then per
-    seed, its (per-run record, trace rows for the CSV), or the exception
+    """Every seed of the cells of one grid point; returns, per cell and then
+    per seed, its (per-run record, trace rows for the CSV), or the exception
     that ended its run.
 
-    The runs of a group are the rows of one batched solver call, each on
-    its own instance, random stream and cell schedule, so every row has the
-    bits of its run alone. A run whose set-up fails, a cell whose schedule
-    fails, or a row that goes non-finite gets its own error and the other
-    rows go on. Restart runs, whose plans differ per seed, run one seed at
-    a time: their group is one cell.
+    Each seed's bundle is built once and serves every cell. The runs of one
+    solver's cells are the rows of one batched solver call, each on its own
+    random stream and cell schedule, so every row has the bits of its run
+    alone; restart runs, whose plans differ per seed, go one seed at a time.
+    A seed whose set-up fails, a cell whose schedule fails, or a row that
+    goes non-finite gets its own error and the other rows go on.
     """
-    outcomes = {}
-    prepared = []
-    for cell in cells:
-        bundles = {}
-        for seed in seeds:
-            try:
-                bundles[seed] = dict(_prepare_cell(cfg, cell, seed), rng=_philox((seed, 7)))
-            except (NumericalError, ParameterError) as exc:
-                outcomes[cell["label"], seed] = exc
-        if bundles:
-            prepared.append((cell, bundles))
-    restarts = cfg["run"]["restart"] is not None and cells[0]["algorithm"]["name"] != "acsa"
-    if prepared:
+    outcomes, bundles = {}, {}
+    for seed in seeds:
         try:
-            if restarts:
-                [(cell, bundles)] = prepared
-                sched, desc = _cell_schedule(cfg, cell, next(iter(bundles.values()))["params"])
-                for seed, bundle in bundles.items():
-                    outcomes[cell["label"], seed] = _restart_run(cfg, cell, seed, bundle,
-                                                                 sched, desc)
-            else:
-                outcomes.update(_run_group(cfg, prepared))
+            bundles[seed] = _prepare_cell(cfg, cells[0], seed)
         except (NumericalError, ParameterError) as exc:
-            outcomes.update({(cell["label"], seed): exc
-                             for cell, bundles in prepared for seed in bundles})
+            outcomes.update({(cell["label"], seed): exc for cell in cells})
+    for name in dict.fromkeys(cell["algorithm"]["name"] for cell in cells) if bundles else ():
+        batch = [cell for cell in cells if cell["algorithm"]["name"] == name]
+        try:
+            outcomes.update(_run_group(cfg, batch, bundles))
+        except (NumericalError, ParameterError) as exc:
+            outcomes.update({(cell["label"], seed): exc for cell in batch for seed in bundles})
     return [[outcomes[cell["label"], seed] for seed in seeds] for cell in cells]
 
 
-def _batch(cfg: dict, rows_data: list):
+def _batch(cfg: dict, seeds: list, rows_data: list):
     """(oracle, start points, gap and Bregman functions, stop gaps) of the
-    prepared runs ``rows_data``, one row each, all of one (d, L_multiplier)."""
+    runs on the bundles ``rows_data`` of the seeds ``seeds``, one row each,
+    all of one (d, L_multiplier); each row draws from its seed's stream."""
     run_cfg = cfg["run"]
     first = rows_data[0]
-    oracle = OracleRows([b["oracle"] for b in rows_data], [b["rng"] for b in rows_data])
+    oracle = OracleRows([b["oracle"] for b in rows_data], [_philox((s, 7)) for s in seeds])
     psi_star = np.array([b["psi_star"] for b in rows_data])
     if first["ridge"] is not None:
         x_star = np.stack([b["ridge"].x_star for b in rows_data])
@@ -596,18 +565,20 @@ def _batch(cfg: dict, rows_data: list):
     return oracle, np.stack([b["x1"] for b in rows_data]), gap_fn, bregman_fn, stop_gap
 
 
-def _run_group(cfg: dict, prepared: list) -> dict:
-    """The runs of the prepared cells ``prepared``, a list of (cell, {seed:
-    bundle}), as the rows of one batched solver call: {(label, seed):
-    (record, rows) or the exception that ended the run}."""
+def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
+    """The runs of the cells ``cells``, all of one solver and one grid
+    point, on each seed's bundle of ``bundles`` ({seed: bundle}), as the
+    rows of one batched solver call, or one seed at a time for restart
+    cells: {(label, seed): (record, rows) or the exception that ended the
+    run}. A cell whose schedule fails gets its own error."""
     run_cfg = cfg["run"]
     T_max = int(run_cfg["T_max"])
-    name = prepared[0][0]["algorithm"]["name"]
+    name = cells[0]["algorithm"]["name"]
+    first = next(iter(bundles.values()))
     out = {}
     runs = []  # (cell, seed, bundle, schedule description, certify?), one per row
     scheds = []
-    for cell, bundles in prepared:
-        first = next(iter(bundles.values()))
+    for cell in cells:
         if name == "acsa":
             sched = None
             desc = {"kind": "acsa-stage-doubling", "L": first["params"].L,
@@ -626,10 +597,15 @@ def _run_group(cfg: dict, prepared: list) -> dict:
             scheds.append(sched)
     if not runs:
         return out
+    if run_cfg["restart"] is not None and name != "acsa":
+        # restart plans differ per seed: one seed at a time
+        for (cell, seed, bundle, desc, _), sched in zip(runs, scheds):
+            out[cell["label"], seed] = _restart_run(cfg, cell, seed, bundle, sched, desc)
+        return out
 
     rows_data = [bundle for _, _, bundle, _, _ in runs]
-    oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, rows_data)
-    first = rows_data[0]
+    oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, [seed for _, seed, *_ in runs],
+                                                      rows_data)
     if name == "acsa":
         _, trace = acsa_baseline(
             oracle, first["H"], first["mu_f"], first["params"].L, x1, T_max,
@@ -685,7 +661,7 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: di
         else:
             plan = RestartPlan(**run_cfg["restart"])
         _, rtrace = restart(
-            name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=bundle["rng"],
+            name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=_philox((seed, 7)),
             trace_opts=TraceOptions(gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
         )
         desc = dict(desc, restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
@@ -738,8 +714,8 @@ def _flatten_restart(rtrace):
 
 
 def _job(args):
-    """One group of grid cells, all their seeds: per cell, a (record, trace
-    rows) pair per seed."""
+    """The cells of one grid point, all their seeds: per cell, a (record,
+    trace rows) pair per seed."""
     cfg, cells, seeds = args
     results = []
     for cell, outcomes in zip(cells, _execute_group(cfg, cells, seeds)):
@@ -769,16 +745,14 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     write_traces = bool(cfg["output"]["traces"])
     write_plot = bool(cfg["output"]["plotdata"])
 
-    jobs = [(cfg, group, seeds) for group in _groups(cfg, cells)]
+    # a job is a grid point; its cells are a run of the grid's cells
+    jobs = [(cfg, group, seeds) for group in _groups(cells)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_job, jobs, chunksize=1))
     else:
         done = [_job(j) for j in jobs]
-    by_label = {cell["label"]: cell_results
-                for (_, group, _), group_results in zip(jobs, done)
-                for cell, cell_results in zip(group, group_results)}
-    results = [by_label[cell["label"]] for cell in cells]
+    results = [cell_results for group_results in done for cell_results in group_results]
 
     T_max = cfg["run"]["T_max"]
     cell_summaries = []
@@ -988,13 +962,18 @@ def parse_plotdata(text: str):
     return rows
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path, what: str = "config") -> dict:
+    """The JSON object in the file ``path``; a missing file, malformed JSON
+    or JSON that is not an object is a ConfigError naming ``what``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _subcommand_config(args, what: str, defaults: dict, reals: tuple, counts: tuple) -> dict:
@@ -1052,11 +1031,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = resolve_config(_load_config(args.config))
-    for cell in build_cells(cfg):
-        if cell["algorithm"]["name"] in ("nacsmd", "acsmd"):
-            bundle = _prepare_cell(cfg, cell, cfg["run"]["seeds"][0])
-            # a validated schedule that cannot be made valid is a NumericalError
-            _cell_schedule(cfg, cell, bundle["params"])
+    for group in _groups(build_cells(cfg)):
+        scheduled = [cell for cell in group if cell["algorithm"]["name"] != "acsa"]
+        if scheduled:
+            params = _prepare_cell(cfg, group[0], cfg["run"]["seeds"][0])["params"]
+            for cell in scheduled:
+                # a validated schedule that cannot be made valid is a NumericalError
+                _cell_schedule(cfg, cell, params)
     sys.stdout.write(_stable_json(cfg))
     return 0
 
@@ -1065,8 +1046,7 @@ def _cmd_table(args) -> int:
     path = Path(args.summary)
     if path.is_dir():
         path = path / "summary.json"
-    summary = json.loads(path.read_text(encoding="utf-8"))
-    text, csv_text = emit_table(summary)
+    text, csv_text = emit_table(_load_config(path, "summary"))
     sys.stdout.write(text)
     _write_out(args.out, {"table.txt": text, "table.csv": csv_text})
     return 0
@@ -1152,6 +1132,8 @@ def main(argv=None) -> int:
     p_cc.set_defaults(func=_cmd_concentration)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.seeds_count is not None and args.seed is None:
+        p_run.error("--seeds-count counts seeds from --seed on, so needs --seed")
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:

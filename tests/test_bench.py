@@ -489,7 +489,7 @@ class TestRunExperiment:
     def test_all_errored_cell_has_null_statistics(self, tmp_path, monkeypatch):
         from ccmin.errors import NumericalError
 
-        def broken(cfg, prepared):
+        def broken(cfg, cells, bundles):
             raise NumericalError("synthetic blow-up")
 
         monkeypatch.setattr(bench, "_run_group", broken)
@@ -531,7 +531,7 @@ class TestRunExperiment:
 
 @pytest.fixture
 def optimum_calls(monkeypatch):
-    """Counts the solves of exact_optimum behind an emptied optimum memo."""
+    """Counts the solves of exact_optimum."""
     calls = []
 
     def counted(instance, *args, **kwargs):
@@ -539,9 +539,7 @@ def optimum_calls(monkeypatch):
         return exact_optimum(instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "exact_optimum", counted)
-    bench._ridge_optimum.cache_clear()
-    yield calls
-    bench._ridge_optimum.cache_clear()
+    return calls
 
 
 class TestOptimumMemo:
@@ -564,15 +562,49 @@ class TestOptimumMemo:
         cfg = resolve_config(det)
         bundle = bench._prepare_cell(cfg, build_cells(cfg)[0], 0)
         assert bundle["psi_star"] == exact_optimum(optimum_calls[2])[1]
-        assert len(optimum_calls) == 4  # served from the memo
+        assert [inst.sigma_b for inst in optimum_calls[4:]] == [0.0]  # its own solve
 
     def test_one_solve_per_instance_past_256_seeds(self, tmp_path, optimum_calls):
-        # each algorithm's cell visits every seed in turn: a memo of 256
-        # entries evicts each optimum before the next cell asks for it
+        # each seed's instance is built once for all the algorithms' cells
         cfg = {"instance": {"d": [2]}, "solver": {"algorithms": ["nacsmd", "acsa"]},
                "run": {"T_max": 5, "seeds": list(range(257))}, "output": self.QUIET}
         run_experiment(cfg, out_dir=tmp_path)
         assert len(optimum_calls) == 257
+
+
+def counted_prepare(monkeypatch):
+    """The (d, L_multiplier, seed) of each _prepare_cell call, in order."""
+    calls, real = [], bench._prepare_cell
+
+    def counted(cfg, cell, seed):
+        calls.append((cell["d"], cell["L_multiplier"], seed))
+        return real(cfg, cell, seed)
+
+    monkeypatch.setattr(bench, "_prepare_cell", counted)
+    return calls
+
+
+class TestOneSetUpPerGridPoint:
+    CFG = {"instance": {"d": [2, 3], "L_multiplier": [1.0, 2.0]},
+           "solver": {"algorithms": ["acsa", "nacsmd", "acsmd1"]},
+           "run": {"T_max": 30, "seeds": [0, 1]},
+           "output": {"traces": False, "plotdata": False}}
+
+    def test_a_grid_builds_each_instance_once_per_grid_point(self, tmp_path, monkeypatch):
+        calls = counted_prepare(monkeypatch)
+        summary = run_experiment(self.CFG, out_dir=tmp_path)
+        # 2 d x 2 L_multiplier x 2 seeds, not once more for each of 3 algorithms
+        assert sorted(calls) == sorted((d, m, s) for d in (2, 3) for m in (1.0, 2.0)
+                                       for s in (0, 1))
+        assert len(summary["cells"]) == 12
+        assert all(cell["failed_runs"] == {} for cell in summary["cells"])
+
+    def test_validate_builds_seed_0_once_per_grid_point(self, tmp_path, monkeypatch, capsys):
+        calls = counted_prepare(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CFG))
+        assert main(["validate", str(path)]) == 0
+        assert calls == [(d, m, 0) for d in (2, 3) for m in (1.0, 2.0)]
 
 
 class TestEmitters:
@@ -847,6 +879,57 @@ class TestCli:
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.json"]) == 2
+
+    @pytest.mark.parametrize("label", ["a/b", "a\0b"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_label_that_is_no_file_name_exit_2(self, tmp_path, capsys, command, label):
+        # with traces on the label names trace files, so a path separator or
+        # NUL would break the run after summary.json was written
+        cfg = {"instance": {"d": [3]}, "solver": {"algorithms": [{"name": "nacsmd",
+                                                                 "label": label}]},
+               "run": {"T_max": 20, "seeds": [0]}}
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: solver.algorithms[0].label {label!r}")
+        assert captured.out == ""
+        assert not out.exists()
+        # without traces no file name holds it
+        cfg["output"] = {"traces": False}
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 0
+
+    def test_seeds_count_without_seed_exit_2(self, tmp_path, capsys):
+        # the count runs from --seed on, so alone it has no seeds to count
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", self.write_cfg(tmp_path, TINY), "--out", str(out),
+                  "--seeds-count", "3"])
+        assert exc.value.code == 2
+        assert "--seeds-count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "lowerbound", "concentration"])
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", "null", '"cfg"'])
+    def test_a_config_that_is_no_object_exit_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, str(path), "--seed", "1"] if command != "validate"
+                    else [command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "summary file not found"),
+        ("{", "summary is not valid JSON"),
+        ("[]", "summary must be a JSON object"),
+    ])
+    def test_table_on_a_missing_or_malformed_summary_exit_2(self, tmp_path, capsys, text,
+                                                             message):
+        path = tmp_path / "summary.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["table", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_run_and_table(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path, TINY)

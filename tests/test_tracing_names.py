@@ -55,10 +55,8 @@ def test_the_optimum_hook_reads_a_ridge_instance(monkeypatch):
         return real(instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "exact_optimum", recording)
-    bench._ridge_optimum.cache_clear()
     cfg = bench.resolve_config({"instance": {"d": [3]}, "run": {"seeds": [0]}})
     bundle = bench._prepare_cell(cfg, bench.build_cells(cfg)[0], 0)
-    bench._ridge_optimum.cache_clear()
     assert len(seen) == 1
     for inst in seen + [bundle["ridge"]]:
         assert inst.dimension == inst.x_star.size == 3

@@ -14,15 +14,16 @@ The grid runs a grid point (d, L_multiplier) at a time (optionally across
 processes). Each seed's instance is built once per grid point and shared by
 its cells; the seeds of every cell of one solver are the rows of one batched
 solver call, each row under its own cell's schedule and with the bits of its
-run alone, and a restart cell runs one seed at a time. The grid's ``summary.json``
-(per-cell medians/quartiles, resolved schedules, certificate status) is
-written first; then, a run at a time, each run's
-``trace-<cell>-<seed>.csv`` with header
+run alone, and a restart cell runs one seed at a time. As each grid point's
+job returns, in grid order, its runs are written a run at a time: each
+run's ``trace-<cell>-<seed>.csv`` with header
 ``t,psi_gap,bregman_to_opt,alpha_t,gamma_t`` and its lines of
-``plotdata.csv``; last a ``manifest.json`` carrying the resolved config, the
-hashes of the bytes written and the Python, numpy and platform versions.
-Every file is UTF-8. Outputs are deterministic: the same config
-byte-for-byte reproduces the same CSVs and summary.
+``plotdata.csv``. So memory holds one grid point's results, not the grid's.
+Then the grid's ``summary.json`` (per-cell medians/quartiles, resolved
+schedules, certificate status); last a ``manifest.json`` carrying the
+resolved config, the hashes of the bytes written and the Python, numpy and
+platform versions. Every file is UTF-8. Outputs are deterministic: the same
+config byte-for-byte reproduces the same CSVs and summary.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 """
@@ -72,7 +73,6 @@ from .regularizers import PowerNormRegularizer
 from .solvers import (
     PolynomialSchedule,
     RestartPlan,
-    RunTrace,
     TraceOptions,
     _solver,
     acsa_baseline,
@@ -441,7 +441,9 @@ def _cell_schedule(cfg: dict, cell: dict, params):
 def _prepare_cell(cfg: dict, cell: dict, seed: int):
     """Build one seed's problem bundle at the grid point of ``cell``. Only
     the cell's ``d`` and ``L_multiplier`` are read, so the bundle serves
-    every cell of that (d, L_multiplier), and a grid builds it once there."""
+    every cell of that (d, L_multiplier), and a grid builds it once there.
+    A start point whose gap to the optimum is not finite is a
+    NumericalError."""
     inst = cfg["instance"]
     kind = inst["kind"]
     if kind == "bernoulli":
@@ -476,10 +478,13 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     x_opt, psi_star = exact_optimum(ridge)
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
+    gap0 = psi(x1) - psi_star
+    if not math.isfinite(gap0):
+        # no run could reach a target relative to it
+        raise NumericalError(f"the start point's gap psi(x1) - psi* is {gap0}")
     return {
         "oracle": oracle, "params": params, "H": H, "x1": x1, "ridge": ridge,
-        "psi": psi, "psi_star": psi_star, "x_opt": x_opt,
-        "gap0": psi(x1) - psi_star, "mu_f": ridge.mu_F,
+        "psi": psi, "psi_star": psi_star, "x_opt": x_opt, "gap0": gap0, "mu_f": ridge.mu_F,
     }
 
 
@@ -516,33 +521,6 @@ def _groups(cells: list) -> list:
     order: ``build_cells`` lists a grid point's cells one after another."""
     return [list(group) for _, group in
             itertools.groupby(cells, key=lambda cell: (cell["d"], cell["L_multiplier"]))]
-
-
-def _execute_group(cfg: dict, cells: list, seeds: list) -> list:
-    """Every seed of the cells of one grid point; returns, per cell and then
-    per seed, its (per-run record, trace rows for the CSV), or the exception
-    that ended its run.
-
-    Each seed's bundle is built once and serves every cell. The runs of one
-    solver's cells are the rows of one batched solver call, each on its own
-    random stream and cell schedule, so every row has the bits of its run
-    alone; restart runs, whose plans differ per seed, go one seed at a time.
-    A seed whose set-up fails, a cell whose schedule fails, or a row that
-    goes non-finite gets its own error and the other rows go on.
-    """
-    outcomes, bundles = {}, {}
-    for seed in seeds:
-        try:
-            bundles[seed] = _prepare_cell(cfg, cells[0], seed)
-        except (NumericalError, ParameterError) as exc:
-            outcomes.update({(cell["label"], seed): exc for cell in cells})
-    for name in dict.fromkeys(cell["algorithm"]["name"] for cell in cells) if bundles else ():
-        batch = [cell for cell in cells if cell["algorithm"]["name"] == name]
-        try:
-            outcomes.update(_run_group(cfg, batch, bundles))
-        except (NumericalError, ParameterError) as exc:
-            outcomes.update({(cell["label"], seed): exc for cell in batch for seed in bundles})
-    return [[outcomes[cell["label"], seed] for seed in seeds] for cell in cells]
 
 
 def _batch(cfg: dict, seeds: list, rows_data: list):
@@ -632,7 +610,7 @@ def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
                 report = certificate_check(trace_k, bundle["params"], bundle["H"],
                                            bundle["x_opt"], bundle["psi"], bundle["psi_star"])
                 cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
-            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, trace_k,
+            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, [trace_k],
                                                     run_cfg["epsilon"], cert_status, desc)
         except (NumericalError, ParameterError) as exc:
             out[cell["label"], seed] = exc
@@ -645,10 +623,11 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: di
     the exception that ended it.
 
     Each stage is a ``(d,)`` run (a batch of one row of the solver's loop),
-    and the stages are flattened to one trace. An auto plan is sized within
-    ``T_max`` steps by ``plan_from_params``, and an explicit one fits in
-    them by ``resolve_config``, so every stage runs within the horizon
-    ``_cell_schedule`` validated. The record's schedule names the plan."""
+    and the run's trace rows are its stages' rows in order. An auto plan is
+    sized within ``T_max`` steps by ``plan_from_params``, and an explicit one
+    fits in them by ``resolve_config``, so every stage runs within the
+    horizon ``_cell_schedule`` validated. The record's schedule names the
+    plan."""
     run_cfg, name = cfg["run"], cell["algorithm"]["name"]
     H, psi, psi_star = bundle["H"], bundle["psi"], bundle["psi_star"]
     bregman_fn = bregman_to(H, bundle["x_opt"])
@@ -666,16 +645,24 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: di
         )
         desc = dict(desc, restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
         # certificates are per-stage statements: a chain gets none
-        return _run_outcome(cell, seed, bundle, _flatten_restart(rtrace), run_cfg["epsilon"],
-                            "n/a", desc)
+        return _run_outcome(cell, seed, bundle, rtrace.stage_traces + [rtrace.final_trace],
+                            run_cfg["epsilon"], "n/a", desc)
     except (NumericalError, ParameterError) as exc:
         return exc
 
 
-def _run_outcome(cell, seed, bundle, trace, epsilon, cert_status, sched_desc):
-    """(per-run record, trace rows for the CSV) of one finished run."""
+def _run_outcome(cell, seed, bundle, traces, epsilon, cert_status, sched_desc):
+    """(per-run record, trace rows for the CSV) of one finished run, whose
+    ``traces`` are its stages' traces in order: one, unless it is a restart
+    chain."""
+    # the acsa baseline records no Bregman series
+    rows = np.concatenate([np.column_stack([
+        tr.psi_gap,
+        tr.bregman_to_opt if tr.bregman_to_opt is not None else np.full(tr.T, np.nan),
+        tr.alphas, tr.gammas]) for tr in traces])
+    rows = np.column_stack([np.arange(1, len(rows) + 1, dtype=float), rows])
     gap0 = bundle["gap0"]
-    rel = trace.psi_gap / gap0
+    rel = rows[:, 1] / gap0
     hits = np.nonzero(rel <= epsilon * (1.0 + 1e-12))[0]
     iterations = int(hits[0]) + 1 if hits.size else None
     record = {
@@ -685,60 +672,90 @@ def _run_outcome(cell, seed, bundle, trace, epsilon, cert_status, sched_desc):
         "final_relative_gap": float(rel[-1]),
         "gap0": float(gap0),
         "psi_star": float(bundle["psi_star"]),
-        "steps_run": int(trace.T),
+        "steps_run": len(rows),
         "certificate": cert_status,
         "schedule": sched_desc,
     }
-    bregman_series = trace.bregman_to_opt
-    rows = np.column_stack([
-        np.arange(1, trace.T + 1, dtype=float), trace.psi_gap,
-        # the acsa baseline records no Bregman series
-        bregman_series if bregman_series is not None else np.full(trace.T, np.nan),
-        trace.alphas, trace.gammas,
-    ])
     return record, rows
 
 
-def _flatten_restart(rtrace):
-    """Concatenate stage traces into one flat gap/step series."""
-    traces = rtrace.stage_traces + [rtrace.final_trace]
-    return RunTrace(
-        algorithm=traces[-1].algorithm,
-        T=sum(tr.T for tr in traces),
-        alphas=np.concatenate([tr.alphas for tr in traces]),
-        gammas=np.concatenate([tr.gammas for tr in traces]),
-        A=np.concatenate([tr.A for tr in traces]),
-        psi_gap=np.concatenate([tr.psi_gap for tr in traces]),
-        bregman_to_opt=np.concatenate([tr.bregman_to_opt for tr in traces]),
-    )
-
-
 def _job(args):
-    """The cells of one grid point, all their seeds: per cell, a (record,
-    trace rows) pair per seed."""
+    """The cells of one grid point, every seed of each: per cell, a (per-run
+    record, trace rows for the CSV) pair per seed, the rows None where the
+    run errored.
+
+    Each seed's bundle is built once and serves every cell. The runs of one
+    solver's cells are the rows of one batched solver call, each on its own
+    random stream and cell schedule, so every row has the bits of its run
+    alone; restart runs, whose plans differ per seed, go one seed at a time.
+    A seed whose set-up fails, a cell whose schedule fails, or a row that
+    goes non-finite gets its own error record and the other runs go on.
+    """
     cfg, cells, seeds = args
-    results = []
-    for cell, outcomes in zip(cells, _execute_group(cfg, cells, seeds)):
-        cell_results = []
-        for seed, outcome in zip(seeds, outcomes):
-            if isinstance(outcome, Exception):
-                # a diverged run, or one whose cell the parameters rule out
-                # (say, a restart plan on a schedule whose bound is
-                # undefined), is recorded against its cell; the grid keeps going
-                outcome = ({
-                    "cell": cell["label"], "seed": seed, "error": str(outcome),
-                    "iterations_to_target": None, "certificate": "n/a", "schedule": None,
-                }, None)
-            cell_results.append(outcome)
-        results.append(cell_results)
-    return results
+    outcomes, bundles = {}, {}
+    for seed in seeds:
+        try:
+            bundles[seed] = _prepare_cell(cfg, cells[0], seed)
+        except (NumericalError, ParameterError) as exc:
+            outcomes.update({(cell["label"], seed): exc for cell in cells})
+    for name in dict.fromkeys(cell["algorithm"]["name"] for cell in cells) if bundles else ():
+        batch = [cell for cell in cells if cell["algorithm"]["name"] == name]
+        try:
+            outcomes.update(_run_group(cfg, batch, bundles))
+        except (NumericalError, ParameterError) as exc:
+            outcomes.update({(cell["label"], seed): exc for cell in batch for seed in bundles})
+
+    def outcome(cell, seed):
+        got = outcomes[cell["label"], seed]
+        if not isinstance(got, Exception):
+            return got
+        # a diverged run, or one whose cell the parameters rule out (say, a
+        # restart plan on a schedule whose bound is undefined), is recorded
+        # against its cell; the grid keeps going
+        return {"cell": cell["label"], "seed": seed, "error": str(got),
+                "iterations_to_target": None, "certificate": "n/a", "schedule": None}, None
+
+    return [[outcome(cell, seed) for seed in seeds] for cell in cells]
+
+
+def _cell_summary(cell: dict, seeds: list, records: list, T_max: int) -> dict:
+    """The ``summary.json`` entry of ``cell`` from its runs' records, one
+    per seed of ``seeds``."""
+    its = [r["iterations_to_target"] for r in records]
+    # an errored run has no count to censor, so only completed runs count
+    completed = [r["iterations_to_target"] for r in records if "error" not in r]
+    censored = [float(i) if i is not None else float(T_max + CENSOR_MARGIN) for i in completed]
+    stats = dict.fromkeys(("median_iterations", "q1_iterations", "q3_iterations", "hit_rate"))
+    if completed:
+        stats = {
+            "median_iterations": float(np.median(censored)),
+            "q1_iterations": float(np.percentile(censored, 25)),
+            "q3_iterations": float(np.percentile(censored, 75)),
+            "hit_rate": float(np.mean([i is not None for i in completed])),
+        }
+    violations = sum(1 for r in records if r["certificate"].startswith("violated"))
+    checked = sum(1 for r in records if r["certificate"] != "n/a")
+    errors = {str(r["seed"]): r["error"] for r in records if "error" in r}
+    schedule = next((r["schedule"] for r in records if r["schedule"] is not None), None)
+    return {
+        "cell": cell["label"],
+        "d": cell["d"],
+        "L_multiplier": cell["L_multiplier"],
+        "algorithm": cell["algorithm"]["label"],
+        "seeds": seeds,
+        "iterations": its,
+        **stats,
+        "schedule": schedule,
+        "certificates": {"checked": checked, "violations": violations},
+        "failed_runs": errors,
+    }
 
 
 def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
-    """Run the full grid and write summary.json, then each run's trace CSV
-    and plotdata lines, a run at a time, then manifest.json."""
+    """Run the full grid. As each grid point's job returns, in grid order,
+    write its runs' trace CSVs and plotdata lines; then summary.json, and
+    manifest.json last."""
     cfg = resolve_config(cfg)
-    cells = build_cells(cfg)
     seeds = cfg["run"]["seeds"]
     out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -746,77 +763,40 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     write_plot = bool(cfg["output"]["plotdata"])
 
     # a job is a grid point; its cells are a run of the grid's cells
-    jobs = [(cfg, group, seeds) for group in _groups(cells)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_job, jobs, chunksize=1))
-    else:
-        done = [_job(j) for j in jobs]
-    results = [cell_results for group_results in done for cell_results in group_results]
-
-    T_max = cfg["run"]["T_max"]
-    cell_summaries = []
-    for cell, cell_results in zip(cells, results):
-        records = [record for record, _ in cell_results]
-        its = [r["iterations_to_target"] for r in records]
-        # an errored run has no count to censor, so only completed runs count
-        completed = [r["iterations_to_target"] for r in records if "error" not in r]
-        censored = [float(i) if i is not None else float(T_max + CENSOR_MARGIN) for i in completed]
-        stats = dict.fromkeys(
-            ("median_iterations", "q1_iterations", "q3_iterations", "hit_rate"))
-        if completed:
-            stats = {
-                "median_iterations": float(np.median(censored)),
-                "q1_iterations": float(np.percentile(censored, 25)),
-                "q3_iterations": float(np.percentile(censored, 75)),
-                "hit_rate": float(np.mean([i is not None for i in completed])),
-            }
-        violations = sum(1 for r in records if r["certificate"].startswith("violated"))
-        checked = sum(1 for r in records if r["certificate"] != "n/a")
-        errors = {str(r["seed"]): r["error"] for r in records if "error" in r}
-        schedule = next((r["schedule"] for r in records if r["schedule"] is not None), None)
-        cell_summaries.append({
-            "cell": cell["label"],
-            "d": cell["d"],
-            "L_multiplier": cell["L_multiplier"],
-            "algorithm": cell["algorithm"]["label"],
-            "seeds": seeds,
-            "iterations": its,
-            **stats,
-            "schedule": schedule,
-            "certificates": {"checked": checked, "violations": violations},
-            "failed_runs": errors,
-        })
-
+    jobs = [(cfg, group, seeds) for group in _groups(build_cells(cfg))]
+    files, cell_summaries = {}, []  # the manifest's hashes, each of the bytes as written
+    with contextlib.ExitStack() as stack:
+        done = map(_job, jobs)
+        if workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            done = stack.enter_context(pool).map(_job, jobs, chunksize=1)
+        if write_plot:
+            write_plot_lines, plot_digest = stack.enter_context(_atomic_file(out / "plotdata.csv"))
+            write_plot_lines(emit_plotdata(()))  # the header alone
+        for (_, group, _), group_results in zip(jobs, done):
+            for cell, cell_results in zip(group, group_results):
+                cell_summaries.append(_cell_summary(
+                    cell, seeds, [record for record, _ in cell_results], cfg["run"]["T_max"]))
+                for seed, (record, rows) in zip(seeds, cell_results):
+                    if rows is None:
+                        continue
+                    if write_traces:
+                        name = f"trace-{cell['label']}-{seed}.csv"
+                        files[name] = _write_trace_csv(out / name, rows)
+                    if write_plot:
+                        rel = rows[:, 1] / record["gap0"]
+                        write_plot_lines(_plot_lines(
+                            (cell["label"], cell["algorithm"]["label"], seed, int(t),
+                             math.log10(max(r, 1e-300)))
+                            for t, r in zip(rows[:, 0].tolist(), rel.tolist())))
+    if write_plot:
+        files["plotdata.csv"] = plot_digest.hexdigest()
     summary = {
         "version": __version__,
         "config": cfg,
         "cells": cell_summaries,
     }
-    # the manifest's hashes, each of the bytes as they were written
-    files = {"summary.json": _write_text_atomic(out / "summary.json", _stable_json(summary))}
-
-    # then each run's trace CSV and plot lines, in grid order, a run at a time
-    plot = (_atomic_file(out / "plotdata.csv") if write_plot
-            else contextlib.nullcontext((None, None)))
-    with plot as (write_plot_lines, plot_digest):
-        if write_plot:
-            write_plot_lines(emit_plotdata(()))  # the header alone
-        for cell, cell_results in zip(cells, results):
-            for seed, (record, rows) in zip(seeds, cell_results):
-                if rows is None:
-                    continue
-                if write_traces:
-                    name = f"trace-{cell['label']}-{seed}.csv"
-                    files[name] = _write_trace_csv(out / name, rows)
-                if write_plot:
-                    rel = rows[:, 1] / record["gap0"]
-                    write_plot_lines(_plot_lines(
-                        (cell["label"], cell["algorithm"]["label"], seed, int(t),
-                         math.log10(max(r, 1e-300)))
-                        for t, r in zip(rows[:, 0].tolist(), rel.tolist())))
-    if write_plot:
-        files["plotdata.csv"] = plot_digest.hexdigest()
+    files["summary.json"] = _write_text_atomic(out / "summary.json", _stable_json(summary))
 
     # the one block of any artifact that differs between machines; uname,
     # not platform.platform(), which scans the interpreter binary for libc
@@ -875,15 +855,32 @@ def _stable_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _read(block, key: str, where: str):
+    """``block[key]``, ``block`` being ``where`` in a summary; a ConfigError
+    naming ``key`` if ``block`` is not an object that holds it."""
+    if not isinstance(block, dict) or key not in block:
+        raise ConfigError(f"emit_table: {where} has no key {key!r}, so is no grid summary")
+    return block[key]
+
+
 def emit_table(summary: dict):
     """Median-iteration matrix (instance axis x algorithm): aligned text + CSV.
 
     The instance axis is whichever of d / L_multiplier varies; cells must
     form a full factorial grid over one axis or the emitter refuses. A cell
     whose median run missed the target reads ``>T_max``; one whose runs all
-    errored reads ``err``.
+    errored reads ``err``. A summary that lacks a key the table reads is a
+    ConfigError naming the key.
     """
-    cells = summary["cells"]
+    cells = _read(summary, "cells", "the summary")
+    if not isinstance(cells, list):
+        raise ConfigError("emit_table: the summary's cells must be a list")
+    for i, c in enumerate(cells):
+        for key in ("d", "L_multiplier", "algorithm", "seeds", "failed_runs",
+                    "median_iterations"):
+            _read(c, key, f"cells[{i}]")
+    T_max = _read(_read(_read(summary, "config", "the summary"), "run", "config"), "T_max",
+                  "config.run")
     ds = sorted({c["d"] for c in cells})
     mults = sorted({c["L_multiplier"] for c in cells})
     algs = []
@@ -896,8 +893,6 @@ def emit_table(summary: dict):
     lookup = {(c[axis], c["algorithm"]): c for c in cells}
     if len(lookup) != len(values) * len(algs):
         raise ConfigError("emit_table: cells do not form a full grid")
-
-    T_max = summary["config"]["run"]["T_max"]
 
     def fmt(cell):
         if len(cell["failed_runs"]) == len(cell["seeds"]):

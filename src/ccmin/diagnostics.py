@@ -433,6 +433,12 @@ def concentration_check(
     if not q >= 2.0:
         raise ParameterError(f"concentration_check needs q >= 2, got {q}")
     weights = np.asarray(weights, dtype=float)
+    # the tail bound's scales; non-finite ones make the bound and tau grid NaN
+    with np.errstate(over="ignore"):
+        scales = np.array([np.sum(weights ** 2), np.sum(np.abs(weights) ** q)])
+    if not np.all(np.isfinite(scales)):
+        raise ParameterError("concentration_check needs finite weights whose squares and "
+                             f"q-th powers have finite sums, got sums {scales.tolist()}")
     T = weights.size
     p = dual_exponent(q)
     probe = AdditiveNoiseOracle(lambda x: np.zeros(dim), dim, noise, sigma, q=q)

@@ -183,8 +183,9 @@ class TestRunExperiment:
         with pytest.raises(UnicodeEncodeError):
             run_experiment(TINY, out_dir=tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert "summary.json" in names
-        assert not names & {"plotdata.csv", "manifest.json"}
+        # summary.json follows every trace and plot line, so it is not written
+        assert "trace-ridge-d3-Lx1-nacsmd-0.csv" in names
+        assert not names & {"summary.json", "plotdata.csv", "manifest.json"}
         assert not [n for n in names if n.endswith(".tmp")]
 
     def test_a_trace_failing_mid_stream_leaves_no_plotdata(self, tmp_path, monkeypatch):
@@ -200,8 +201,8 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="disk full"):
             run_experiment(TINY, out_dir=tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert "summary.json" in names and "trace-ridge-d3-Lx1-nacsmd-0.csv" in names
-        assert not names & {"plotdata.csv", "manifest.json"}
+        assert "trace-ridge-d3-Lx1-nacsmd-0.csv" in names
+        assert not names & {"summary.json", "plotdata.csv", "manifest.json"}
         assert not [n for n in names if n.endswith(".tmp")]
 
     def test_quoted_labels_stream_the_emitter_bytes(self, tmp_path, monkeypatch):
@@ -297,6 +298,26 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert len(parse_plotdata((tmp_path / "grid" / "plotdata.csv").read_text())) == 40_000
         assert peak < 4e6, peak  # 13 MB while every plot row was kept
+
+    def test_memory_holds_one_grid_point(self, tmp_path):
+        # 8 grid points of 10 runs of 1000 steps: each grid point's runs are
+        # written as its job returns, so its trace rows (0.4 MB) are held
+        # and not the grid's (3.2 MB; a peak of 3.6 MB while they were)
+        cfg = {"instance": {"d": list(range(3, 11))}, "solver": {"algorithms": ["nacsmd"]},
+               "run": {"seeds": {"count": 10, "base": 0}, "T_max": 1000,
+                       "stop_at_target": False, "certificates": False}}
+        # a one-step grid first, so that lazy imports and power_uc_constant's
+        # cached value are not counted
+        run_experiment(dict(cfg, run={"seeds": [0], "T_max": 1}), out_dir=tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            summary = run_experiment(cfg, out_dir=tmp_path / "grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(cell["failed_runs"] == {} for cell in summary["cells"])
+        assert len(list((tmp_path / "grid").glob("trace-*.csv"))) == 80
+        assert peak < 2e6, peak
 
     def test_atomic_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -467,14 +488,13 @@ class TestRunExperiment:
         import ccmin.bench as bench
         from ccmin.errors import NumericalError
 
-        real = bench._execute_group
+        real = bench._run_group
 
-        def flaky(cfg, cells, seeds):
-            return [[NumericalError("synthetic blow-up at t=3") if seed == 1 else outcome
-                     for seed, outcome in zip(seeds, outcomes)]
-                    for outcomes in real(cfg, cells, seeds)]
+        def flaky(cfg, cells, bundles):
+            return {(label, seed): NumericalError("synthetic blow-up at t=3") if seed == 1
+                    else outcome for (label, seed), outcome in real(cfg, cells, bundles).items()}
 
-        monkeypatch.setattr(bench, "_execute_group", flaky)
+        monkeypatch.setattr(bench, "_run_group", flaky)
         s = run_experiment(dict(TINY, solver={"algorithms": ["nacsmd"]}),
                            out_dir=tmp_path)
         cell = s["cells"][0]
@@ -498,6 +518,49 @@ class TestRunExperiment:
         assert [cell[k] for k in ("median_iterations", "q1_iterations", "q3_iterations",
                                   "hit_rate")] == [None] * 4
         assert emit_table(s)[1].splitlines()[1] == "d=3,err"
+
+    def test_a_failing_solver_leaves_the_others_of_its_grid_point(self, tmp_path,
+                                                                   monkeypatch):
+        from ccmin.errors import NumericalError
+
+        real = bench._run_group
+
+        def broken_acsmd(cfg, cells, bundles):
+            if cells[0]["algorithm"]["name"] == "acsmd":
+                raise NumericalError("synthetic blow-up")
+            return real(cfg, cells, bundles)
+
+        monkeypatch.setattr(bench, "_run_group", broken_acsmd)
+        cfg = {"instance": {"d": [3, 4]}, "solver": {"algorithms": ["acsa", "nacsmd", "acsmd1"]},
+               "run": {"epsilon": 0.05, "T_max": 60, "seeds": [0, 1, 2]}}
+        s = run_experiment(cfg, out_dir=tmp_path)
+        by_alg = {}
+        for cell in s["cells"]:
+            by_alg.setdefault(cell["algorithm"], []).append(cell)
+        for cell in by_alg["acsa"] + by_alg["nacsmd"]:
+            assert cell["failed_runs"] == {}
+            assert cell["median_iterations"] is not None
+        for cell in by_alg["acsmd1"]:
+            assert cell["failed_runs"] == {str(seed): "synthetic blow-up" for seed in (0, 1, 2)}
+        traces = {p.name for p in tmp_path.glob("trace-*.csv")}
+        assert len(traces) == 2 * 2 * 3 and not [n for n in traces if "acsmd1" in n]
+
+    def test_a_start_point_with_no_finite_gap_is_a_set_up_error(self, tmp_path, capsys):
+        # psi(x1) overflows: gap0 = inf, against which acsa once "hit" its
+        # target at t = 1 (inf <= eps inf) and was recorded as a miss
+        cfg = {"instance": {"d": [3], "x1": {"kind": "constant", "value": 1e200}},
+               "solver": {"algorithms": ["acsa", "nacsmd"]},
+               "run": {"T_max": 50, "seeds": [0, 1]}}
+        with np.errstate(over="ignore"):
+            s = run_experiment(cfg, out_dir=tmp_path / "out")
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["validate", str(path)]) == 3
+        errors = [cell["failed_runs"] for cell in s["cells"]]
+        assert errors[0] == errors[1] and sorted(errors[0]) == ["0", "1"]
+        assert "is inf" in errors[0]["0"]
+        assert not list((tmp_path / "out").glob("trace-*.csv"))
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     def test_zero_target_vector_runs(self, tmp_path):
         # x_star = 0 gives the radius estimate 2||x_star||_q = 0; no
@@ -931,6 +994,18 @@ class TestCli:
         assert main(["table", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("summary,key", [
+        ({}, "'cells'"),
+        ({"cells": [{"d": 3}], "config": {}}, "'L_multiplier'"),
+    ])
+    def test_table_on_an_object_that_is_no_summary_exit_2(self, tmp_path, capsys, summary,
+                                                           key):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert main(["table", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: emit_table:") and f"no key {key}" in err
+
     def test_run_and_table(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path, TINY)
         out = tmp_path / "out"
@@ -974,6 +1049,16 @@ class TestCli:
         cfg = {"sigma": sigma, "trials": 100, "T": 5}
         assert main(["concentration", self.write_cfg(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("degree", [400, 200])
+    def test_concentration_overflowing_weights_exit_2(self, tmp_path, capsys, degree):
+        # t^400 overflows at t = 10; t^200 does not, but its squares do: the
+        # payload once held NaN and Infinity, which are not JSON, and exit 0
+        cfg = {"weight_degree": degree, "T": 10, "trials": 1000}
+        with np.errstate(over="ignore"):
+            assert main(["concentration", self.write_cfg(tmp_path, cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: concentration_check needs finite weights")
 
     @pytest.mark.parametrize("command,cfg,key", [
         ("lowerbound", {"trials": 5, "q": 1.0}, "q must be >= 2"),

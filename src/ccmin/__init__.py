@@ -39,7 +39,6 @@ from .solvers import (
     PolynomialSchedule,
     RestartPlan,
     RunTrace,
-    TraceOptions,
     acsa_baseline,
     acsmd,
     default_schedule,

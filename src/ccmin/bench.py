@@ -73,7 +73,6 @@ from .regularizers import PowerNormRegularizer
 from .solvers import (
     PolynomialSchedule,
     RestartPlan,
-    TraceOptions,
     _solver,
     acsa_baseline,
     default_degree,
@@ -259,6 +258,30 @@ def _check_keys(cfg: dict, reals: tuple, counts: tuple):
     _integer(cfg["seed"], "seed", 0)
 
 
+def _check_instance_values(inst: dict):
+    """Refuse the instance values that every seed's set-up would refuse,
+    each where its kind reads it: a nonpositive ``mu`` on any kind, a negative
+    ``sigma_b`` on a ridge instance (``custom-deterministic`` runs with
+    sigma_b = 0), a nonpositive ``R`` on either regression kind, and on
+    ``bernoulli`` a nonpositive ``sigma`` or a ``target_accuracy`` that
+    ``bernoulli_oracle`` refuses."""
+    if not inst["mu"] > 0.0:
+        raise ConfigError(f"instance.mu must be > 0, got {inst['mu']!r}")
+    if inst["kind"] == "bernoulli":
+        if not inst["sigma"] > 0.0:
+            raise ConfigError(f"instance.sigma must be > 0, got {inst['sigma']!r}")
+        try:
+            bernoulli_oracle(inst["mu"], inst["q"], inst["sigma"], inst["target_accuracy"], nu=1)
+        except ParameterError as exc:  # mu and sigma pass, so target_accuracy is refused
+            accuracy = inst["target_accuracy"]
+            raise ConfigError(f"instance.target_accuracy {accuracy!r} is refused: {exc}") from None
+        return
+    if inst["kind"] == "ridge" and inst["sigma_b"] < 0.0:
+        raise ConfigError(f"instance.sigma_b must be >= 0, got {inst['sigma_b']!r}")
+    if inst["R"] is not None and not inst["R"] > 0.0:
+        raise ConfigError(f"instance.R must be null or > 0, got {inst['R']!r}")
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults, record overrides, and validate the static structure."""
     if not isinstance(raw, dict):
@@ -285,6 +308,7 @@ def resolve_config(raw: dict) -> dict:
         _number(inst[key], f"instance.{key}")
     if inst["R"] is not None:
         _number(inst["R"], "instance.R")
+    _check_instance_values(inst)
     _unit_scale(cfg["solver"]["safety_scale"], "solver.safety_scale")
     _integer(cfg["solver"]["acsa_stage0"], "solver.acsa_stage0", 1)
     for name, kinds in _START_KEYS.items():
@@ -478,7 +502,8 @@ def _prepare_cell(cfg: dict, cell: dict, seed: int):
     x_opt, psi_star = exact_optimum(ridge)
     x1 = _make_x1(inst, d)
     psi = lambda x: ridge_psi(ridge, x)  # noqa: E731
-    gap0 = psi(x1) - psi_star
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        gap0 = psi(x1) - psi_star
     if not math.isfinite(gap0):
         # no run could reach a target relative to it
         raise NumericalError(f"the start point's gap psi(x1) - psi* is {gap0}")
@@ -599,7 +624,7 @@ def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
         # _cell_schedule already checked each schedule over these T_max steps
         _, _, trace = _solver(name)(
             oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
-            trace_opts=TraceOptions(gap_fn=gap_fn, bregman_fn=bregman_fn, noise_fn=noise_fn),
+            gap_fn=gap_fn, bregman_fn=bregman_fn, noise_fn=noise_fn,
         )
 
     for k, (cell, seed, bundle, desc, want_cert) in enumerate(runs):
@@ -639,14 +664,13 @@ def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: di
                                     int(run_cfg["T_max"]))
         else:
             plan = RestartPlan(**run_cfg["restart"])
-        _, rtrace = restart(
+        _, traces = restart(
             name, bundle["oracle"], H, sched, bundle["x1"], plan, rng=_philox((seed, 7)),
-            trace_opts=TraceOptions(gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn),
+            gap_fn=lambda x: psi(x) - psi_star, bregman_fn=bregman_fn,
         )
         desc = dict(desc, restart_plan={"n": plan.n, "K": plan.K, "T": plan.T})
         # certificates are per-stage statements: a chain gets none
-        return _run_outcome(cell, seed, bundle, rtrace.stage_traces + [rtrace.final_trace],
-                            run_cfg["epsilon"], "n/a", desc)
+        return _run_outcome(cell, seed, bundle, traces, run_cfg["epsilon"], "n/a", desc)
     except (NumericalError, ParameterError) as exc:
         return exc
 
@@ -855,12 +879,21 @@ def _stable_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _read(block, key: str, where: str):
+_REAL = (int, float)
+_KIND_NAMES = {_REAL: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _read(block, key: str, where: str, kind=object):
     """``block[key]``, ``block`` being ``where`` in a summary; a ConfigError
-    naming ``key`` if ``block`` is not an object that holds it."""
+    naming ``key`` if ``block`` is not an object that holds it, or if its
+    value is not of ``kind`` (``_REAL``: a number, not a bool)."""
     if not isinstance(block, dict) or key not in block:
         raise ConfigError(f"emit_table: {where} has no key {key!r}, so is no grid summary")
-    return block[key]
+    value = block[key]
+    if not isinstance(value, kind) or (kind is _REAL and isinstance(value, bool)):
+        raise ConfigError(f"emit_table: {where}'s {key!r} must be {_KIND_NAMES[kind]}, "
+                          f"got {value!r}")
+    return value
 
 
 def emit_table(summary: dict):
@@ -869,18 +902,19 @@ def emit_table(summary: dict):
     The instance axis is whichever of d / L_multiplier varies; cells must
     form a full factorial grid over one axis or the emitter refuses. A cell
     whose median run missed the target reads ``>T_max``; one whose runs all
-    errored reads ``err``. A summary that lacks a key the table reads is a
-    ConfigError naming the key.
+    errored reads ``err``. A summary that lacks a key the table reads, or
+    holds a value of the wrong type there, is a ConfigError naming the key.
     """
-    cells = _read(summary, "cells", "the summary")
-    if not isinstance(cells, list):
-        raise ConfigError("emit_table: the summary's cells must be a list")
+    cells = _read(summary, "cells", "the summary", list)
     for i, c in enumerate(cells):
-        for key in ("d", "L_multiplier", "algorithm", "seeds", "failed_runs",
-                    "median_iterations"):
-            _read(c, key, f"cells[{i}]")
+        for key, kind in (("d", _REAL), ("L_multiplier", _REAL), ("algorithm", str),
+                          ("seeds", list), ("failed_runs", dict)):
+            _read(c, key, f"cells[{i}]", kind)
+        # a cell whose runs all errored has no median, and its entry reads none
+        _read(c, "median_iterations", f"cells[{i}]",
+              object if len(c["failed_runs"]) == len(c["seeds"]) else _REAL)
     T_max = _read(_read(_read(summary, "config", "the summary"), "run", "config"), "T_max",
-                  "config.run")
+                  "config.run", _REAL)
     ds = sorted({c["d"] for c in cells})
     mults = sorted({c["L_multiplier"] for c in cells})
     algs = []
@@ -1072,7 +1106,8 @@ def _cmd_concentration(args) -> int:
          "trials": 100000, "sigma": 1.0, "R": 1.0, "dim": 4, "q": 2.0, "seed": 0},
         ("weight_degree", "sigma", "R", "q"), ("T", "trials", "dim"))
     t = np.arange(1, cfg["T"] + 1, dtype=float)
-    weights = t ** cfg["weight_degree"]
+    with np.errstate(over="ignore"):  # concentration_check refuses what overflows
+        weights = t ** cfg["weight_degree"]
     report = concentration_check(
         cfg["noise"], weights, cfg["trials"], seed=cfg["seed"],
         sigma=cfg["sigma"], R=cfg["R"], dim=cfg["dim"], q=cfg["q"],

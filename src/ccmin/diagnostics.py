@@ -37,7 +37,7 @@ from .geometry import (GeometryParams, _bisect, _row_dot, bregman_to, derive_par
 from .oracles import (AdditiveNoiseOracle, RidgeInstance, _philox, _ridge_mean_gradient,
                       bernoulli_oracle)
 from .regularizers import PowerNormRegularizer
-from .solvers import (TARGETS, TraceOptions, _power_linear_guess, _run_inequality_steps, _solver,
+from .solvers import (TARGETS, _power_linear_guess, _run_inequality_steps, _solver,
                       default_schedule)
 
 __all__ = [
@@ -123,7 +123,7 @@ class CertificateReport:
 
 class NoiseTerms:
     """The run inequality's two per-step reads of the realized noise, as a
-    solver's ``TraceOptions.noise_fn``: for each row, ||delta_t||_p and
+    solver's ``noise_fn``: for each row, ||delta_t||_p and
     <delta_t, x* - x_t>, written as the certificate wrote them over a
     recorded run, so each keeps the bits of that evaluation. ``x_star`` is
     one ``(d,)`` minimizer or an ``(S, d)`` batch of each row's own;
@@ -142,13 +142,15 @@ class NoiseTerms:
 
 
 def certificate_options(params: GeometryParams, H: PowerNormRegularizer, x_star, psi,
-                        psi_star: float) -> TraceOptions:
-    """What a ``(d,)`` run must record for ``certificate_check``: the gap
-    psi - psi_star, the Bregman divergence D(x*, .) and the noise terms. No
-    iterate is recorded; certificate memory is O(T)."""
-    return TraceOptions(gap_fn=lambda x: psi(x) - psi_star,
-                        bregman_fn=bregman_to(H, x_star),
-                        noise_fn=NoiseTerms(x_star, params.p))
+                        psi_star: float) -> dict:
+    """What a ``(d,)`` run must record for ``certificate_check``, as the
+    solver keywords ``gap_fn`` (the gap psi - psi_star), ``bregman_fn`` (the
+    Bregman divergence D(x*, .)) and ``noise_fn`` (the noise terms):
+    ``nacsmd(..., **certificate_options(...))``. No iterate is recorded;
+    certificate memory is O(T)."""
+    return {"gap_fn": lambda x: psi(x) - psi_star,
+            "bregman_fn": bregman_to(H, x_star),
+            "noise_fn": NoiseTerms(x_star, params.p)}
 
 
 def _verified(series, last, what):
@@ -184,7 +186,7 @@ def certificate_check(
     if trace.noise_norm is None:
         raise DiagnosticUnavailableError(
             "certificate_check needs the run's noise terms; run with an oracle exposing "
-            "mean_gradient and trace_opts.noise_fn (see certificate_options)"
+            "mean_gradient and a noise_fn (see certificate_options)"
         )
     if trace.algorithm not in TARGETS:
         raise ParameterError(f"no certificate for algorithm {trace.algorithm!r}")

@@ -30,10 +30,10 @@ when its iterate goes non-finite: the loop then narrows the oracle and the
 per-row functions to the rows left through their ``take(keep)``, so a row that
 left draws nothing and raises nothing more. ``RunTrace.row(i)`` is row i's
 own trace, or raises the error that ended it. A trace keeps per-step
-scalar series (the steps, and what the ``TraceOptions`` hooks return) and
-the start and end points, never the iterates in between: its memory is
-O(T S) plus O(S d), and a caller who wants the points records them through
-the hooks.
+scalar series (the steps, and what the ``gap_fn``, ``bregman_fn`` and
+``noise_fn`` hooks return) and the start and end points, never the
+iterates in between: its memory is O(T S) plus O(S d), and a caller who
+wants the points records them through the hooks.
 
 A mirror-descent schedule is a pair of sequences (alpha_t, gamma_t).
 Validity means, for every t up to the horizon,
@@ -43,11 +43,13 @@ Validity means, for every t up to the horizon,
     gamma_t >= (2M/mu) * alpha_t^q / A_t^{q-1}              (acsmd)
 
 with A_t the running alpha sum. The run certificates in ``diagnostics`` hold
-on every noise realization provided these inequalities do, so solvers refuse
-nothing but the caller is expected to validate first (the bench harness
-does). ``default_schedule`` builds the standard polynomial family and bumps
-its offset until the inequalities hold at every step up to the horizon it
-is given, which its callers set to the steps they run.
+on every noise realization provided these inequalities do. Given ``params``,
+``nacsmd``, ``acsmd`` and ``restart`` check them over the steps they run and
+refuse a schedule that breaks them; without it they run any schedule, and
+the caller validates first (the bench harness does). ``default_schedule``
+builds the standard polynomial family and bumps its offset until the
+inequalities hold at every step up to the horizon it is given, which its
+callers set to the steps they run.
 
 ``restart`` chains stages of a fixed length, each started from the previous
 stage's final non-averaged iterate, which turns the gamma_1/gamma_K decay of
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,12 +78,10 @@ __all__ = [
     "default_schedule",
     "validate_schedule",
     "ScheduleReport",
-    "TraceOptions",
     "RunTrace",
     "nacsmd",
     "acsmd",
     "RestartPlan",
-    "RestartTrace",
     "restart",
     "halving_horizon",
     "plan_from_params",
@@ -275,33 +275,6 @@ def default_schedule(
 
 
 @dataclass
-class TraceOptions:
-    """The per-step scalar series a solver records.
-
-    ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate
-    x^ag_{t+1} / the raw iterate x_{t+1} after each step and stored as scalar
-    series (for an ``(S, d)`` batch they take the live rows and give one
-    value per row, and need a ``take(keep)`` if rows can leave early).
-    ``noise_fn(delta, x)`` gets every step's realized noise delta_t = sample
-    - mean gradient and the iterate x_t the step started from, always as
-    ``(S, d)`` rows (a ``(d,)`` run is a batch of one), and returns two
-    values per row, stored as the series ``noise_norm`` and ``noise_inner``;
-    it is only called when the oracle exposes ``mean_gradient``.
-    ``diagnostics.NoiseTerms`` is the one the run certificates read. Every
-    step is recorded: the certificates hold step by step and read them all.
-
-    No iterate is recorded: a trace keeps the start and end points only. A
-    caller who wants the points records them through these hooks, which see
-    every x^ag_{t+1}, x_{t+1} and x_t, and through the oracle, whose
-    ``sample_gradient`` sees every query point.
-    """
-
-    gap_fn: object = None
-    bregman_fn: object = None
-    noise_fn: object = None
-
-
-@dataclass
 class RunTrace:
     """What a run recorded: per-step series and the start and end points.
     A batch trace holds every row: its T is the number of steps the loop
@@ -429,7 +402,8 @@ def _one_row(fn):
     return None if fn is None else (lambda x: np.array([float(fn(x[0]))]))
 
 
-def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, row_steps=False):
+def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_fn, noise_fn,
+         row_steps=False):
     """The step loop of every solver, on a ``(d,)`` start or an ``(S, d)`` batch.
 
     ``step(t, x, x_avg, state, sample, live)`` is a solver's arithmetic for
@@ -442,18 +416,18 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, opts, stop_gap, row_steps=F
     Everything about rows is this loop's: the ``(d,)`` reshape, sampling
     and the noise terms, the series buffers, rows leaving at their stop
     gap or on a non-finite oracle output or iterate (``blame`` formats the
-    error from what went non-finite and the step), and the trace. Returns
-    (final iterates, final averages, trace); a ``(d,)`` run gives its row's
-    own and raises the error that ended it.
+    error from what went non-finite and the step), the ``gap_fn``,
+    ``bregman_fn`` and ``noise_fn`` hooks (see ``nacsmd``), and the trace.
+    Returns (final iterates, final averages, trace); a ``(d,)`` run gives
+    its row's own and raises the error that ended it.
     """
     x = np.array(x1, dtype=float)
     if x.ndim not in (1, 2):
         raise ParameterError(f"start point must be (d,) or (S, d), got shape {x.shape}")
     single = x.ndim == 1
-    noise_fn = opts.noise_fn
     if noise_fn is not None and oracle.mean_gradient is None:
         noise_fn = None  # no mean gradient, no realized noise
-    fns = {"gap": opts.gap_fn, "bregman": opts.bregman_fn, "noise": noise_fn}
+    fns = {"gap": gap_fn, "bregman": bregman_fn, "noise": noise_fn}
     if single:
         x, oracle = x[None], _OneRow(oracle)
         fns["gap"], fns["bregman"] = _one_row(fns["gap"]), _one_row(fns["bregman"])
@@ -571,7 +545,7 @@ def _check_schedules(name, sched, params, T):
 
 
 def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
-                    trace_opts, stop_gap):
+                    gap_fn, bregman_fn, noise_fn, stop_gap):
     """The step of both mirror-descent solvers, run by ``_run``. The two
     averaging forms agree in exact arithmetic but not in the last bits, so
     each solver keeps its own; nacsmd keeps its alpha-weighted iterate sum
@@ -584,9 +558,8 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
-    opts = trace_opts or TraceOptions()
-    if stop_gap is not None and opts.gap_fn is None:
-        raise ParameterError(f"{name}: stop_gap needs trace_opts.gap_fn to measure the gap")
+    if stop_gap is not None and gap_fn is None:
+        raise ParameterError(f"{name}: stop_gap needs gap_fn to measure the gap")
     per_row = list(sched) if isinstance(sched, (list, tuple)) else [sched]
     n = 1 if np.ndim(x1) == 1 else len(x1)
     if len(per_row) not in (1, n):
@@ -624,8 +597,8 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
             avg_next = S / A_t
         return a_t, g_t, x_next, avg_next
 
-    return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng, opts,
-                stop_gap, row_steps=which is not None)
+    return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng,
+                stop_gap, gap_fn, bregman_fn, noise_fn, row_steps=which is not None)
 
 
 def nacsmd(
@@ -636,7 +609,7 @@ def nacsmd(
     T: int,
     rng: np.random.Generator | None = None,
     params: GeometryParams | None = None,
-    trace_opts: TraceOptions | None = None,
+    gap_fn=None, bregman_fn=None, noise_fn=None,
     stop_gap: float | None = None,
 ):
     """Composite stochastic mirror descent; returns (x_{T+1}, x^ag_{T+1}, trace).
@@ -645,9 +618,30 @@ def nacsmd(
     row with the bits of its own ``(d,)`` run. For a batch, ``sched`` and
     ``stop_gap`` may be one per row, the returned iterates are ``(S, d)`` (a
     row that left early keeps its last ones) and the trace is a batch trace.
+    With ``params`` the schedule is checked over the T steps first.
+
+    Three hooks choose the per-step scalar series the trace records.
+    ``gap_fn``/``bregman_fn`` are evaluated on the averaged iterate
+    x^ag_{t+1} / the raw iterate x_{t+1} after each step and stored as the
+    series ``psi_gap``/``bregman_to_opt`` (for an ``(S, d)`` batch they take
+    the live rows and give one value per row, and need a ``take(keep)`` if
+    rows can leave early). ``stop_gap`` needs ``gap_fn``. ``noise_fn(delta,
+    x)`` gets every step's realized noise delta_t = sample - mean gradient
+    and the iterate x_t the step started from, always as ``(S, d)`` rows (a
+    ``(d,)`` run is a batch of one), and returns two values per row, stored
+    as the series ``noise_norm`` and ``noise_inner``; it is only called
+    when the oracle exposes ``mean_gradient``. ``diagnostics.NoiseTerms`` is
+    the one the run certificates read, and ``diagnostics.certificate_options``
+    gives all three as keywords. Every step is recorded: the certificates
+    hold step by step and read them all.
+
+    No iterate is recorded: a trace keeps the start and end points only. A
+    caller who wants the points records them through these hooks, which see
+    every x^ag_{t+1}, x_{t+1} and x_t, and through the oracle, whose
+    ``sample_gradient`` sees every query point.
     """
     return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
-                           trace_opts, stop_gap)
+                           gap_fn, bregman_fn, noise_fn, stop_gap)
 
 
 def acsmd(
@@ -658,7 +652,7 @@ def acsmd(
     T: int,
     rng: np.random.Generator | None = None,
     params: GeometryParams | None = None,
-    trace_opts: TraceOptions | None = None,
+    gap_fn=None, bregman_fn=None, noise_fn=None,
     stop_gap: float | None = None,
 ):
     """Accelerated variant; oracle queries move to the momentum point.
@@ -667,10 +661,11 @@ def acsmd(
     x_t using the gradient sampled at x^md_t, and averages incrementally:
     x^ag_{t+1} = (A_{t-1}/A_t) x^ag_t + (alpha_t/A_t) x_{t+1}. A_0 = 0 and
     x^ag_1 = x_1, so the first query lands exactly on x_1. ``x1`` may be an
-    ``(S, d)`` batch, as for ``nacsmd``.
+    ``(S, d)`` batch, and ``params``, the hooks and ``stop_gap`` act as
+    for ``nacsmd``.
     """
     return _mirror_descent("acsmd", True, oracle, H, sched, x1, T, rng, params,
-                           trace_opts, stop_gap)
+                           gap_fn, bregman_fn, noise_fn, stop_gap)
 
 
 def _solver(name: str):
@@ -688,7 +683,6 @@ class RestartPlan:
     n: int
     K: int
     T: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 0:
@@ -697,15 +691,6 @@ class RestartPlan:
             raise ParameterError(f"K must be >= 1, got {self.K}")
         if self.T < self.K:
             raise ParameterError(f"T must be >= K, got T={self.T}, K={self.K}")
-
-
-@dataclass
-class RestartTrace:
-    """The traces of a restart chain's n halving stages and of its final
-    stage. Each stage's ``start`` is the previous stage's ``last``."""
-
-    stage_traces: list
-    final_trace: RunTrace
 
 
 def restart(
@@ -717,14 +702,17 @@ def restart(
     plan: RestartPlan,
     rng: np.random.Generator | None = None,
     params: GeometryParams | None = None,
-    trace_opts: TraceOptions | None = None,
+    gap_fn=None, bregman_fn=None, noise_fn=None,
 ):
     """Run n stages of K iterations, chaining the raw (non-averaged) endpoint
-    as the next start, then a final T-iteration stage whose averaged output is
-    returned with the ``RestartTrace``. ``solver`` names one of ``TARGETS``.
-    With n = 0 this is byte-identical to a single solver call. A batch row
-    that goes non-finite in any stage, the final one included, ends the
-    whole chain with its error.
+    as the next start, then a final T-iteration stage. Returns (y, traces):
+    the final stage's averaged output and the stages' traces in order, the
+    final stage's last; each stage's ``start`` is the previous stage's
+    ``last``. ``solver`` names one of ``TARGETS``. Every stage gets the same
+    hooks ``gap_fn``, ``bregman_fn`` and ``noise_fn`` (see ``nacsmd``). With
+    n = 0 this is byte-identical to a single solver call. A batch row that
+    goes non-finite in any stage, the final one included, ends the whole
+    chain with its error.
 
     With ``params`` the schedule is checked once, over the final stage's T
     steps, before any stage runs: T >= K, and a violation within K steps is
@@ -734,11 +722,12 @@ def restart(
         _check_schedules(solver, sched, params, plan.T)
     x, traces = x1, []
     for steps in [plan.K] * plan.n + [plan.T]:
-        x, y, tr = step(oracle, H, sched, x, steps, rng=rng, trace_opts=trace_opts)
+        x, y, tr = step(oracle, H, sched, x, steps, rng=rng, gap_fn=gap_fn,
+                        bregman_fn=bregman_fn, noise_fn=noise_fn)
         if tr.row_errors:
             raise NumericalError(next(iter(tr.row_errors.values())))
         traces.append(tr)
-    return y, RestartTrace(stage_traces=traces[:-1], final_trace=traces[-1])
+    return y, traces
 
 
 def _run_inequality_steps(params: GeometryParams, target: str, alphas, gammas, A, moment):
@@ -819,9 +808,8 @@ def plan_from_params(
 
     A plan whose n K + T steps do not fit in ``horizon`` is a
     ``ParameterError`` naming n, K and the horizon; the bound is never
-    evaluated past the horizon. ``meta`` holds ``target``, ``gamma1``
-    (gamma_1), ``halving_ratio`` (gamma_1 / gamma_K, at most 1/2) and
-    ``schedule`` (the schedule's ``describe()``).
+    evaluated past the horizon. The planned halving ratio of a stage is
+    ``sched.gamma(1) / sched.gamma(plan.K)``, at most 1/2.
     """
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -862,14 +850,7 @@ def plan_from_params(
             f"plan_from_params: no plan of n={n} halving stages of K={K} steps and a final "
             f"stage reaching epsilon={epsilon} fits in a horizon of {horizon} steps"
         )
-    T = max(T, K)
-    meta = {
-        "target": target,
-        "gamma1": gamma1,
-        "halving_ratio": gamma1 / float(sched.gamma(K)),
-        "schedule": sched.describe(),
-    }
-    return RestartPlan(n=n, K=K, T=T, meta=meta)
+    return RestartPlan(n=n, K=K, T=max(T, K))
 
 
 def _power_linear_guess(a: float, b: float, c: np.ndarray, q: float) -> np.ndarray | None:
@@ -976,5 +957,5 @@ def acsa_baseline(
 
     _, x_ag, trace = _run(
         "acsa", "acsa_baseline: non-finite {} at step {}", step, oracle, x1, T, rng,
-        TraceOptions(gap_fn=gap_fn), stop_gap)
+        stop_gap, gap_fn, None, None)
     return x_ag, trace

@@ -12,7 +12,6 @@ of the criterion is asserted separately so a single red line isolates the
 irreproducible claim.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -22,7 +21,6 @@ from ccmin import (
     AdditiveNoiseOracle,
     PowerNormRegularizer,
     RidgeInstance,
-    TraceOptions,
     acsmd,
     certificate_check,
     certificate_options,
@@ -88,16 +86,16 @@ def test_criterion_1_pathwise_certificates():
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             x_opt, psi_star = exact_optimum(inst)
             psi = lambda x, i=inst: ridge_psi(i, x)  # noqa: E731
-            cert_opts = certificate_options(params, H, x_opt, psi, psi_star)
+            cert_hooks = certificate_options(params, H, x_opt, psi, psi_star)
             for solver, target in [(nacsmd, "nacsmd"), (acsmd, "acsmd")]:
                 # the points too, for the region check below
-                averaged = Recording(cert_opts.gap_fn)
-                iterates = Recording(cert_opts.bregman_fn)
+                averaged = Recording(cert_hooks["gap_fn"])
+                iterates = Recording(cert_hooks["bregman_fn"])
                 queries = RecordingOracle(oracle)
-                opts = dataclasses.replace(cert_opts, gap_fn=averaged, bregman_fn=iterates)
+                hooks = dict(cert_hooks, gap_fn=averaged, bregman_fn=iterates)
                 sched = default_schedule(params, target, validate_horizon=2 * T)
                 _, _, tr = solver(queries, H, sched, np.zeros(d), T,
-                                  rng=philox(seed, 7), params=params, trace_opts=opts)
+                                  rng=philox(seed, 7), params=params, **hooks)
                 rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
                 checked += 1
                 if not rep.ok:
@@ -158,8 +156,7 @@ def test_criterion_3_restart_halving():
     V0 = breg(x1)
     sched = default_schedule(params, "nacsmd")
     plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 10, sched, 100_000)
-    _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
-    stages = rtrace.stage_traces + [rtrace.final_trace]
+    _, stages = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
     Ds = [breg(tr.start) for tr in stages]
     ratios = [b / a for a, b in zip(Ds, Ds[1:])]
     ok = plan.n >= 8 and all(r <= 0.5 + 1e-3 for r in ratios)
@@ -296,13 +293,12 @@ def test_criterion_8_noise_rate_slope():
     from ccmin import RidgeOracle
 
     gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
-    opts = TraceOptions(gap_fn=gap_fn)
     curves = []
     for seed in range(100):
         oracle = RidgeOracle(inst)
         # start at the optimum so the whole run sits in the noise-driven regime
         _, _, tr = nacsmd(oracle, H, sched, x_opt.copy(), T, rng=philox(8, seed),
-                          params=params, trace_opts=opts)
+                          params=params, gap_fn=gap_fn)
         curves.append(tr.psi_gap)
     mean_gap = np.mean(curves, axis=0)
     grid = np.unique(np.geomspace(50, T, 12).astype(int)) - 1

@@ -15,7 +15,6 @@ import ccmin.solvers as solvers
 from ccmin import (
     ParameterError,
     PowerNormRegularizer,
-    TraceOptions,
     acsmd,
     bernoulli_oracle,
     default_schedule,
@@ -69,8 +68,8 @@ def test_batched_rows_match_single_runs(name, q, S):
     def run(oracle, start):
         """The run's trace and the points it passed: x_{t+1}, x^ag_{t+1}, queries."""
         points = Recording(), Recording(), RecordingOracle(oracle)
-        opts = TraceOptions(gap_fn=points[1], bregman_fn=points[0])
-        return solver(points[2], H, sched, start, T, trace_opts=opts), points
+        return solver(points[2], H, sched, start, T, gap_fn=points[1],
+                      bregman_fn=points[0]), points
 
     (x, y, trace), points = run(DriftOracle(a, b, noise), x1)
     assert x.shape == y.shape == (S, d)
@@ -87,17 +86,16 @@ def test_batched_rows_match_single_runs(name, q, S):
 
 @pytest.mark.parametrize("name", ["nacsmd", "acsmd"])
 @pytest.mark.parametrize("opts,stop_gap", [
-    (TraceOptions(gap_fn=lambda x: 1.0), None),
-    (TraceOptions(gap_fn=lambda x: 1.0), 0.5),
-    (TraceOptions(bregman_fn=lambda x: 1.0), None),
-    (None, 0.5),
+    ({"gap_fn": lambda x: 1.0}, None),
+    ({"gap_fn": lambda x: 1.0}, 0.5),
+    ({"bregman_fn": lambda x: 1.0}, None),
+    ({}, 0.5),
 ])
 def test_batch_refuses_scalar_series(name, opts, stop_gap):
     sched, H = problem(2.0, name)
     oracle = DriftOracle(1.0, 0.0, np.zeros((5, 4, 3)))
     with pytest.raises(ParameterError):
-        SOLVERS[name](oracle, H, sched, np.zeros((4, 3)), 5, trace_opts=opts,
-                      stop_gap=stop_gap)
+        SOLVERS[name](oracle, H, sched, np.zeros((4, 3)), 5, **opts, stop_gap=stop_gap)
 
 
 def test_uniform_block_equals_successive_draws():
@@ -154,7 +152,6 @@ def reference_lower_bound(solver, mu, q, sigma, epsilon, gamma, trials, seed=0, 
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)
     sched = default_schedule(params, solver, validate_horizon=max(T, 16))
     H = PowerNormRegularizer(mu=mu, q=q)
-    opts = TraceOptions()
     signed = {}
     for nu in (1, -1):
         _, inst = bernoulli_oracle(mu, q, sigma, epsilon, nu=nu)
@@ -178,8 +175,7 @@ def reference_lower_bound(solver, mu, q, sigma, epsilon, gamma, trials, seed=0, 
         nu = 1 if rng.random() < 0.5 else -1
         oracle, inst = signed[nu]
         recording = Recording(oracle)
-        _, y, _ = run(recording, H, sched, np.zeros(1), T, rng=rng,
-                      params=params, trace_opts=opts)
+        _, y, _ = run(recording, H, sched, np.zeros(1), T, rng=rng, params=params)
         outputs.append(y)
         subopt = inst.psi(float(y[0])) - inst.psi_star
         if subopt >= epsilon * (1.0 - 1e-9):

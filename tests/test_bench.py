@@ -571,11 +571,13 @@ class TestRunExperiment:
         s = run_experiment(cfg, out_dir=tmp_path)
         assert [c["failed_runs"] for c in s["cells"]] == [{}, {}]
 
-    def test_nonpositive_radius_recorded_per_run(self, tmp_path):
+    def test_nonpositive_radius_is_refused_before_any_run(self, tmp_path):
+        # every seed's instance would refuse it, so it is no run's error
         cfg = {"instance": {"d": [3], "R": -1}, "solver": {"algorithms": ["nacsmd"]},
                "run": {"T_max": 40, "seeds": [0]}}
-        s = run_experiment(cfg, out_dir=tmp_path)
-        assert s["cells"][0]["failed_runs"] == {"0": "R must be positive, got -1"}
+        with pytest.raises(ConfigError, match=r"instance\.R must be null or > 0, got -1"):
+            run_experiment(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_parameter_error_recorded_without_aborting(self, tmp_path):
         # printed smooth-case acsmd1 breaks its step condition, so the auto
@@ -962,6 +964,38 @@ class TestCli:
         cfg["output"] = {"traces": False}
         assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 0
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("instance,key", [
+        ({"d": [3], "mu": -1.0}, "instance.mu"),
+        ({"d": [3], "sigma_b": -0.1}, "instance.sigma_b"),
+        ({"d": [3], "R": -1.0}, "instance.R"),
+        ({"kind": "bernoulli", "sigma": -1.0}, "instance.sigma"),
+        ({"kind": "bernoulli", "target_accuracy": 5.0}, "instance.target_accuracy"),
+        ({"kind": "bernoulli", "target_accuracy": 0.0}, "instance.target_accuracy"),
+    ])
+    def test_an_instance_value_every_seed_refuses_exit_2(self, tmp_path, capsys, command,
+                                                         instance, key):
+        # run once recorded the same set-up error for every run and exited 0
+        cfg = {"instance": instance, "solver": {"algorithms": ["nacsmd"]},
+               "run": {"T_max": 20, "seeds": [0]}}
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, self.write_cfg(tmp_path, cfg)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_instance_values_a_kind_does_not_read_are_accepted(self, tmp_path):
+        # custom-deterministic runs with sigma_b = 0, and bernoulli reads
+        # neither sigma_b nor R, so none of these configs errs in any run
+        for instance in ({"kind": "custom-deterministic", "sigma_b": -0.1},
+                         {"kind": "bernoulli", "sigma_b": -0.1, "R": -1.0}):
+            cfg = {"instance": dict(instance, d=[3]), "solver": {"algorithms": ["nacsmd"]},
+                   "run": {"T_max": 20, "seeds": [0]}}
+            s = run_experiment(cfg, out_dir=tmp_path / instance["kind"])
+            assert s["cells"][0]["failed_runs"] == {}
+
     def test_seeds_count_without_seed_exit_2(self, tmp_path, capsys):
         # the count runs from --seed on, so alone it has no seeds to count
         out = tmp_path / "out"
@@ -1005,6 +1039,22 @@ class TestCli:
         assert main(["table", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: emit_table:") and f"no key {key}" in err
+
+    @pytest.mark.parametrize("change,message", [
+        ({}, "cells[0]'s 'median_iterations' must be a number, got None"),
+        ({"d": "x"}, "cells[0]'s 'd' must be a number, got 'x'"),
+        ({"seeds": 1}, "cells[0]'s 'seeds' must be a list, got 1"),
+        ({"algorithm": ["a"]}, "cells[0]'s 'algorithm' must be a string, got ['a']"),
+    ], ids=["median", "d", "seeds", "algorithm"])
+    def test_table_on_a_summary_of_wrong_types_exit_2(self, tmp_path, capsys, change,
+                                                       message):
+        # each once died with a TypeError or ValueError traceback, exit 1
+        cell = dict({"d": 3, "L_multiplier": 1, "algorithm": "a", "seeds": [0],
+                     "failed_runs": {}, "median_iterations": None}, **change)
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"cells": [cell], "config": {"run": {"T_max": 5}}}))
+        assert main(["table", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: emit_table: {message}\n"
 
     def test_run_and_table(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path, TINY)
@@ -1060,6 +1110,28 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: concentration_check needs finite weights")
 
+    @pytest.mark.parametrize("command,cfg,code,err", [
+        ("concentration", {"weight_degree": 400, "T": 100, "trials": 100}, 2,
+         "error: concentration_check needs finite weights"),
+        ("run", {"instance": {"d": [3], "x1": {"kind": "constant", "value": 1e200}},
+                 "solver": {"algorithms": ["acsa", "nacsmd"]},
+                 "run": {"T_max": 20, "seeds": [0]}, "output": {"traces": False}}, 0, ""),
+        ("validate", {"instance": {"d": [3], "x1": {"kind": "constant", "value": 1e200}},
+                      "run": {"T_max": 20, "seeds": [0]}}, 3,
+         "numerical failure: the start point's gap"),
+    ], ids=["concentration", "run", "validate"])
+    def test_an_overflow_that_is_refused_warns_nothing(self, tmp_path, command, cfg, code,
+                                                       err):
+        # the overflowing weights and start-point gap are checked right after
+        # they are computed; numpy's overflow warnings once came first
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccmin.bench", command, self.write_cfg(tmp_path, cfg)]
+            + extra, capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith(err) if err else proc.stderr == ""
+
     @pytest.mark.parametrize("command,cfg,key", [
         ("lowerbound", {"trials": 5, "q": 1.0}, "q must be >= 2"),
         ("concentration", {"trials": 100, "T": 5, "q": 1.0}, "q >= 2"),
@@ -1104,7 +1176,7 @@ def test_public_names():
         "CertificateReport", "ConfigError", "DiagnosticUnavailableError", "GeometryParams",
         "NoiseTerms", "NumericalError", "OracleRows", "ParameterError", "PolynomialSchedule",
         "PowerNormRegularizer", "RestartPlan", "RidgeInstance", "RidgeOracle", "RunTrace",
-        "StochasticGradientOracle", "TraceOptions", "acsa_baseline", "acsmd", "bernoulli_oracle",
+        "StochasticGradientOracle", "acsa_baseline", "acsmd", "bernoulli_oracle",
         "bregman_to", "certificate_check", "certificate_options", "composite_prox",
         "concentration_check", "default_schedule", "derive_params", "diagnostics", "dual_exponent",
         "errors", "exact_optimum", "expectation_bound", "geometry", "lower_bound_experiment",

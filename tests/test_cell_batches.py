@@ -6,7 +6,6 @@ row-wise dot products must keep the bits of per-row ``a @ x``.
 """
 
 import csv
-import dataclasses
 import functools
 import io
 import math
@@ -21,7 +20,6 @@ from ccmin import (
     PowerNormRegularizer,
     RidgeInstance,
     RidgeOracle,
-    TraceOptions,
     acsa_baseline,
     acsmd,
     bregman_to,
@@ -78,11 +76,11 @@ def philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def recording(opts, oracle):
-    """(options, oracle, recordings) of a run that also records its points:
+def recording(hooks, oracle):
+    """(hooks, oracle, recordings) of a run that also records its points:
     x^ag_{t+1}, x_{t+1} and the query points, in that order."""
-    recs = Recording(opts.gap_fn), Recording(opts.bregman_fn), RecordingOracle(oracle)
-    return dataclasses.replace(opts, gap_fn=recs[0], bregman_fn=recs[1]), recs[2], recs
+    recs = Recording(hooks["gap_fn"]), Recording(hooks["bregman_fn"]), RecordingOracle(oracle)
+    return dict(hooks, gap_fn=recs[0], bregman_fn=recs[1]), recs[2], recs
 
 
 def assert_same_points(batch_recs, i, alone_recs):
@@ -104,30 +102,30 @@ def test_batch_rows_keep_every_recorded_and_certified_bit(name):
     stop = np.array([0.0, 0.5, 0.0, 5.0])  # two rows stop early, at their own steps
     x_star, psi_star = np.stack([i.x_star for i in insts]), np.array([o[1] for o in opt])
 
-    def solve(oracle, x1, opts, stop_gap, rng=None):
+    def solve(oracle, x1, hooks, stop_gap, rng=None):
         """(final iterates, final averages, trace); the baseline keeps only
         its averages, its gaps and no certificate."""
         if name == "acsa":
             y, trace = acsa_baseline(oracle, H, insts[0].mu_F, params.L, x1, T, rng=rng,
-                                     gap_fn=opts.gap_fn, stop_gap=stop_gap)
+                                     gap_fn=hooks["gap_fn"], stop_gap=stop_gap)
             return y, y, trace
         sched = default_schedule(params, name)
         solver = nacsmd if name == "nacsmd" else acsmd
-        return solver(oracle, H, sched, x1, T, rng=rng, trace_opts=opts, stop_gap=stop_gap)
+        return solver(oracle, H, sched, x1, T, rng=rng, **hooks, stop_gap=stop_gap)
 
     # the grid's own per-row functions
     x_opts = np.stack([o[0] for o in opt])
-    opts = TraceOptions(
+    hooks = dict(
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
-    opts, oracle, points = recording(
-        opts, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(4)]))
-    x, y, batch = solve(oracle, np.tile(x1, (4, 1)), opts, stop)
+    hooks, oracle, points = recording(
+        hooks, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(4)]))
+    x, y, batch = solve(oracle, np.tile(x1, (4, 1)), hooks, stop)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
         one, oracle_i, points_i = recording(
-            TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
-                         bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
+            dict(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                 bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
             RidgeOracle(inst))
         xi, yi, alone = solve(oracle_i, x1, one, stop[i] or None, rng=philox(i, 7))
         row = batch.row(i)
@@ -386,24 +384,23 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
     x1 = np.full(d, 3.25)
     x_star, psi_star = np.stack([i.x_star for i in insts]), np.array([o[1] for o in opt])
     x_opts = np.stack([o[0] for o in opt])
-    opts = TraceOptions(
+    hooks = dict(
         gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
         bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
         noise_fn=NoiseTerms(x_opts, params.p))
-    opts, oracle, points = recording(
-        opts, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
-    x, y, batch = solver(oracle, H, per_row, np.tile(x1, (6, 1)), T, trace_opts=opts,
-                         stop_gap=stop)
+    hooks, oracle, points = recording(
+        hooks, OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
+    x, y, batch = solver(oracle, H, per_row, np.tile(x1, (6, 1)), T, **hooks, stop_gap=stop)
     # every step evaluates each distinct schedule once, at a scalar t
     assert all(sc.ts == list(range(1, batch.T + 1)) for sc in scheds)
     assert batch.alphas.shape == (batch.T, 6)
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
         one, oracle_i, points_i = recording(
-            TraceOptions(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
-                         bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
+            dict(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                 bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
             RidgeOracle(inst))
         xi, yi, alone = solver(oracle_i, H, per_row[i].sched, x1, T,
-                               rng=philox(i, 7), trace_opts=one, stop_gap=stop[i] or None)
+                               rng=philox(i, 7), **one, stop_gap=stop[i] or None)
         row = batch.row(i)
         assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
         assert_same_points(points, i, points_i)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from ccmin import (
     ParameterError,
     PowerNormRegularizer,
     RidgeInstance,
-    TraceOptions,
     AdditiveNoiseOracle,
     bernoulli_oracle,
     certificate_check,
@@ -85,8 +83,8 @@ class TestCertificate:
         sched = default_schedule(params, target, validate_horizon=max(2 * T, 500))
         _, _, tr = solver(oracle, H, sched, np.zeros(inst.dimension), T,
                           rng=philox(seed), params=params,
-                          trace_opts=certificate_options(params, H, x_opt,
-                                                         lambda x: ridge_psi(inst, x), psi_star))
+                          **certificate_options(params, H, x_opt,
+                                                lambda x: ridge_psi(inst, x), psi_star))
         return tr
 
     def test_noiseless_run_has_zero_stochastic_terms(self):
@@ -118,10 +116,9 @@ class TestCertificate:
         inst, params, H, x_opt, psi_star, psi = ridge_problem()
         oracle = RidgeOracle(inst)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
-        opts = certificate_options(params, H, x_opt, psi, psi_star)
+        hooks = certificate_options(params, H, x_opt, psi, psi_star)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(3),
-                          params=params,
-                          trace_opts=dataclasses.replace(opts, noise_fn=None))
+                          params=params, **dict(hooks, noise_fn=None))
         with pytest.raises(DiagnosticUnavailableError, match="noise terms"):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
 
@@ -133,7 +130,7 @@ class TestCertificate:
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 20, rng=philox(4),
                           params=params,
-                          trace_opts=TraceOptions(noise_fn=NoiseTerms(x_opt, params.p)))
+                          noise_fn=NoiseTerms(x_opt, params.p))
         assert tr.noise_norm is not None
         with pytest.raises(DiagnosticUnavailableError, match="gap psi - psi_star"):
             certificate_check(tr, params, H, x_opt, psi, psi_star)
@@ -163,8 +160,7 @@ class TestCertificate:
                 sched = default_schedule(params, target, validate_horizon=600)
                 _, _, tr = solver(oracle, H, sched, np.zeros(d), 300,
                                   rng=philox(seed, 7), params=params,
-                                  trace_opts=certificate_options(params, H, x_opt, psi,
-                                                                 psi_star))
+                                  **certificate_options(params, H, x_opt, psi, psi_star))
                 rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
                 assert rep.ok, (q, kappa, noise, target, seed, rep.first_violation)
 
@@ -224,10 +220,9 @@ def test_run_inequality_terms_keep_their_bits(q, solver, target):
     assert (params.r == 0.0) == (q == 2.0)
     sched = default_schedule(params, target, validate_horizon=500)
     recorded = RecordedNoise(x_opt, params.p)
-    opts = dataclasses.replace(certificate_options(params, H, x_opt, psi, psi_star),
-                               noise_fn=recorded)
+    hooks = dict(certificate_options(params, H, x_opt, psi, psi_star), noise_fn=recorded)
     _, _, tr = solver(RidgeOracle(inst), H, sched, np.zeros(inst.dimension), 200,
-                      rng=philox(int(q), 17), params=params, trace_opts=opts)
+                      rng=philox(int(q), 17), params=params, **hooks)
     rep = certificate_check(tr, params, H, x_opt, psi, psi_star)
     noise_moment, deterministic = reference_certificate_terms(tr, params,
                                                               np.array(recorded.deltas))
@@ -355,7 +350,7 @@ class TestExpectationBound:
                 lambda x: 2.0 / 3.0 * (np.asarray(x, dtype=float) - inst.x_star),
                 d, kind="bounded_sphere", sigma=sigma, q=q)
             _, x_avg, _ = nacsmd(oracle, H, sched, x1, T, rng=philox(14, seed),
-                                 params=params, trace_opts=TraceOptions())
+                                 params=params)
             gaps.append(ridge_psi(inst, x_avg) - psi_star)
         V0 = H.value(x_opt) - H.value(x1) - float(H.grad(x1) @ (x_opt - x1))
         bound = expectation_bound(params, sched, "nacsmd", V0, T)

@@ -16,7 +16,6 @@ from ccmin import (
     ParameterError,
     PowerNormRegularizer,
     RunTrace,
-    TraceOptions,
     acsa_baseline,
     acsmd,
     default_schedule,
@@ -337,7 +336,7 @@ def run_solver(name, oracle, H, x1, T, gap=None):
     params = derive_params(H.q, 2.0, 2.0, H.mu * power_uc_constant(H.q))
     sched = default_schedule(params, name, validate_horizon=T)
     run = nacsmd if name == "nacsmd" else acsmd
-    _, y, trace = run(oracle, H, sched, x1, T, trace_opts=TraceOptions(gap_fn=gap))
+    _, y, trace = run(oracle, H, sched, x1, T, gap_fn=gap)
     return y, trace
 
 

@@ -341,12 +341,12 @@ def ridge_run(solver, d, q, seed, gap_fn=None):
         return ridge_psi(inst, x)
 
     # the run's gap function does not count towards the calls
-    opts = certificate_options(params, H, x_opt, lambda x: ridge_psi(inst, x), psi_star)
-    averaged = Recording(opts.gap_fn if gap_fn is None else gap_fn)  # x^ag_2 .. x^ag_{T+1}
-    opts = dataclasses.replace(opts, gap_fn=averaged)
+    hooks = certificate_options(params, H, x_opt, lambda x: ridge_psi(inst, x), psi_star)
+    averaged = Recording(hooks["gap_fn"] if gap_fn is None else gap_fn)  # x^ag_2 .. x^ag_{T+1}
+    hooks["gap_fn"] = averaged
     sched = default_schedule(params, solver.__name__, validate_horizon=300)
     _, _, trace = solver(RidgeOracle(inst), H, sched, np.full(d, 3.25), 300,
-                         rng=np.random.Generator(np.random.Philox(seed)), trace_opts=opts)
+                         rng=np.random.Generator(np.random.Philox(seed)), **hooks)
     return trace, (params, H, x_opt, psi, psi_star), calls, averaged
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -13,10 +15,11 @@ from ccmin import (
     PowerNormRegularizer,
     RestartPlan,
     RidgeInstance,
-    TraceOptions,
     acsa_baseline,
     acsmd,
     AdditiveNoiseOracle,
+    certificate_check,
+    certificate_options,
     default_schedule,
     derive_params,
     expectation_bound,
@@ -141,9 +144,7 @@ class TestSolvers:
         _, psi_star = exact_optimum(inst)
         gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
         sched = default_schedule(params, "nacsmd", validate_horizon=2000)
-        opts = TraceOptions(gap_fn=gap_fn)
-        _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 1000, params=params,
-                          trace_opts=opts)
+        _, _, tr = nacsmd(oracle, H, sched, np.zeros(4), 1000, params=params, gap_fn=gap_fn)
         gaps = tr.psi_gap[9:]
         assert np.all(np.diff(gaps) <= 1e-12 * (1.0 + gaps[:-1]))
 
@@ -173,12 +174,11 @@ class TestSolvers:
         inst, oracle, params, H = deterministic_ridge(d=50, q=2.0, mu=2.0, seed=3)
         _, psi_star = exact_optimum(inst)
         gap_fn = lambda x: ridge_psi(inst, x) - psi_star  # noqa: E731
-        opts = TraceOptions(gap_fn=gap_fn)
         x1 = np.ones(50)
 
         def first_hit(solver, target, m=None):
             sched = default_schedule(params, target, m=m, validate_horizon=3000)
-            _, _, tr = solver(oracle, H, sched, x1, 2000, params=params, trace_opts=opts)
+            _, _, tr = solver(oracle, H, sched, x1, 2000, params=params, gap_fn=gap_fn)
             hits = np.nonzero(tr.psi_gap <= 1e-4)[0]
             return hits[0] + 1 if hits.size else np.inf
 
@@ -192,7 +192,7 @@ class TestSolvers:
             RidgeInstance(x_star=inst.x_star, sigma_b=0.1, mu=2.0, q=3.0))
         iterates = Recording()  # x_2 .. x_{T+1}
         _, x_avg, tr = nacsmd(orc, H, sched, np.zeros(3), 50, rng=rng, params=params,
-                              trace_opts=TraceOptions(bregman_fn=iterates))
+                              bregman_fn=iterates)
         weights = tr.alphas / tr.A[-1]
         assert weights.min() > 0.0
         assert np.sum(weights) == pytest.approx(1.0)
@@ -205,7 +205,7 @@ class TestSolvers:
         sched_ac = default_schedule(params, "acsmd", validate_horizon=200)
         iterates_ac = Recording()
         _, ag, tra = acsmd(orc, H, sched_ac, np.zeros(3), 50, rng=philox(4),
-                           params=params, trace_opts=TraceOptions(bregman_fn=iterates_ac))
+                           params=params, bregman_fn=iterates_ac)
         w = tra.alphas / tra.A[-1]
         assert np.allclose(np.sum(w[:, None] * iterates_ac[0], axis=0), ag,
                            atol=1e-10)
@@ -221,10 +221,9 @@ class TestSolvers:
             runs, iterates = [], []
             for _ in range(2):
                 iterates.append(Recording())
-                opts = TraceOptions(bregman_fn=iterates[-1],
-                                    noise_fn=NoiseTerms(inst.x_star, params.p))
                 _, _, tr = solver(oracle, H, sched, np.zeros(4), 200,
-                                  rng=philox(77), params=params, trace_opts=opts)
+                                  rng=philox(77), params=params, bregman_fn=iterates[-1],
+                                  noise_fn=NoiseTerms(inst.x_star, params.p))
                 runs.append(tr)
             assert np.array_equal(iterates[0][0], iterates[1][0])
             assert np.array_equal(runs[0].noise_norm, runs[1].noise_norm)
@@ -281,6 +280,13 @@ def default_plan(params, target, V0, epsilon, horizon=None):
                             PLAN_HORIZON if horizon is None else horizon)
 
 
+def halving_ratio(params, target, plan):
+    """The planned per-stage halving gamma_1 / gamma_K of ``default_plan``'s
+    schedule."""
+    sched = default_schedule(params, target)
+    return sched.gamma(1) / sched.gamma(plan.K)
+
+
 class TestRestart:
     def test_degenerate_plan_matches_single_run(self):
         inst = RidgeInstance(x_star=np.array([0.5, -0.5, 1.0]),
@@ -290,8 +296,8 @@ class TestRestart:
         H = PowerNormRegularizer(mu=2.0, q=4.0)
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         plan = RestartPlan(n=0, K=1, T=60)
-        y, rtrace = restart("nacsmd", oracle, H, sched, np.zeros(3), plan,
-                            rng=philox(5), params=params)
+        y, _ = restart("nacsmd", oracle, H, sched, np.zeros(3), plan,
+                       rng=philox(5), params=params)
         _, y_direct, _ = nacsmd(oracle, H, sched, np.zeros(3), 60,
                                 rng=philox(5), params=params)
         assert np.array_equal(y, y_direct)
@@ -301,15 +307,36 @@ class TestRestart:
         sched = default_schedule(params, "nacsmd", validate_horizon=100)
         plan = RestartPlan(n=3, K=5, T=10)
         iterates = Recording()  # every stage's x_2 .. x_{K+1}, in turn
-        _, rtrace = restart("nacsmd", oracle, H, sched, np.zeros(4), plan,
-                            params=params, trace_opts=TraceOptions(bregman_fn=iterates))
-        stages = rtrace.stage_traces + [rtrace.final_trace]
+        _, stages = restart("nacsmd", oracle, H, sched, np.zeros(4), plan,
+                            params=params, bregman_fn=iterates)
         ends = iterates[0][plan.K - 1::plan.K][:plan.n]
-        assert len(rtrace.stage_traces) == plan.n
+        assert len(stages) == plan.n + 1
+        assert [tr.T for tr in stages] == [plan.K] * plan.n + [plan.T]
         assert np.array_equal(stages[0].start, np.zeros(4))
         for tr, end, following in zip(stages, ends, stages[1:]):
             assert np.array_equal(tr.last, end)
             assert np.array_equal(following.start, end)
+
+    @pytest.mark.parametrize("name", ["nacsmd", "acsmd"])
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_every_stage_is_certified(self, name, q):
+        # restart hands the certificate hooks to every stage, so each stage
+        # trace is a certified (d,) run from its own start
+        inst = RidgeInstance(x_star=philox(int(q), 3).uniform(-1.0, 1.0, 5),
+                             sigma_b=0.2, mu=2.0, q=q)
+        params = derive_params(q, 2.0, inst.L, 2.0 * power_uc_constant(q))
+        H = PowerNormRegularizer(mu=2.0, q=q)
+        x_opt, psi_star = exact_optimum(inst)
+        psi = functools.partial(ridge_psi, inst)
+        sched = default_schedule(params, name, validate_horizon=120)
+        plan = RestartPlan(3, 40, 120)
+        _, stages = restart(name, RidgeOracle(inst), H, sched, np.full(5, 2.0), plan,
+                            rng=philox(int(q), 7), params=params,
+                            **certificate_options(params, H, x_opt, psi, psi_star))
+        assert [tr.T for tr in stages] == [40, 40, 40, 120]
+        for s, tr in enumerate(stages):
+            report = certificate_check(tr, params, H, x_opt, psi, psi_star)
+            assert report.ok, (s, report.first_violation)
 
     def test_halving_contraction_deterministic(self):
         # sigma = 0, q = kappa = 2: the run inequality makes each stage shrink
@@ -324,8 +351,8 @@ class TestRestart:
         V0 = breg(x1)
         sched = default_schedule(params, "nacsmd")
         plan = plan_from_params(params, "nacsmd", V0, V0 / 2 ** 6, sched, PLAN_HORIZON)
-        _, rtrace = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
-        Ds = [breg(tr.start) for tr in rtrace.stage_traces + [rtrace.final_trace]]
+        _, stages = restart("nacsmd", oracle, H, sched, x1, plan, params=params)
+        Ds = [breg(tr.start) for tr in stages]
         for a, b in zip(Ds, Ds[1:]):
             assert b <= (0.5 + 1e-3) * a
 
@@ -415,7 +442,7 @@ class TestPlanning:
         # guarantee is certificate-exact
         params = derive_params(2.0, 2.0, 100.0, 1.0)
         plan = default_plan(params, "acsmd", V0=2.0 ** 4, epsilon=1.0)
-        assert plan.meta["halving_ratio"] <= 0.5
+        assert halving_ratio(params, "acsmd", plan) <= 0.5
         assert plan.K >= 10
 
     def test_stochastic_horizon_scaling(self):
@@ -441,20 +468,25 @@ class TestPlanning:
         params = derive_params(2.0, 2.0, 1.0, 1.0, sigma=2.0)
         plan = default_plan(params, "nacsmd", 1.0, 1e-2)
         assert calls == []
-        assert sorted(plan.meta) == ["gamma1", "halving_ratio", "schedule", "target"]
+        # a plan is its three numbers
+        assert [f.name for f in dataclasses.fields(plan)] == ["n", "K", "T"]
 
     @pytest.mark.parametrize("target,args,V0,want", PINNED_PLANS)
     def test_plans_keep_their_bits(self, target, args, V0, want):
-        plan = default_plan(derive_params(*args), target, V0, 1e-2)
-        assert (plan.n, plan.K, plan.T, float.hex(plan.meta["halving_ratio"])) == want
+        params = derive_params(*args)
+        plan = default_plan(params, target, V0, 1e-2)
+        assert (plan.n, plan.K, plan.T,
+                float.hex(halving_ratio(params, target, plan))) == want
 
     @pytest.mark.parametrize("target,args,V0,want", PINNED_PLANS)
     def test_a_plan_fits_its_horizon_exactly(self, target, args, V0, want):
         n, K, T, _ = want
-        plan = default_plan(derive_params(*args), target, V0, 1e-2, horizon=n * K + T)
-        assert (plan.n, plan.K, plan.T, float.hex(plan.meta["halving_ratio"])) == want
+        params = derive_params(*args)
+        plan = default_plan(params, target, V0, 1e-2, horizon=n * K + T)
+        assert (plan.n, plan.K, plan.T,
+                float.hex(halving_ratio(params, target, plan))) == want
         with pytest.raises(ParameterError, match=f"n={n} halving stages of K={K} steps"):
-            default_plan(derive_params(*args), target, V0, 1e-2, horizon=n * K + T - 1)
+            default_plan(params, target, V0, 1e-2, horizon=n * K + T - 1)
 
     def test_expectation_bound_decreases(self):
         params = derive_params(4.0, 2.0, 1.0, 0.5, sigma=1.0)

@@ -22,7 +22,6 @@ from ccmin import (
     PowerNormRegularizer,
     RidgeInstance,
     RidgeOracle,
-    TraceOptions,
     acsmd,
     bregman_to,
     certificate_check,
@@ -92,9 +91,9 @@ def old_certificate_check(trace, params, H, x_star, psi, psi_star, tol=1e-6):
 
 
 def recording_options(gap_fn, bregman_fn, noise_fn):
-    """Options that also record every x^ag_{t+1}, x_{t+1} and delta_t."""
-    return TraceOptions(gap_fn=Recording(gap_fn), bregman_fn=Recording(bregman_fn),
-                        noise_fn=Recording(noise_fn))
+    """Solver hooks that also record every x^ag_{t+1}, x_{t+1} and delta_t."""
+    return {"gap_fn": Recording(gap_fn), "bregman_fn": Recording(bregman_fn),
+            "noise_fn": Recording(noise_fn)}
 
 
 def recorded_trace(trace, opts, i):
@@ -103,9 +102,9 @@ def recorded_trace(trace, opts, i):
     noise."""
     return types.SimpleNamespace(
         T=trace.T, algorithm=trace.algorithm, alphas=trace.alphas, gammas=trace.gammas,
-        A=trace.A, iterates=np.vstack([trace.start, opts.bregman_fn[i]]),
-        averaged=np.vstack([trace.start, opts.gap_fn[i]]),
-        noise=opts.noise_fn[i], psi_gap=trace.psi_gap)
+        A=trace.A, iterates=np.vstack([trace.start, opts["bregman_fn"][i]]),
+        averaged=np.vstack([trace.start, opts["gap_fn"][i]]),
+        noise=opts["noise_fn"][i], psi_gap=trace.psi_gap)
 
 
 def assert_same_report(got, want):
@@ -148,7 +147,7 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
         bench._RowFn(functools.partial(bregman_to, H), x_opts),
         NoiseTerms(x_opts, params.p))
     oracle = OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(S)])
-    _, _, batch = SOLVERS[name](oracle, H, per_row, np.tile(x1, (S, 1)), T, trace_opts=opts,
+    _, _, batch = SOLVERS[name](oracle, H, per_row, np.tile(x1, (S, 1)), T, **opts,
                                 stop_gap=stop)
     assert sum(s is not None for s in batch.row_stopped_at) >= 2
     for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
@@ -164,7 +163,7 @@ def test_streamed_report_equals_the_recorded_one(name, d, q):
         alone_opts = recording_options(lambda x: psi(x) - p_star, bregman_to(H, x_opt),
                                        NoiseTerms(x_opt, params.p))
         _, _, alone = SOLVERS[name](RidgeOracle(inst), H, per_row[i], x1, T,
-                                    rng=philox(i, 7), trace_opts=alone_opts,
+                                    rng=philox(i, 7), **alone_opts,
                                     stop_gap=stop[i] or None)
         assert_same_report(certificate_check(alone, params, H, x_opt, psi, p_star), got)
         assert_same_report(got, old_certificate_check(
@@ -177,7 +176,7 @@ def test_noise_terms_need_a_mean_gradient():
     oracle.mean_gradient = None
     sched = default_schedule(params, "acsmd")
     _, _, tr = acsmd(oracle, H, sched, np.ones(3), 10, rng=philox(1),
-                     trace_opts=TraceOptions(noise_fn=NoiseTerms(opt[0][0], params.p)))
+                     noise_fn=NoiseTerms(opt[0][0], params.p))
     assert tr.noise_norm is None and tr.noise_inner is None
     with pytest.raises(DiagnosticUnavailableError, match="noise terms"):
         certificate_check(tr, params, H, opt[0][0], functools.partial(ridge_psi, insts[0]),
@@ -199,14 +198,14 @@ def test_a_certified_grid_batch_holds_no_vector_record(tmp_path, monkeypatch):
     def solver(name):
         run = real(name)
 
-        def watched(oracle, H, sched, x1, T, trace_opts=None, **kwargs):
+        def watched(oracle, H, sched, x1, T, **kwargs):
             tracemalloc.start()
             try:
-                out = run(oracle, H, sched, x1, T, trace_opts=trace_opts, **kwargs)
+                out = run(oracle, H, sched, x1, T, **kwargs)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            seen.append((np.shape(x1), trace_opts, out[2], peak))
+            seen.append((np.shape(x1), kwargs.get("noise_fn"), out[2], peak))
             return out
         return watched
 
@@ -220,8 +219,8 @@ def test_a_certified_grid_batch_holds_no_vector_record(tmp_path, monkeypatch):
     assert [c["certificates"] for c in summary["cells"]] == [
         {"checked": 2, "violations": 0}] * 4
     assert [shape for shape, *_ in seen] == [(2, d), (6, d)]
-    for (S, _), opts, trace, peak in seen:
-        assert isinstance(opts.noise_fn, NoiseTerms)
+    for (S, _), noise_fn, trace, peak in seen:
+        assert isinstance(noise_fn, NoiseTerms)
         for field in ("iterates", "averaged", "query_points", "noise"):
             assert getattr(trace, field, None) is None, field
         assert trace.noise_norm.shape == trace.noise_inner.shape == (T, S)

@@ -12,11 +12,12 @@ artifacts.
 
 The grid runs a grid point (d, L_multiplier) at a time (optionally across
 processes). Each seed's instance is built once per grid point and shared by
-its cells; the seeds of every cell of one solver are the rows of one batched
-solver call, each row under its own cell's schedule and with the bits of its
-run alone, and a restart cell runs one seed at a time. As each grid point's
-job returns, in grid order, its runs are written a run at a time: each
-run's ``trace-<cell>-<seed>.csv`` with header
+its cells; the seeds of every ``nacsmd`` and ``acsmd`` cell are the rows of
+one mirror-descent batch per grid point, and those of the ``acsa`` cells of
+one more, each row under its own cell's solver and schedule and with the
+bits of its run alone, and a restart cell runs one seed at a time. As each
+grid point's job returns, in grid order, its runs are written a run at a
+time: each run's ``trace-<cell>-<seed>.csv`` with header
 ``t,psi_gap,bregman_to_opt,alpha_t,gamma_t`` and its lines of
 ``plotdata.csv``. So memory holds one grid point's results, not the grid's.
 Then the grid's ``summary.json`` (per-cell medians/quartiles, resolved
@@ -35,6 +36,7 @@ import concurrent.futures
 import contextlib
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -60,20 +62,21 @@ from .diagnostics import (
     ridge_psi,
 )
 from .errors import ConfigError, NumericalError, ParameterError
-from .geometry import bregman_to, derive_params, power_uc_constant
+from .geometry import bregman_to, derive_params, dual_exponent, power_uc_constant
 from .oracles import (
     AdditiveNoiseOracle,
     OracleRows,
     RidgeInstance,
     RidgeOracle,
     _philox,
+    _sigma_power,
     bernoulli_oracle,
 )
 from .regularizers import PowerNormRegularizer
 from .solvers import (
     PolynomialSchedule,
     RestartPlan,
-    _solver,
+    _mirror_descent,
     acsa_baseline,
     default_degree,
     default_schedule,
@@ -263,13 +266,18 @@ def _check_instance_values(inst: dict):
     each where its kind reads it: a nonpositive ``mu`` on any kind, a negative
     ``sigma_b`` on a ridge instance (``custom-deterministic`` runs with
     sigma_b = 0), a nonpositive ``R`` on either regression kind, and on
-    ``bernoulli`` a nonpositive ``sigma`` or a ``target_accuracy`` that
-    ``bernoulli_oracle`` refuses."""
+    ``bernoulli`` a nonpositive ``sigma`` or one whose sigma^p is no finite
+    positive number, or a ``target_accuracy`` that ``bernoulli_oracle``
+    refuses."""
     if not inst["mu"] > 0.0:
         raise ConfigError(f"instance.mu must be > 0, got {inst['mu']!r}")
     if inst["kind"] == "bernoulli":
         if not inst["sigma"] > 0.0:
             raise ConfigError(f"instance.sigma must be > 0, got {inst['sigma']!r}")
+        try:
+            _sigma_power(inst["sigma"], dual_exponent(inst["q"]))
+        except ParameterError as exc:
+            raise ConfigError(f"instance.sigma {inst['sigma']!r} is refused: {exc}") from None
         try:
             bernoulli_oracle(inst["mu"], inst["q"], inst["sigma"], inst["target_accuracy"], nu=1)
         except ParameterError as exc:  # mu and sigma pass, so target_accuracy is refused
@@ -569,20 +577,22 @@ def _batch(cfg: dict, seeds: list, rows_data: list):
 
 
 def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
-    """The runs of the cells ``cells``, all of one solver and one grid
-    point, on each seed's bundle of ``bundles`` ({seed: bundle}), as the
-    rows of one batched solver call, or one seed at a time for restart
-    cells: {(label, seed): (record, rows) or the exception that ended the
-    run}. A cell whose schedule fails gets its own error."""
+    """The runs of the cells ``cells``, all of one grid point and either
+    all ``acsa`` or all mirror descent (``nacsmd`` and ``acsmd``), on each
+    seed's bundle of ``bundles`` ({seed: bundle}), as the rows of one
+    batched solver call in (cell, seed) order, each row under its own
+    cell's solver and schedule, or one seed at a time for restart cells:
+    {(label, seed): (record, rows) or the exception that ended the run}. A
+    cell whose schedule fails gets its own error."""
     run_cfg = cfg["run"]
     T_max = int(run_cfg["T_max"])
-    name = cells[0]["algorithm"]["name"]
+    acsa = cells[0]["algorithm"]["name"] == "acsa"
     first = next(iter(bundles.values()))
     out = {}
     runs = []  # (cell, seed, bundle, schedule description, certify?), one per row
     scheds = []
     for cell in cells:
-        if name == "acsa":
+        if acsa:
             sched = None
             desc = {"kind": "acsa-stage-doubling", "L": first["params"].L,
                     "mu_f": first["mu_f"], "stage0": cfg["solver"]["acsa_stage0"]}
@@ -600,7 +610,7 @@ def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
             scheds.append(sched)
     if not runs:
         return out
-    if run_cfg["restart"] is not None and name != "acsa":
+    if run_cfg["restart"] is not None and not acsa:
         # restart plans differ per seed: one seed at a time
         for (cell, seed, bundle, desc, _), sched in zip(runs, scheds):
             out[cell["label"], seed] = _restart_run(cfg, cell, seed, bundle, sched, desc)
@@ -609,7 +619,7 @@ def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
     rows_data = [bundle for _, _, bundle, _, _ in runs]
     oracle, x1, gap_fn, bregman_fn, stop_gap = _batch(cfg, [seed for _, seed, *_ in runs],
                                                       rows_data)
-    if name == "acsa":
+    if acsa:
         _, trace = acsa_baseline(
             oracle, first["H"], first["mu_f"], first["params"].L, x1, T_max,
             gap_fn=gap_fn, stop_gap=stop_gap, stage0=cfg["solver"]["acsa_stage0"],
@@ -622,24 +632,34 @@ def _run_group(cfg: dict, cells: list, bundles: dict) -> dict:
             noise_fn = NoiseTerms(np.stack([b["x_opt"] for b in rows_data]),
                                   first["params"].p)
         # _cell_schedule already checked each schedule over these T_max steps
-        _, _, trace = _solver(name)(
-            oracle, first["H"], scheds, x1, T_max, stop_gap=stop_gap,
-            gap_fn=gap_fn, bregman_fn=bregman_fn, noise_fn=noise_fn,
+        _, _, trace = _mirror_descent(
+            [cell["algorithm"]["name"] for cell, *_ in runs], oracle, first["H"], scheds, x1,
+            T_max, stop_gap=stop_gap, gap_fn=gap_fn, bregman_fn=bregman_fn, noise_fn=noise_fn,
         )
 
+    statuses = []  # each row's certificate status, or the error that ended the row
     for k, (cell, seed, bundle, desc, want_cert) in enumerate(runs):
         try:
-            trace_k = trace.row(k)
-            cert_status = "n/a"
-            if want_cert:
-                report = certificate_check(trace_k, bundle["params"], bundle["H"],
-                                           bundle["x_opt"], bundle["psi"], bundle["psi_star"])
-                cert_status = "ok" if report.ok else f"violated@t={report.first_violation}"
-            out[cell["label"], seed] = _run_outcome(cell, seed, bundle, [trace_k],
-                                                    run_cfg["epsilon"], cert_status, desc)
+            statuses.append(_certificate_status(trace.row(k), bundle) if want_cert else "n/a")
+        except (NumericalError, ParameterError) as exc:
+            statuses.append(exc)
+    # only the certificates read the noise series: drop them, so that they
+    # are not held while every run's trace rows are built
+    trace = dataclasses.replace(trace, noise_norm=None, noise_inner=None)
+    for k, ((cell, seed, bundle, desc, _), status) in enumerate(zip(runs, statuses)):
+        try:
+            out[cell["label"], seed] = status if isinstance(status, Exception) else _run_outcome(
+                cell, seed, bundle, [trace.row(k)], run_cfg["epsilon"], status, desc)
         except (NumericalError, ParameterError) as exc:
             out[cell["label"], seed] = exc
     return out
+
+
+def _certificate_status(trace, bundle: dict) -> str:
+    """``ok`` or ``violated@t=N``: a certified run's ``certificate`` record."""
+    report = certificate_check(trace, bundle["params"], bundle["H"], bundle["x_opt"],
+                               bundle["psi"], bundle["psi_star"])
+    return "ok" if report.ok else f"violated@t={report.first_violation}"
 
 
 def _restart_run(cfg: dict, cell: dict, seed: int, bundle: dict, sched, desc: dict):
@@ -708,12 +728,14 @@ def _job(args):
     record, trace rows for the CSV) pair per seed, the rows None where the
     run errored.
 
-    Each seed's bundle is built once and serves every cell. The runs of one
-    solver's cells are the rows of one batched solver call, each on its own
-    random stream and cell schedule, so every row has the bits of its run
-    alone; restart runs, whose plans differ per seed, go one seed at a time.
-    A seed whose set-up fails, a cell whose schedule fails, or a row that
-    goes non-finite gets its own error record and the other runs go on.
+    Each seed's bundle is built once and serves every cell. The runs of the
+    ``acsa`` cells are the rows of one batched solver call, and those of
+    the mirror-descent cells the rows of one more: one mirror-descent batch
+    per grid point, each row on its own random stream, solver and cell
+    schedule, so every row has the bits of its run alone; restart runs,
+    whose plans differ per seed, go one seed at a time. A seed whose set-up
+    fails, a cell whose schedule fails, or a row that goes non-finite gets
+    its own error record and the other runs go on.
     """
     cfg, cells, seeds = args
     outcomes, bundles = {}, {}
@@ -722,8 +744,10 @@ def _job(args):
             bundles[seed] = _prepare_cell(cfg, cells[0], seed)
         except (NumericalError, ParameterError) as exc:
             outcomes.update({(cell["label"], seed): exc for cell in cells})
-    for name in dict.fromkeys(cell["algorithm"]["name"] for cell in cells) if bundles else ():
-        batch = [cell for cell in cells if cell["algorithm"]["name"] == name]
+    loops = {}  # the acsa cells and the mirror-descent cells, each in grid order
+    for cell in cells:
+        loops.setdefault(cell["algorithm"]["name"] == "acsa", []).append(cell)
+    for batch in loops.values() if bundles else ():
         try:
             outcomes.update(_run_group(cfg, batch, bundles))
         except (NumericalError, ParameterError) as exc:

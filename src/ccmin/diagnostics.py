@@ -67,7 +67,7 @@ def _ridge_psi(x, x_star, sigma_b, mu, q):
     of the 1-D evaluation."""
     x = np.asarray(x, dtype=float)
     d = x - x_star
-    out = _row_dot(d, d) / 3.0 + sigma_b ** 2 + mu / q * np.sum(np.abs(x) ** q, axis=-1)
+    out = _row_dot(d, d) / 3.0 + sigma_b ** 2 + mu / q * np.add.reduce(np.abs(x) ** q, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,8 +134,8 @@ class NoiseTerms:
 
     def __call__(self, delta, x):
         p = self.p
-        return (np.sum(np.abs(delta) ** p, axis=-1) ** (1.0 / p),
-                np.sum(delta * (self.x_star - x), axis=-1))
+        return (np.add.reduce(np.abs(delta) ** p, axis=-1) ** (1.0 / p),
+                np.add.reduce(delta * (self.x_star - x), axis=-1))
 
     def take(self, keep):
         return NoiseTerms(self.x_star if self.x_star.ndim == 1 else self.x_star[keep], self.p)
@@ -306,10 +306,17 @@ def lower_bound_experiment(
         raise ParameterError(f"q must be >= 2, got {q}")
     p = dual_exponent(q)
     if T is None:
-        bound = (
-            0.5 / p ** (q - 1.0) * (sigma / mu) * (sigma / epsilon) ** (q - 1.0)
-            * math.log(1.0 / (1.0 - gamma))
-        )
+        try:
+            bound = (
+                0.5 / p ** (q - 1.0) * (sigma / mu) * (sigma / epsilon) ** (q - 1.0)
+                * math.log(1.0 / (1.0 - gamma))
+            )
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ParameterError(
+                f"lower_bound_experiment: the horizon of sigma={sigma!r}, mu={mu!r} and "
+                f"epsilon={epsilon!r} is not finite")
         T = max(1, math.floor(bound))
     run = _solver(solver)
     params = derive_params(q, 2.0, 0.0, mu * power_uc_constant(q), sigma=sigma)

@@ -150,18 +150,30 @@ class RidgeOracle(StochasticGradientOracle):
         self.instance = instance
 
     def sample_gradient(self, x, rng=None):
-        a, xi = self._draw(_need_rng(self, rng))
-        return _ridge_gradients(a, np.asarray(x, dtype=float), self.instance, xi)
-
-    def _draw(self, rng):
-        """One sample's design row a and then, if the labels are noisy, its
-        standard normal label noise."""
         inst = self.instance
-        a = rng.uniform(-1.0, 1.0, inst.dimension)
-        return a, (rng.standard_normal() if inst.sigma_b > 0.0 else 0.0)
+        a, xi = _draw_ridge([_need_rng(self, rng)], inst.dimension, inst.sigma_b > 0.0)
+        return _ridge_gradients(a[0], np.asarray(x, dtype=float), inst, xi[0])
 
     def mean_gradient(self, x):
         return _ridge_mean_gradient(np.asarray(x, dtype=float), self.instance.x_star)
+
+
+def _draw_ridge(rngs, d, noisy):
+    """One sample per generator of ``rngs``: its design row a ~ U[-1, 1]^d
+    and then, if the labels are noisy, its standard normal label noise,
+    as an ``(S, d)`` block and an ``(S,)`` vector (zeros when not noisy).
+    A row is filled with doubles u by ``random`` and mapped to 2u - 1 over
+    the block: ``uniform(-1, 1)`` computes -1 + 2u from the same u, and 2u
+    is exact, so the row has its bits and the stream moves as it would."""
+    a = np.empty((len(rngs), d))
+    xi = np.zeros(len(rngs))
+    for i, rng in enumerate(rngs):
+        rng.random(out=a[i])
+        if noisy:
+            xi[i] = rng.standard_normal()
+    a *= 2.0
+    a -= 1.0
+    return a, xi
 
 
 def _ridge_gradients(a, x, instance, xi, x_star=None):
@@ -204,17 +216,28 @@ class OracleRows(StochasticGradientOracle):
         if self._x_star is None:
             return np.stack([o.sample_gradient(row, r)
                              for o, row, r in zip(self.oracles, x, self.rngs)])
-        a = np.empty(x.shape)
-        xi = np.zeros(len(self.rngs))
-        for i, (o, r) in enumerate(zip(self.oracles, self.rngs)):
-            a[i], xi[i] = o._draw(r)
-        return _ridge_gradients(a, x, self.oracles[0].instance, xi, x_star=self._x_star)
+        inst = self.oracles[0].instance
+        a, xi = _draw_ridge(self.rngs, inst.dimension, inst.sigma_b > 0.0)
+        return _ridge_gradients(a, x, inst, xi, x_star=self._x_star)
 
     def mean_gradient(self, x):
         x = np.asarray(x, dtype=float)
         if self._x_star is None:
             return np.stack([o.mean_gradient(row) for o, row in zip(self.oracles, x)])
         return _ridge_mean_gradient(x, self._x_star)
+
+
+def _sigma_power(sigma: float, p: float) -> float:
+    """sigma^p, or a ``ParameterError`` naming sigma where it overflows or
+    underflows: the hidden-sign construction divides by it."""
+    try:
+        out = sigma ** p
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ParameterError(
+            f"sigma={sigma!r} gives sigma^p = {out} at p={p}, not a finite positive number")
+    return out
 
 
 def solve_bernoulli_activation(mu: float, q: float, sigma: float, epsilon: float) -> float:
@@ -227,9 +250,15 @@ def solve_bernoulli_activation(mu: float, q: float, sigma: float, epsilon: float
     the right side equals 2 (C/sigma)^p). The left side increases
     monotonically from 0 to +inf, so the root is unique; bisection to machine
     width, stopping once the bracket no longer changes, within 200 steps.
+    A sigma^p or a right side that is not a finite positive number is a
+    ``ParameterError`` naming sigma.
     """
     p = dual_exponent(q)
-    rhs = 2.0 * p * mu ** (p - 1.0) * epsilon / sigma ** p
+    rhs = 2.0 * p * mu ** (p - 1.0) * epsilon / _sigma_power(sigma, p)
+    if not 0.0 < rhs < math.inf:
+        raise ParameterError(
+            f"sigma={sigma!r}, mu={mu!r} and epsilon={epsilon!r} give the activation equation "
+            f"the right side {rhs}, not a finite positive number")
 
     def go_up(mid):
         # Python's float **, as this root was always solved: numpy's ** can
@@ -302,14 +331,15 @@ def bernoulli_oracle(
     Only the returned instance reveals nu; the experiment harness uses it for
     post-hoc scoring while the solver sees just the oracle. Requires
     epsilon <= sigma^p / (2 p mu^(p-1)); larger targets are rejected because
-    the construction cannot bound the noise moment there.
+    the construction cannot bound the noise moment there, and a sigma whose
+    sigma^p is not a finite positive number.
     """
     if nu not in (-1, 1):
         raise ParameterError(f"nu must be -1 or +1, got {nu}")
     if not (mu > 0.0 and sigma > 0.0 and epsilon > 0.0):
         raise ParameterError("mu, sigma, epsilon must all be positive")
     p = dual_exponent(q)
-    ceiling = sigma ** p / (2.0 * p * mu ** (p - 1.0))
+    ceiling = _sigma_power(sigma, p) / (2.0 * p * mu ** (p - 1.0))
     if epsilon > ceiling:
         raise ParameterError(
             f"epsilon={epsilon} exceeds sigma^p/(2 p mu^(p-1)) = {ceiling:.6g}; "

@@ -43,7 +43,7 @@ class PowerNormRegularizer:
     def value(self, x: np.ndarray):
         """H(x); for an ``(S, d)`` batch, one value per row."""
         x = np.asarray(x, dtype=float)
-        out = self.mu / self.q * np.sum(np.abs(x) ** self.q, axis=-1)
+        out = self.mu / self.q * np.add.reduce(np.abs(x) ** self.q, axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x: np.ndarray) -> np.ndarray:

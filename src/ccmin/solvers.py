@@ -28,12 +28,14 @@ gradients per step (``oracles.OracleRows`` stacks S oracles so), and
 when its sampled gradient is not finite (the error names the oracle), or
 when its iterate goes non-finite: the loop then narrows the oracle and the
 per-row functions to the rows left through their ``take(keep)``, so a row that
-left draws nothing and raises nothing more. ``RunTrace.row(i)`` is row i's
-own trace, or raises the error that ended it. A trace keeps per-step
-scalar series (the steps, and what the ``gap_fn``, ``bregman_fn`` and
-``noise_fn`` hooks return) and the start and end points, never the
-iterates in between: its memory is O(T S) plus O(S d), and a caller who
-wants the points records them through the hooks.
+left draws nothing and raises nothing more. The rows of one mirror-descent
+batch may also run different solvers, one ``nacsmd`` or ``acsmd`` name per
+row (the grid runs every mirror-descent cell of a grid point so).
+``RunTrace.row(i)`` is row i's own trace, or raises the error that ended
+it. A trace keeps per-step scalar series (the steps, and what the
+``gap_fn``, ``bregman_fn`` and ``noise_fn`` hooks return) and the start
+and end points, never the iterates in between: its memory is O(T S) plus
+O(S d), and a caller who wants the points records them through the hooks.
 
 A mirror-descent schedule is a pair of sequences (alpha_t, gamma_t).
 Validity means, for every t up to the horizon,
@@ -281,9 +283,12 @@ class RunTrace:
     ran, its gap, Bregman and noise series are ``(T, S)``, its alphas,
     gammas and A ``(T,)`` when the rows share one schedule and ``(T, S)``
     when each has its own, and its points ``(S, d)``. ``row(i)`` is row i's
-    own trace, as views of these arrays."""
+    own trace, as views of these arrays. A batch whose rows run different
+    solvers records one ``algorithm`` name per row, and ``row(i)`` has row
+    i's own. A row's ``(T, S)`` entries past the step it left at hold no
+    value."""
 
-    algorithm: str
+    algorithm: str | list
     T: int
     alphas: np.ndarray
     gammas: np.ndarray
@@ -320,7 +325,7 @@ class RunTrace:
             return None if arr is None else arr[i]
 
         return RunTrace(
-            algorithm=self.algorithm,
+            algorithm=self.algorithm if isinstance(self.algorithm, str) else self.algorithm[i],
             T=k,
             alphas=steps(self.alphas),
             gammas=steps(self.gammas),
@@ -350,11 +355,13 @@ class _Rows:
     ``leave`` drops rows from the batch and narrows the oracle, the three
     per-row functions and the stop gaps to the rows left; ``at`` indexes
     the live rows along the row axis of the ``(T, S)`` series buffers.
+    ``blame`` formats a row's error: one format for every row, or a list
+    with one per row.
     """
 
-    def __init__(self, x, oracle, fns, stop_gap):
+    def __init__(self, x, oracle, fns, stop_gap, blame):
         n = x.shape[0]
-        self.oracle, self.fns = oracle, fns
+        self.oracle, self.fns, self.blame = oracle, fns, blame
         self.stop = None if stop_gap is None else np.array(
             np.broadcast_to(np.asarray(stop_gap, dtype=float), (n,)))
         self.live = np.arange(n)
@@ -367,7 +374,8 @@ class _Rows:
     def leave(self, gone, x, x_avg, stopped_at=None, error=None):
         """Rows ``gone`` (a mask over the live rows) leave with the final
         iterate ``x`` and average ``x_avg``, stopped at ``stopped_at`` or
-        ended by ``error``. Returns the positions of the rows left."""
+        ended by ``error``, the (what went non-finite, step) that each
+        row's ``blame`` formats. Returns the positions of the rows left."""
         idx = self.live[gone]
         self.x_out[idx] = x[gone]
         self.avg_out[idx] = x_avg[gone]
@@ -375,7 +383,8 @@ class _Rows:
             if error is None:
                 self.stopped_at[i] = stopped_at
             else:
-                self.errors[i] = error
+                blame = self.blame if isinstance(self.blame, str) else self.blame[i]
+                self.errors[i] = blame.format(*error)
         keep = np.flatnonzero(~gone)
         self.live = self.at = self.live[keep]
         if keep.size:
@@ -418,6 +427,8 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_f
     gap or on a non-finite oracle output or iterate (``blame`` formats the
     error from what went non-finite and the step), the ``gap_fn``,
     ``bregman_fn`` and ``noise_fn`` hooks (see ``nacsmd``), and the trace.
+    ``algorithm`` and ``blame`` are one for every row, or lists with one
+    per row.
     Returns (final iterates, final averages, trace); a ``(d,)`` run gives
     its row's own and raises the error that ended it.
     """
@@ -431,7 +442,7 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_f
     if single:
         x, oracle = x[None], _OneRow(oracle)
         fns["gap"], fns["bregman"] = _one_row(fns["gap"]), _one_row(fns["bregman"])
-    rows = _Rows(x, oracle, {k: fn for k, fn in fns.items() if fn is not None}, stop_gap)
+    rows = _Rows(x, oracle, {k: fn for k, fn in fns.items() if fn is not None}, stop_gap, blame)
     start = x
 
     # steps first, so a run that stops early touches only the memory of the
@@ -441,8 +452,8 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_f
         return np.empty((T, x.shape[0])) if what in rows.fns else None
 
     # a row's column past the step it left at is never written, and never read
-    alphas = np.zeros((T, x.shape[0]) if row_steps else T)
-    gammas = np.zeros(alphas.shape)
+    alphas = np.empty((T, x.shape[0]) if row_steps else T)
+    gammas = np.empty(alphas.shape)
     noise_norm, noise_inner = series("noise"), series("noise")
     psi_gap, breg = series("gap"), series("bregman")
 
@@ -468,8 +479,7 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_f
         for what in ("oracle output", "iterate"):
             vals = g if what == "oracle output" else x_next
             if not np.isfinite(vals).all():
-                keep = rows.leave(~np.isfinite(vals).all(axis=1), x, x_avg,
-                                  error=blame.format(what, t))
+                keep = rows.leave(~np.isfinite(vals).all(axis=1), x, x_avg, error=(what, t))
                 x, x_avg, state, x_next, avg_next, delta = (
                     _take(v, keep) for v in (x, x_avg, state, x_next, avg_next, delta))
         if not rows.live.size:
@@ -495,12 +505,14 @@ def _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_f
     if rows.live.size:  # else the last rows left with their own
         rows.x_out[rows.live] = x
         rows.avg_out[rows.live] = x_avg
+    with np.errstate(all="ignore"):  # the unwritten columns sum to what no row reads
+        A = np.cumsum(alphas[:steps], axis=0)
     trace = RunTrace(
         algorithm=algorithm,
         T=steps,
         alphas=alphas[:steps],
         gammas=gammas[:steps],
-        A=np.cumsum(alphas[:steps], axis=0),
+        A=A,
         noise_norm=_first(noise_norm, steps),
         noise_inner=_first(noise_inner, steps),
         psi_gap=_first(psi_gap, steps),
@@ -531,11 +543,19 @@ def _first(buf, n):
     return None if buf is None else buf[:n]
 
 
-def _check_schedules(name, sched, params, T):
-    """Raise ``ParameterError`` unless ``sched``, one schedule or one per
-    row, passes ``validate_schedule`` over T steps."""
-    per_row = sched if isinstance(sched, (list, tuple)) else [sched]
-    for sc in {id(sc): sc for sc in per_row}.values():
+def _block(idx):
+    """The positions ``idx``, increasing, as a slice where they are
+    consecutive: the rows of one kind in a batch of cells mostly are."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+
+
+def _check_schedules(names, scheds, params, T):
+    """Raise ``ParameterError`` unless each schedule of ``scheds`` passes
+    ``validate_schedule`` over T steps; ``names[i]`` is the solver that runs
+    ``scheds[i]``, or ``names`` is one name for them all."""
+    if len(names) == 1:
+        names = names * len(scheds)
+    for name, sc in {id(sc): (name, sc) for name, sc in zip(names, scheds)}.values():
         report = validate_schedule(sc, params, T)
         if not report.ok:
             raise ParameterError(
@@ -544,34 +564,48 @@ def _check_schedules(name, sched, params, T):
             )
 
 
-def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
-                    gap_fn, bregman_fn, noise_fn, stop_gap):
+def _mirror_descent(name, oracle, H, sched, x1, T, rng=None, params=None,
+                    gap_fn=None, bregman_fn=None, noise_fn=None, stop_gap=None):
     """The step of both mirror-descent solvers, run by ``_run``. The two
     averaging forms agree in exact arithmetic but not in the last bits, so
     each solver keeps its own; nacsmd keeps its alpha-weighted iterate sum
     in the per-row state.
 
-    ``sched`` is one schedule for every row, or a list or tuple with one
-    per row. Each distinct schedule (by identity) is evaluated once a step,
-    as a scalar, and keeps its own running alpha sum; with more than one,
-    the step reads them as ``(S, 1)`` columns picked by each row's schedule.
+    ``name`` is one of ``TARGETS`` for every row, or a list or tuple with
+    one per row, and ``sched`` one schedule for every row, or a list or
+    tuple with one per row. Each distinct schedule (by identity) is
+    evaluated once a step, as a scalar, and keeps its own running alpha
+    sum; with more than one, the step reads them as ``(S, 1)`` columns
+    picked by each row's schedule. While rows of both solvers are live, a
+    step samples, proxes and checks them all at once and applies each
+    averaging form to its own rows only; once one solver's rows are left,
+    it takes that solver's own step. Each row keeps the bits of its own
+    run, and the error that ends a row names its own solver.
     """
+    n = 1 if np.ndim(x1) == 1 else len(x1)
+    names = list(name) if isinstance(name, (list, tuple)) else [name]
+    kinds = list(dict.fromkeys(names))
+    label = "/".join(map(str, kinds))
+    if any(k not in TARGETS for k in kinds):
+        raise ParameterError(f"solver must be one of {TARGETS}, got {label!r}")
+    if len(names) not in (1, n):
+        raise ParameterError(f"{label}: got {len(names)} solver names for a batch of {n} rows")
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
     if stop_gap is not None and gap_fn is None:
-        raise ParameterError(f"{name}: stop_gap needs gap_fn to measure the gap")
+        raise ParameterError(f"{label}: stop_gap needs gap_fn to measure the gap")
     per_row = list(sched) if isinstance(sched, (list, tuple)) else [sched]
-    n = 1 if np.ndim(x1) == 1 else len(x1)
     if len(per_row) not in (1, n):
         raise ParameterError(
-            f"{name}: got {len(per_row)} schedules for a batch of {n} rows")
+            f"{label}: got {len(per_row)} schedules for a batch of {n} rows")
+    mixed = len(kinds) > 1  # then there is one name per row
+    if params is not None:
+        _check_schedules(names, per_row, params, T)
     scheds = list({id(sc): sc for sc in per_row}.values())
     which = None
-    if len(scheds) > 1:
+    if len(scheds) > 1 or mixed:
         index = {id(sc): j for j, sc in enumerate(scheds)}
-        which = np.array([index[id(sc)] for sc in per_row])
-    if params is not None:
-        _check_schedules(name, sched, params, T)
+        which = np.array([index[id(sc)] for sc in (per_row if len(per_row) == n else per_row * n)])
     A_prev = [0.0] * len(scheds)
 
     def coefficients(t, live):
@@ -586,19 +620,47 @@ def _mirror_descent(name, accelerated, oracle, H, sched, x1, T, rng, params,
             return vals[0]
         return np.array(vals)[which[live]].T[:, :, None]
 
+    accelerated = np.array([nm == "acsmd" for nm in names])
+    split = [None, kinds[0] == "acsmd"]  # the live rows it was made for, and their kinds
+
+    def kinds_of(live):
+        """True or False when every live row runs acsmd or nacsmd, else the
+        positions of the acsmd and the nacsmd rows among the live ones."""
+        if mixed and split[0] is not live:
+            acc = accelerated[live]
+            split[:] = live, (bool(acc[0]) if acc.all() or not acc.any()
+                              else (_block(np.flatnonzero(acc)), _block(np.flatnonzero(~acc))))
+        return split[1]
+
     def step(t, x, x_avg, S, sample, live):
         a_t, g_t, A_p, A_t = coefficients(t, live)
-        x_q = (A_p / A_t) * x_avg + (a_t / A_t) * x if accelerated else x
-        x_next = composite_prox(H, sample(x_q), x, a_t, g_t)
-        if accelerated:
-            avg_next = (A_p / A_t) * x_avg + (a_t / A_t) * x_next
-        else:
+        rows = kinds_of(live)
+        if rows is False:
+            x_next = composite_prox(H, sample(x), x, a_t, g_t)
             S += a_t * x_next
-            avg_next = S / A_t
+            return a_t, g_t, x_next, S / A_t
+        if rows is True:
+            w_avg, w_new = A_p / A_t, a_t / A_t
+            x_next = composite_prox(H, sample(w_avg * x_avg + w_new * x), x, a_t, g_t)
+            return a_t, g_t, x_next, w_avg * x_avg + w_new * x_next
+        acc, plain = rows
+        w_avg, w_new = A_p[acc] / A_t[acc], a_t[acc] / A_t[acc]
+        x_q = x.copy()
+        x_q[acc] = w_avg * x_avg[acc] + w_new * x[acc]
+        x_next = composite_prox(H, sample(x_q), x, a_t, g_t)
+        avg_next = np.empty_like(x_next)
+        avg_next[acc] = w_avg * x_avg[acc] + w_new * x_next[acc]
+        S[plain] += a_t[plain] * x_next[plain]
+        avg_next[plain] = S[plain] / A_t[plain]
         return a_t, g_t, x_next, avg_next
 
-    return _run(name, f"{name}: non-finite {{}} at t={{}}", step, oracle, x1, T, rng,
-                stop_gap, gap_fn, bregman_fn, noise_fn, row_steps=which is not None)
+    if mixed:
+        algorithm, blame = names, [f"{nm}: non-finite {{}} at t={{}}" for nm in names]
+    else:
+        algorithm = kinds[0]
+        blame = f"{algorithm}: non-finite {{}} at t={{}}"
+    return _run(algorithm, blame, step, oracle, x1, T, rng, stop_gap, gap_fn, bregman_fn,
+                noise_fn, row_steps=which is not None)
 
 
 def nacsmd(
@@ -640,7 +702,7 @@ def nacsmd(
     every x^ag_{t+1}, x_{t+1} and x_t, and through the oracle, whose
     ``sample_gradient`` sees every query point.
     """
-    return _mirror_descent("nacsmd", False, oracle, H, sched, x1, T, rng, params,
+    return _mirror_descent("nacsmd", oracle, H, sched, x1, T, rng, params,
                            gap_fn, bregman_fn, noise_fn, stop_gap)
 
 
@@ -664,7 +726,7 @@ def acsmd(
     ``(S, d)`` batch, and ``params``, the hooks and ``stop_gap`` act as
     for ``nacsmd``.
     """
-    return _mirror_descent("acsmd", True, oracle, H, sched, x1, T, rng, params,
+    return _mirror_descent("acsmd", oracle, H, sched, x1, T, rng, params,
                            gap_fn, bregman_fn, noise_fn, stop_gap)
 
 
@@ -719,7 +781,8 @@ def restart(
     one within T, so that check covers every stage."""
     step = _solver(solver)
     if params is not None:
-        _check_schedules(solver, sched, params, plan.T)
+        _check_schedules([solver], sched if isinstance(sched, (list, tuple)) else [sched],
+                         params, plan.T)
     x, traces = x1, []
     for steps in [plan.K] * plan.n + [plan.T]:
         x, y, tr = step(oracle, H, sched, x, steps, rng=rng, gap_fn=gap_fn,

@@ -525,25 +525,26 @@ class TestRunExperiment:
 
         real = bench._run_group
 
-        def broken_acsmd(cfg, cells, bundles):
-            if cells[0]["algorithm"]["name"] == "acsmd":
+        def broken_mirror_descent(cfg, cells, bundles):
+            if cells[0]["algorithm"]["name"] != "acsa":
                 raise NumericalError("synthetic blow-up")
             return real(cfg, cells, bundles)
 
-        monkeypatch.setattr(bench, "_run_group", broken_acsmd)
-        cfg = {"instance": {"d": [3, 4]}, "solver": {"algorithms": ["acsa", "nacsmd", "acsmd1"]},
+        monkeypatch.setattr(bench, "_run_group", broken_mirror_descent)
+        cfg = {"instance": {"d": [3, 4]}, "solver": {"algorithms": ["nacsmd", "acsa", "acsmd1"]},
                "run": {"epsilon": 0.05, "T_max": 60, "seeds": [0, 1, 2]}}
         s = run_experiment(cfg, out_dir=tmp_path)
         by_alg = {}
         for cell in s["cells"]:
             by_alg.setdefault(cell["algorithm"], []).append(cell)
-        for cell in by_alg["acsa"] + by_alg["nacsmd"]:
+        for cell in by_alg["acsa"]:
             assert cell["failed_runs"] == {}
             assert cell["median_iterations"] is not None
-        for cell in by_alg["acsmd1"]:
+        # the nacsmd and acsmd cells of a grid point are one mirror-descent batch
+        for cell in by_alg["nacsmd"] + by_alg["acsmd1"]:
             assert cell["failed_runs"] == {str(seed): "synthetic blow-up" for seed in (0, 1, 2)}
         traces = {p.name for p in tmp_path.glob("trace-*.csv")}
-        assert len(traces) == 2 * 2 * 3 and not [n for n in traces if "acsmd1" in n]
+        assert len(traces) == 2 * 3 and all("acsa" in n for n in traces)
 
     def test_a_start_point_with_no_finite_gap_is_a_set_up_error(self, tmp_path, capsys):
         # psi(x1) overflows: gap0 = inf, against which acsa once "hit" its
@@ -972,6 +973,8 @@ class TestCli:
         ({"kind": "bernoulli", "sigma": -1.0}, "instance.sigma"),
         ({"kind": "bernoulli", "target_accuracy": 5.0}, "instance.target_accuracy"),
         ({"kind": "bernoulli", "target_accuracy": 0.0}, "instance.target_accuracy"),
+        # sigma^p overflows: once an OverflowError traceback, exit 1
+        ({"kind": "bernoulli", "sigma": 1e300}, "instance.sigma"),
     ])
     def test_an_instance_value_every_seed_refuses_exit_2(self, tmp_path, capsys, command,
                                                          instance, key):
@@ -1136,6 +1139,8 @@ class TestCli:
         ("lowerbound", {"trials": 5, "q": 1.0}, "q must be >= 2"),
         ("concentration", {"trials": 100, "T": 5, "q": 1.0}, "q >= 2"),
         ("concentration", {"trials": 100, "T": 5, "R": 0.0}, "R > 0"),
+        # an infinite horizon once died in math.floor with an OverflowError, exit 1
+        ("lowerbound", {"sigma": 1e300}, "horizon"),
     ])
     def test_subcommand_out_of_range_exit_2(self, tmp_path, capsys, command, cfg, key):
         # each once fell through to a ZeroDivisionError and exit 1

@@ -1,5 +1,6 @@
-"""A grid runs the seeds of each cell as the rows of one batched solver call.
-These tests hold every row to the bytes of its seed's run alone: a grid of
+"""A grid runs the seeds of its cells as the rows of one mirror-descent batch
+per grid point, and its ``acsa`` cells as the rows of one more. These tests
+hold every row to the bytes of its seed's run alone: a grid of
 N seeds must write what N one-seed grids write, a row that goes non-finite
 must leave with the error of its own run and change no other row, and the
 row-wise dot products must keep the bits of per-row ``a @ x``.
@@ -32,6 +33,7 @@ from ccmin import (
     ridge_psi,
 )
 from ccmin.bench import parse_plotdata, run_experiment
+from ccmin.errors import NumericalError
 from ccmin.geometry import _row_dot
 from ccmin.oracles import StochasticGradientOracle
 from recording import Recording, RecordingOracle
@@ -296,8 +298,8 @@ def test_a_row_that_goes_non_finite_leaves_alone(tmp_path, monkeypatch, stop):
     assert all(math.isfinite(r["final_relative_gap"]) for r in records.values() if "error" not in r)
 
 
-# The mirror-descent cells of one (d, L_multiplier, solver) run as one batch,
-# each row under its own cell's schedule.
+# The mirror-descent cells of one (d, L_multiplier) run as one batch, each
+# row under its own cell's solver and schedule.
 MIXED = ["nacsmd", "acsmd1", "acsmd2", "acsmd3"]
 
 
@@ -334,24 +336,21 @@ def test_mixed_schedule_batch_equals_one_algorithm_grids(tmp_path, mode, stop, w
         assert any(r["certificate"] == "ok" for r in records.values())
 
 
-def test_one_solver_call_per_d_and_solver(tmp_path, monkeypatch):
+def test_one_mirror_descent_call_per_d(tmp_path, monkeypatch):
     calls = []
-    real = bench._solver
+    real = bench._mirror_descent
 
-    def solver(name):
-        run = real(name)
+    def counted(name, oracle, H, sched, x1, T, **kwargs):
+        calls.append((name, np.shape(x1), len({id(s) for s in sched})))
+        return real(name, oracle, H, sched, x1, T, **kwargs)
 
-        def counted(oracle, H, sched, x1, T, **kwargs):
-            calls.append((name, np.shape(x1), len({id(s) for s in sched})))
-            return run(oracle, H, sched, x1, T, **kwargs)
-        return counted
-
-    monkeypatch.setattr(bench, "_solver", solver)
+    monkeypatch.setattr(bench, "_mirror_descent", counted)
     cfg = {"instance": {"d": [3, 6]}, "solver": {"algorithms": ["acsa"] + MIXED},
            "run": {"T_max": 30, "seeds": [0, 1]}}
     run_experiment(cfg, out_dir=tmp_path)
-    assert calls == [("nacsmd", (2, 3), 1), ("acsmd", (6, 3), 3),
-                     ("nacsmd", (2, 6), 1), ("acsmd", (6, 6), 3)]
+    # the rows in (cell, seed) order, each naming its own solver
+    names = ["nacsmd"] * 2 + ["acsmd"] * 6
+    assert calls == [(names, (8, 3), 4), (names, (8, 6), 4)]
 
 
 class CountedSchedule:
@@ -415,6 +414,121 @@ def test_batch_row_under_its_own_schedule_keeps_its_bits(name):
         for field in ("lhs", "rhs", "slack", "martingale", "noise_moment", "deterministic"):
             assert getattr(reports[0], field).tobytes() == getattr(reports[1], field).tobytes()
     assert [s is not None for s in batch.row_stopped_at].count(True) >= 2
+
+
+# Two nacsmd rows and four acsmd rows; the second order interleaves them.
+KINDS = {"blocks": ["nacsmd", "nacsmd", "acsmd", "acsmd", "acsmd", "acsmd"],
+         "interleaved": ["acsmd", "nacsmd", "acsmd", "acsmd", "nacsmd", "acsmd"]}
+DEGREES = {"nacsmd": [0.0, 1.0], "acsmd": [1.0, 2.0, 3.0, 1.5]}
+
+
+def mixed_problem(q, names):
+    """(instances, optima, H, params, one validated schedule per row)."""
+    d = 5
+    insts = [RidgeInstance(x_star=philox(s, 1).uniform(-0.3, 0.3, d),
+                           sigma_b=0.1, mu=2.0, q=q) for s in range(len(names))]
+    opt = [exact_optimum(inst) for inst in insts]
+    H = PowerNormRegularizer(mu=2.0, q=q)
+    params = derive_params(q, 2.0, insts[0].L, 2.0 * power_uc_constant(q))
+    degrees = {k: iter(m) for k, m in DEGREES.items()}
+    scheds = [default_schedule(params, nm, m=next(degrees[nm])) for nm in names]
+    return insts, opt, H, params, scheds
+
+
+def mixed_hooks(insts, opt, H, params):
+    x_star = np.stack([i.x_star for i in insts])
+    x_opts, psi_star = np.stack([o[0] for o in opt]), np.array([o[1] for o in opt])
+    return dict(
+        gap_fn=bench._RowFn(functools.partial(bench._ridge_gaps, insts[0]), x_star, psi_star),
+        bregman_fn=bench._RowFn(functools.partial(bregman_to, H), x_opts),
+        noise_fn=NoiseTerms(x_opts, params.p))
+
+
+@pytest.mark.parametrize("order", sorted(KINDS))
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_a_mixed_batch_gives_every_row_the_bits_of_its_own_run(q, order):
+    names, T = KINDS[order], 80
+    insts, opt, H, params, scheds = mixed_problem(q, names)
+    # the acsmd rows leave at their own stop gaps, the nacsmd rows run on
+    gaps = iter([5.0, 1.0, 0.5, 0.2])
+    stop = np.array([0.0 if nm == "nacsmd" else next(gaps) for nm in names])
+    x1 = np.full(5, 3.25)
+    hooks, oracle, points = recording(
+        mixed_hooks(insts, opt, H, params),
+        OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(6)]))
+    x, y, batch = bench._mirror_descent(names, oracle, H, scheds, np.tile(x1, (6, 1)), T,
+                                        params=params, **hooks, stop_gap=stop)
+    assert batch.algorithm == names
+    ran = []
+    for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
+        one, oracle_i, points_i = recording(
+            dict(gap_fn=lambda z: ridge_psi(inst, z) - p_star,
+                 bregman_fn=bregman_to(H, x_opt), noise_fn=NoiseTerms(x_opt, params.p)),
+            RidgeOracle(inst))
+        solver = nacsmd if names[i] == "nacsmd" else acsmd
+        xi, yi, alone = solver(oracle_i, H, scheds[i], x1, T, rng=philox(i, 7), **one,
+                               stop_gap=stop[i] or None)
+        row = batch.row(i)
+        assert row.algorithm == alone.algorithm == names[i]
+        assert x[i].tobytes() == xi.tobytes() and y[i].tobytes() == yi.tobytes()
+        assert_same_points(points, i, points_i)
+        assert row.T == alone.T and row.stopped_at == alone.stopped_at
+        for field in ("alphas", "gammas", "A", "noise_norm", "noise_inner", "psi_gap",
+                      "bregman_to_opt", "start", "last", "last_average"):
+            assert getattr(row, field).tobytes() == getattr(alone, field).tobytes(), field
+        psi = functools.partial(ridge_psi, inst)
+        reports = [certificate_check(tr, params, H, x_opt, psi, p_star) for tr in (row, alone)]
+        assert reports[0].ok
+        for field in ("lhs", "rhs", "slack", "martingale", "noise_moment", "deterministic"):
+            assert getattr(reports[0], field).tobytes() == getattr(reports[1], field).tobytes()
+        ran.append((names[i], row.T))
+    # every acsmd row left at its stop gap, so the last steps ran nacsmd alone
+    assert max(t for nm, t in ran if nm == "acsmd") < batch.T == T
+    assert [nm for nm, t in ran if t == T] == ["nacsmd", "nacsmd"]
+
+
+@pytest.mark.parametrize("order", sorted(KINDS))
+def test_rows_of_both_solvers_that_go_non_finite_at_once_keep_their_own_errors(order):
+    names, T = KINDS[order], 30
+    insts, opt, H, params, scheds = mixed_problem(3.0, names)
+    # the first row of each solver blows up at its third query
+    blown = {names.index("nacsmd"), names.index("acsmd")}
+    x1 = np.full(5, 3.25)
+    oracles = [RidgeOracle(i) for i in insts]
+    batch_oracle = OracleRows([BlowUp(o) if i in blown else o for i, o in enumerate(oracles)],
+                              [philox(s, 7) for s in range(6)])
+    _, _, batch = bench._mirror_descent(names, batch_oracle, H, scheds, np.tile(x1, (6, 1)), T,
+                                        **mixed_hooks(insts, opt, H, params))
+    assert batch.row_errors == {i: f"{names[i]}: non-finite oracle output at t=3"
+                                for i in blown}
+    for i, (inst, (x_opt, p_star)) in enumerate(zip(insts, opt)):
+        solver = nacsmd if names[i] == "nacsmd" else acsmd
+        run = functools.partial(
+            solver, H=H, sched=scheds[i], x1=x1, T=T, rng=philox(i, 7),
+            gap_fn=lambda z: ridge_psi(inst, z) - p_star, bregman_fn=bregman_to(H, x_opt),
+            noise_fn=NoiseTerms(x_opt, params.p))
+        if i in blown:
+            with pytest.raises(NumericalError) as alone:
+                run(BlowUp(oracles[i]))
+            with pytest.raises(NumericalError) as row:
+                batch.row(i)
+            assert str(row.value) == str(alone.value) == batch.row_errors[i]
+            continue
+        _, _, alone = run(oracles[i])
+        row = batch.row(i)
+        assert row.algorithm == names[i] and row.T == alone.T == T
+        for field in ("alphas", "A", "psi_gap", "noise_norm", "last", "last_average"):
+            assert getattr(row, field).tobytes() == getattr(alone, field).tobytes(), field
+
+
+def test_a_mixed_batch_refuses_a_wrong_count_of_names():
+    names = KINDS["blocks"]
+    insts, opt, H, params, scheds = mixed_problem(3.0, names)
+    oracle = OracleRows([RidgeOracle(i) for i in insts], [philox(s, 7) for s in range(6)])
+    with pytest.raises(bench.ParameterError, match="5 solver names for a batch of 6 rows"):
+        bench._mirror_descent(names[:5], oracle, H, scheds, np.zeros((6, 5)), 5)
+    with pytest.raises(bench.ParameterError, match="solver must be one of"):
+        bench._mirror_descent(names[:5] + ["acsa"], oracle, H, scheds, np.zeros((6, 5)), 5)
 
 
 def test_schedules_must_match_the_rows():

@@ -122,6 +122,20 @@ class TestBernoulli:
             emp = np.mean(np.abs(C * (b - 1.0)) ** p)
             assert emp <= 1.02
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_a_sigma_whose_power_is_not_finite_and_positive_is_refused(self, sigma):
+        # sigma^p once underflowed to 0 (a ZeroDivisionError) or overflowed
+        # (an OverflowError) in Python floats
+        with pytest.raises(ParameterError, match="sigma"):
+            solve_bernoulli_activation(1.0, 3.0, sigma, 1e-3)
+        with pytest.raises(ParameterError, match="sigma"):
+            bernoulli_oracle(1.0, 3.0, sigma, 1e-3, nu=1)
+
+    def test_an_activation_equation_with_no_finite_positive_side_is_refused(self):
+        # sigma^p is finite, but the right side underflows to 0
+        with pytest.raises(ParameterError, match="right side"):
+            solve_bernoulli_activation(1.0, 2.0, 1e150, 1e-300)
+
     def test_precondition_rejected(self):
         # epsilon above sigma^p/(2 p mu^{p-1}) breaks the construction
         with pytest.raises(ParameterError, match="epsilon"):

@@ -193,23 +193,19 @@ def test_no_certificate_for_the_baseline():
 def test_a_certified_grid_batch_holds_no_vector_record(tmp_path, monkeypatch):
     d, T = 200, 300
     seen = []
-    real = bench._solver
+    real = bench._mirror_descent
 
-    def solver(name):
-        run = real(name)
+    def watched(name, oracle, H, sched, x1, T, **kwargs):
+        tracemalloc.start()
+        try:
+            out = real(name, oracle, H, sched, x1, T, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen.append((np.shape(x1), kwargs.get("noise_fn"), out[2], peak))
+        return out
 
-        def watched(oracle, H, sched, x1, T, **kwargs):
-            tracemalloc.start()
-            try:
-                out = run(oracle, H, sched, x1, T, **kwargs)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            seen.append((np.shape(x1), kwargs.get("noise_fn"), out[2], peak))
-            return out
-        return watched
-
-    monkeypatch.setattr(bench, "_solver", solver)
+    monkeypatch.setattr(bench, "_mirror_descent", watched)
     cfg = {"instance": {"d": [d]},
            "solver": {"algorithms": ["nacsmd", "acsmd1", "acsmd2", "acsmd3"],
                       "schedule_mode": "validated"},
@@ -218,7 +214,8 @@ def test_a_certified_grid_batch_holds_no_vector_record(tmp_path, monkeypatch):
     summary = bench.run_experiment(cfg, out_dir=tmp_path)
     assert [c["certificates"] for c in summary["cells"]] == [
         {"checked": 2, "violations": 0}] * 4
-    assert [shape for shape, *_ in seen] == [(2, d), (6, d)]
+    # one mirror-descent batch: the nacsmd cell's 2 rows and the 6 of acsmd
+    assert [shape for shape, *_ in seen] == [(8, d)]
     for (S, _), noise_fn, trace, peak in seen:
         assert isinstance(noise_fn, NoiseTerms)
         for field in ("iterates", "averaged", "query_points", "noise"):
